@@ -113,7 +113,7 @@ def base_state(case: NetworkCase, base_dispatch: str = "opf") -> SystemState:
     topo0 = build_topology(case)
     full = case.base_state()
     if base_dispatch == "opf":
-        tgt = cascade.dispatch_target(case, topo0, full)
+        tgt = cascade.dispatch_target(case, topo0, full, jacobians=False)
         if tgt.fallback:
             raise InfeasibleBaseCase("planning LP infeasible on the intact network")
         served = tgt.x_star.total_load()
@@ -124,7 +124,7 @@ def base_state(case: NetworkCase, base_dispatch: str = "opf") -> SystemState:
             )
         return tgt.x_star
     if base_dispatch == "case":
-        state, _, cost, _, _ = cascade._rebalance(case, topo0, full)
+        state, _, cost, _, _ = cascade._rebalance(case, topo0, full, jacobians=False)
         if cost > 0:
             raise InfeasibleBaseCase("case dispatch cannot cover the base load")
         if np.any(state.p_gen > case.gen_max + 1e-9) or np.any(
@@ -151,14 +151,16 @@ def run_assessment(
     topo0 = build_topology(case)
     topo1, _ = apply_outage(case, topo0, initial_outages)
     fast = cascade.short_timescale_process(
-        case, topo1, x_base, initial_trips=tuple(sorted(initial_outages))
+        case, topo1, x_base, initial_trips=tuple(sorted(initial_outages)), jacobians=False
     )
     x_pre = fast.final_state
     topo1 = fast.final_topology
 
     if control_target is None:
-        control_target = cascade.dispatch_target(case, topo1, x_pre).x_star
-    exe = cascade.dispatch_execute(case, topo1, x_pre, control_target, config.tau_d)
+        control_target = cascade.dispatch_target(case, topo1, x_pre, jacobians=False).x_star
+    exe = cascade.dispatch_execute(
+        case, topo1, x_pre, control_target, config.tau_d, jacobians=config.gradients
+    )
     c0 = control_cost_value(case, x_pre, exe.state)
 
     t = mtree.MarkovTree(
@@ -187,7 +189,7 @@ def run_assessment(
         pre_control_cost=fast.cost,
         tree=t,
         history=history,
-        exec_sensitivity=exe.jac_star if config.gradients else None,
+        exec_sensitivity=exe.jac_star,
     )
 
 
@@ -227,11 +229,11 @@ def enumeration_risk(
     for eid, pr in zip(ids, probs):
         if pr <= 0.0:
             continue
-        rec = cascade.simulate_level(case, topo, state, eid, tau_d)
+        rec = cascade.simulate_level(case, topo, state, eid, tau_d, jacobians=False)
         total += pr * (
             rec.cost + enumeration_risk(case, rec.topo, rec.x_next, tau_d, depth - 1)
         )
-    rec0 = cascade.simulate_level(case, topo, state, 0, tau_d)
+    rec0 = cascade.simulate_level(case, topo, state, 0, tau_d, jacobians=False)
     total += pr_no * rec0.cost  # absorbing: no continuation below the no-outage child
     return total
 
@@ -239,6 +241,11 @@ def enumeration_risk(
 # ---------------------------------------------------------------------------
 # Finite-difference gradient validation
 # ---------------------------------------------------------------------------
+
+def _clipped_loads(target: SystemState, x_pre: SystemState) -> np.ndarray:
+    """Loads whose target the root execution LP clips to the pre-control load."""
+    return np.maximum(target.p_load, 0.0) > np.maximum(x_pre.p_load, 0.0)
+
 
 @dataclass
 class GradientValidation:
@@ -265,14 +272,18 @@ def validate_gradient(
     the exhaustively assessed subsequent risk over each control component.
 
     Components whose perturbation changes any trip set or LP active set (or
-    that hit a flagged simulation) are excluded from the tolerance check.
-    Requires an exhaustive budget so both sides see the identical tree.
+    that hit a flagged simulation) are excluded from the tolerance check, as
+    are those whose perturbation changes which root load targets the
+    execution LP clips at the pre-control load (`P*_d > P'_d`): that clip is
+    a kink no active set records. Requires an exhaustive budget so both sides
+    see the identical tree.
     """
     if config.policy != "exhaustive":
         raise ValueError("gradient validation requires an exhaustive search budget")
     center = run_assessment(case, initial_outages, config, control_target)
     target = center.x_target
     sig0 = center.signature()
+    clip0 = _clipped_loads(target, center.x_pre)
     fd_config = replace(config, gradients=False)
 
     n = case.n_x
@@ -287,7 +298,9 @@ def validate_gradient(
             perturbed = SystemState.from_x(target.x + sign * delta, case.n_load)
             a = run_assessment(case, initial_outages, fd_config, perturbed)
             vals.append(a.r_prime)
-            if a.signature() != sig0:
+            if a.signature() != sig0 or not np.array_equal(
+                _clipped_loads(perturbed, a.x_pre), clip0
+            ):
                 flagged[i] = True
         fd[i] = (vals[0] - vals[1]) / (2.0 * step)
 

@@ -1,12 +1,16 @@
 """One cascade level: flow-dependent failure rates, interval outage
 probabilities, the fast overload/shedding process, and the two re-dispatch
 LPs (target selection and ramp-limited execution), each with the local
-sensitivity matrices of the state chain.
+sensitivity matrices of the state chain when asked for (`jacobians=True`).
 
 All maps are differentiated under the frozen-event / frozen-basis rule: the
 trip sequence, island partition and LP active sets are held fixed, so every
 returned Jacobian is the sub-derivative of the piecewise-smooth map actually
 taken.
+
+With `jacobians=False` the same states, costs, flags and active-set
+signatures are produced, but no Jacobian, cost row or LP sensitivity is
+computed: those fields are None and `degenerate` stays False.
 """
 
 from __future__ import annotations
@@ -144,8 +148,8 @@ class FastEvent:
     shed_mw: float
     cost: float
     state: SystemState          # after this event
-    dcost_dx: np.ndarray        # d(cost)/d(process input state)
-    jac_dx: np.ndarray          # d(state)/d(process input state)
+    dcost_dx: np.ndarray | None  # d(cost)/d(process input state)
+    jac_dx: np.ndarray | None    # d(state)/d(process input state)
 
 
 @dataclass
@@ -154,8 +158,8 @@ class ShortTimescaleTrace:
     final_state: SystemState
     final_topology: Topology
     cost: float                 # total fast cost, $
-    jac: np.ndarray             # d(final state)/d(input state)
-    dcost_dx: np.ndarray        # row, d(total cost)/d(input state)
+    jac: np.ndarray | None      # d(final state)/d(input state)
+    dcost_dx: np.ndarray | None  # row, d(total cost)/d(input state)
     truncated: bool = False
 
     @property
@@ -163,22 +167,24 @@ class ShortTimescaleTrace:
         return len(self.events)
 
 
-def _rebalance(case: NetworkCase, topo: Topology, state: SystemState):
+def _rebalance(case: NetworkCase, topo: Topology, state: SystemState,
+               jacobians: bool = True):
     """Per-island proportional balance restoration.
 
     Deficit islands (generation below load, incl. de-energized) shed load
     proportionally at cost c_D per MW; surplus islands curtail generation
     proportionally above P_min when island load covers total P_min, else
     fully proportionally. Returns (state', jacobian, cost, dcost_dx, shed_mw);
-    the map is linear per island given the frozen partition.
+    the map is linear per island given the frozen partition. Without
+    `jacobians` the jacobian and dcost_dx are None.
     """
     n_l, n_x = case.n_load, case.n_x
     p_d = state.p_load.copy()
     p_g = state.p_gen.copy()
-    jac = np.eye(n_x)
+    jac = np.eye(n_x) if jacobians else None
     cost = 0.0
     shed_mw = 0.0
-    dcost = np.zeros(n_x)
+    dcost = np.zeros(n_x) if jacobians else None
 
     for members in topo.islands:
         mset = set(members)
@@ -196,42 +202,41 @@ def _rebalance(case: NetworkCase, topo: Topology, state: SystemState):
             cd = case.c_load[li]
             cost += float(cd @ (p_d[li] * (1.0 - alpha)))
             shed_mw += float(np.sum(p_d[li] * (1.0 - alpha)))
-            rows = np.zeros((li.size, n_x))
-            block_dd = -np.outer(p_d[li], np.full(li.size, g_tot / d_tot**2))
-            block_dd[np.arange(li.size), np.arange(li.size)] += alpha
-            rows[:, lx] = block_dd
-            if gi.size:
-                rows[:, gx] = np.outer(p_d[li], np.full(gi.size, 1.0 / d_tot))
-            dcost_step = np.zeros(n_x)
-            dcost_step[lx] += cd
-            dcost_step -= cd @ rows
-            dcost += dcost_step
-            jac[lx, :] = rows
+            if jacobians:
+                rows = np.zeros((li.size, n_x))
+                block_dd = -np.outer(p_d[li], np.full(li.size, g_tot / d_tot**2))
+                block_dd[np.arange(li.size), np.arange(li.size)] += alpha
+                rows[:, lx] = block_dd
+                if gi.size:
+                    rows[:, gx] = np.outer(p_d[li], np.full(gi.size, 1.0 / d_tot))
+                dcost_step = np.zeros(n_x)
+                dcost_step[lx] += cd
+                dcost_step -= cd @ rows
+                dcost += dcost_step
+                jac[lx, :] = rows
             p_d[li] *= alpha
         else:
             # Curtail generation down to the island load (no direct cost).
             m = case.gen_min[gi]
             m_tot = float(m.sum())
-            rows = np.zeros((gi.size, n_x))
             if d_tot >= m_tot and g_tot > m_tot + BALANCE_TOL:
                 denom = g_tot - m_tot
                 beta = (d_tot - m_tot) / denom
                 surplus = p_g[gi] - m
-                block_gg = -np.outer(surplus, np.full(gi.size, beta / denom))
-                block_gg[np.arange(gi.size), np.arange(gi.size)] += beta
-                rows[:, gx] = block_gg
-                if li.size:
-                    rows[:, lx] = np.outer(surplus, np.full(li.size, 1.0 / denom))
+                scale, ref = denom, surplus
                 p_g[gi] = m + beta * surplus
             else:
                 beta = d_tot / g_tot
-                block_gg = -np.outer(p_g[gi], np.full(gi.size, beta / g_tot))
+                scale, ref = g_tot, p_g[gi].copy()
+                p_g[gi] *= beta
+            if jacobians:
+                rows = np.zeros((gi.size, n_x))
+                block_gg = -np.outer(ref, np.full(gi.size, beta / scale))
                 block_gg[np.arange(gi.size), np.arange(gi.size)] += beta
                 rows[:, gx] = block_gg
                 if li.size:
-                    rows[:, lx] = np.outer(p_g[gi], np.full(li.size, 1.0 / g_tot))
-                p_g[gi] *= beta
-            jac[gx, :] = rows
+                    rows[:, lx] = np.outer(ref, np.full(li.size, 1.0 / scale))
+                jac[gx, :] = rows
     return SystemState(p_d, p_g), jac, cost, dcost, shed_mw
 
 
@@ -241,6 +246,7 @@ def short_timescale_process(
     state: SystemState,
     initial_trips: tuple = (),
     max_events: int = MAX_FAST_EVENTS,
+    jacobians: bool = True,
 ) -> ShortTimescaleTrace:
     """Instantaneous cascade between stochastic outages.
 
@@ -254,20 +260,24 @@ def short_timescale_process(
     events: list[FastEvent] = []
     cur_topo = topo
     cur_state = state
-    jac_total = np.eye(case.n_x)
-    dcost_total = np.zeros(case.n_x)
+    jac_total = np.eye(case.n_x) if jacobians else None
+    dcost_total = np.zeros(case.n_x) if jacobians else None
+    dcost_event = None
     cost_total = 0.0
     pending_trips: tuple = tuple(initial_trips)
     truncated = False
 
     for _ in range(max_events):
-        new_state, jac_step, cost_step, dcost_step, shed = _rebalance(case, cur_topo, cur_state)
+        new_state, jac_step, cost_step, dcost_step, shed = _rebalance(
+            case, cur_topo, cur_state, jacobians
+        )
         changed = cost_step > 0.0 or bool(pending_trips) or not np.array_equal(
             new_state.x, cur_state.x
         )
-        dcost_event = dcost_step @ jac_total  # w.r.t. the process input state
-        dcost_total += dcost_event
-        jac_total = jac_step @ jac_total
+        if jacobians:
+            dcost_event = dcost_step @ jac_total  # w.r.t. the process input state
+            dcost_total += dcost_event
+            jac_total = jac_step @ jac_total
         cost_total += cost_step
         cur_state = new_state
         if changed:
@@ -278,7 +288,7 @@ def short_timescale_process(
                     cost=cost_step,
                     state=cur_state,
                     dcost_dx=dcost_event,
-                    jac_dx=jac_total.copy(),
+                    jac_dx=jac_total.copy() if jacobians else None,
                 )
             )
         flows = dc_power_flow(case, cur_topo, cur_state).flows
@@ -296,9 +306,10 @@ def short_timescale_process(
         # Did not settle within max_events: shed everything left and flag it.
         truncated = True
         cost_total += float(case.c_load @ cur_state.p_load)
-        dcost_total += case.c_load @ jac_total[: case.n_load, :]
         cur_state = SystemState(np.zeros(case.n_load), np.zeros(case.n_gen))
-        jac_total = np.zeros((case.n_x, case.n_x))
+        if jacobians:
+            dcost_total += case.c_load @ jac_total[: case.n_load, :]
+            jac_total = np.zeros((case.n_x, case.n_x))
 
     return ShortTimescaleTrace(
         events=events,
@@ -318,9 +329,9 @@ def short_timescale_process(
 @dataclass
 class TargetResult:
     x_star: SystemState
-    jac: np.ndarray             # d x* / d x'
+    jac: np.ndarray | None      # d x* / d x' (None without jacobians)
     fallback: bool              # infeasible OPF -> shed-all target
-    degenerate: bool
+    degenerate: bool            # computed only with jacobians
     signature: tuple
 
 
@@ -343,7 +354,12 @@ def _island_balance_rows(case: NetworkCase, topo: Topology, n_vars: int):
     return rows, rhs
 
 
-def dispatch_target(case: NetworkCase, topo: Topology, x_prime: SystemState) -> TargetResult:
+def dispatch_target(
+    case: NetworkCase,
+    topo: Topology,
+    x_prime: SystemState,
+    jacobians: bool = True,
+) -> TargetResult:
     """Serve as much (cost-weighted) load as the network allows.
 
     min c_D'(P'_d - P*_d) + eps c_G' P*_g  s.t. island balance, |flow| <= F_max,
@@ -378,34 +394,42 @@ def dispatch_target(case: NetworkCase, topo: Topology, x_prime: SystemState) -> 
     )
     sol = lp.solve_lp(prob)
     if not sol.optimal:
-        jac = np.zeros((case.n_x, case.n_x))
-        jac[n_l:, n_l:] = np.eye(n_g)
+        jac = None
+        if jacobians:
+            jac = np.zeros((case.n_x, case.n_x))
+            jac[n_l:, n_l:] = np.eye(n_g)
         return TargetResult(
             x_star=SystemState(np.zeros(n_l), x_prime.p_gen.copy()),
             jac=jac, fallback=True, degenerate=False, signature=(sol.status,),
         )
-    sens_res = lp.solution_sensitivity(prob, sol)
-    jac = np.zeros((case.n_x, case.n_x))
-    jac[:, :n_l] = sens_res.matrix[: case.n_x, :]  # columns ordered xp_d0..  (gen cols zero)
+    jac, degenerate = None, False
+    if jacobians:
+        sens_res = lp.solution_sensitivity(prob, sol)
+        jac = np.zeros((case.n_x, case.n_x))
+        jac[:, :n_l] = sens_res.matrix[: case.n_x, :]  # columns ordered xp_d0..  (gen cols zero)
+        degenerate = sens_res.degenerate
     return TargetResult(
         x_star=SystemState(sol.x[:n_l].copy(), sol.x[n_l:].copy()),
         jac=jac,
         fallback=False,
-        degenerate=sens_res.degenerate,
+        degenerate=degenerate,
         signature=sol.active_signature(),
     )
 
 
 @dataclass
 class ExecuteResult:
+    """Executed state and cost; the four derivative fields are None without
+    jacobians."""
+
     state: SystemState
     cost: float                   # realized adjustment cost C_R, $
-    jac_prime: np.ndarray         # d x / d x'
-    jac_star: np.ndarray          # d x / d x*
-    dcost_dxprime: np.ndarray     # row
-    dcost_dxstar: np.ndarray      # row
+    jac_prime: np.ndarray | None  # d x / d x'
+    jac_star: np.ndarray | None   # d x / d x*
+    dcost_dxprime: np.ndarray | None  # row
+    dcost_dxstar: np.ndarray | None   # row
     emergency: bool
-    degenerate: bool
+    degenerate: bool              # computed only with jacobians
     signature: tuple
 
 
@@ -415,6 +439,7 @@ def dispatch_execute(
     x_prime: SystemState,
     x_star: SystemState,
     tau_d: float,
+    jacobians: bool = True,
 ) -> ExecuteResult:
     """Move toward the target within one interval's ramp capability.
 
@@ -466,16 +491,24 @@ def dispatch_execute(
     sol = lp.solve_lp(prob)
     if not sol.optimal:
         # Ramp window cannot restore balance: emergency proportional shedding.
-        state, jac, cost, dcost, _ = _rebalance(case, topo, x_prime)
+        state, jac, cost, dcost, _ = _rebalance(case, topo, x_prime, jacobians)
         return ExecuteResult(
             state=state, cost=cost,
-            jac_prime=jac, jac_star=np.zeros((n_x, n_x)),
-            dcost_dxprime=dcost, dcost_dxstar=np.zeros(n_x),
+            jac_prime=jac, jac_star=np.zeros((n_x, n_x)) if jacobians else None,
+            dcost_dxprime=dcost, dcost_dxstar=np.zeros(n_x) if jacobians else None,
             emergency=True, degenerate=False, signature=(sol.status,),
         )
 
     state = SystemState(sol.x[:n_l].copy(), sol.x[n_l : n_l + n_g].copy())
     _assert_balanced(case, topo, state)
+    move = state.p_gen - x_prime.p_gen
+    cost = float(case.c_load @ (x_prime.p_load - state.p_load) + case.c_gen @ np.abs(move))
+    if not jacobians:
+        return ExecuteResult(
+            state=state, cost=cost,
+            jac_prime=None, jac_star=None, dcost_dxprime=None, dcost_dxstar=None,
+            emergency=False, degenerate=False, signature=sol.active_signature(),
+        )
 
     sens_res = lp.solution_sensitivity(prob, sol)
     cols = {name: k for k, name in enumerate(sens_res.param_names)}
@@ -489,9 +522,7 @@ def dispatch_execute(
         jac_star[:, n_l + j] = dx[:, cols[f"xs_g{j}"]]
         jac_prime[:, n_l + j] = dx[:, cols[f"xp_g{j}"]]
 
-    move = state.p_gen - x_prime.p_gen
     sigma = np.sign(np.where(np.abs(move) <= 1e-9, 0.0, move))
-    cost = float(case.c_load @ (x_prime.p_load - state.p_load) + case.c_gen @ np.abs(move))
     w = np.concatenate([-case.c_load, case.c_gen * sigma])  # dC_R/dx at fixed x'
     direct = np.concatenate([case.c_load, -case.c_gen * sigma])
     dcost_dxstar = w @ jac_star
@@ -525,8 +556,10 @@ def _assert_balanced(case: NetworkCase, topo: Topology, state: SystemState) -> N
 class LevelRecord:
     """Everything one Markov-tree level produces, local sensitivities included.
 
-    The conditional probability of the sampled event and its gradient row are
-    attached by the tree layer (they live in the parent's distribution).
+    The Jacobian and cost-row fields are None, and `degenerate` is False, for
+    a level simulated without jacobians. The conditional probability of the
+    sampled event and its gradient row are attached by the tree layer (they
+    live in the parent's distribution).
     """
 
     event_id: int                      # 0 = no outage this level
@@ -536,13 +569,13 @@ class LevelRecord:
     x_next: SystemState
     cost_fast: float                   # C_F
     cost_redispatch: float             # C_R
-    jac_prime: np.ndarray              # d x'/d x
-    jac_star: np.ndarray               # d x*/d x'
-    jac_exec_prime: np.ndarray         # d x/d x'
-    jac_exec_star: np.ndarray          # d x/d x*
-    dcf_dx: np.ndarray                 # row, d C_F/d x
-    dcr_dxprime: np.ndarray            # row
-    dcr_dxstar: np.ndarray             # row
+    jac_prime: np.ndarray | None       # d x'/d x
+    jac_star: np.ndarray | None        # d x*/d x'
+    jac_exec_prime: np.ndarray | None  # d x/d x'
+    jac_exec_star: np.ndarray | None   # d x/d x*
+    dcf_dx: np.ndarray | None          # row, d C_F/d x
+    dcr_dxprime: np.ndarray | None     # row
+    dcr_dxstar: np.ndarray | None      # row
     fast_events: int = 0
     truncated: bool = False
     target_fallback: bool = False
@@ -563,16 +596,22 @@ def simulate_level(
     state: SystemState,
     event_id: int,
     tau_d: float,
+    jacobians: bool = True,
 ) -> LevelRecord:
     """Run one level: apply the sampled outage (if any), let the fast process
-    settle, pick a re-dispatch target, execute it within the interval."""
+    settle, pick a re-dispatch target, execute it within the interval.
+    `jacobians=False` skips every local derivative (see the module note)."""
     if event_id:
         topo_after, _ = apply_outage(case, topo, {event_id})
-        trace = short_timescale_process(case, topo_after, state, initial_trips=(event_id,))
+        trace = short_timescale_process(
+            case, topo_after, state, initial_trips=(event_id,), jacobians=jacobians
+        )
     else:
-        trace = short_timescale_process(case, topo, state)
-    tgt = dispatch_target(case, trace.final_topology, trace.final_state)
-    exe = dispatch_execute(case, trace.final_topology, trace.final_state, tgt.x_star, tau_d)
+        trace = short_timescale_process(case, topo, state, jacobians=jacobians)
+    tgt = dispatch_target(case, trace.final_topology, trace.final_state, jacobians)
+    exe = dispatch_execute(
+        case, trace.final_topology, trace.final_state, tgt.x_star, tau_d, jacobians
+    )
     return LevelRecord(
         event_id=event_id,
         topo=trace.final_topology,

@@ -1,7 +1,8 @@
 """Command-line front end: deterministic assessment, gradient, gradient
 validation and iterated risk-management runs with CSV/JSON reports.
 
-Exit codes: 0 success, 2 case parse/read error, 3 infeasible base case.
+Exit codes: 0 success, 2 case/config/strategy parse or read error, 3 infeasible
+base case.
 """
 
 from __future__ import annotations
@@ -120,10 +121,12 @@ def load_strategy(case: NetworkCase, path: str):
     p_gen = np.array([g.p for g in case.generators])
     load_pos = {l.id: i for i, l in enumerate(case.loads)}
     gen_pos = {g.id: j for j, g in enumerate(case.generators)}
-    for row in doc.get("loads", []):
-        p_load[load_pos[int(row["id"])]] = float(row["target_mw"])
-    for row in doc.get("generators", []):
-        p_gen[gen_pos[int(row["id"])]] = float(row["target_mw"])
+    for key, pos, values in (("loads", load_pos, p_load), ("generators", gen_pos, p_gen)):
+        for row in doc.get(key, []):
+            eid = int(row["id"])
+            if eid not in pos:
+                raise ValueError(f"strategy names unknown {key[:-1]} id {eid}")
+            values[pos[eid]] = float(row["target_mw"])
     return SystemState(p_load, p_gen)
 
 

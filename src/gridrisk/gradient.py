@@ -85,6 +85,8 @@ def chain_step(rec: LevelRecord, x_parent: np.ndarray):
     cost rows (at this level's post-outage and target states).
     """
     n = x_parent.shape[0]
+    if rec.jac_prime is None:
+        raise ValueError("level record was simulated without jacobians")
     if rec.jac_prime.shape != (n, n):
         raise ValueError("level record dimensions do not match the chain")
     x_prime = rec.jac_prime @ x_parent

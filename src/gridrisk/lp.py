@@ -194,43 +194,47 @@ def solution_sensitivity(prob: LpProblem, sol: LpSolution) -> SensitivityResult:
     names = list(prob.params.keys())
     n_par = len(names)
 
-    q = np.zeros((n, 0))
-    basis_rows: list = []
+    # Orthonormal basis of the selected rows, grown column by column in place.
+    q = np.empty((n, n))
+    a_basis = np.empty((n, n))
+    rank = 0
     basis_keys: dict = {}
     degenerate = False
     for key, a, strong in _candidate_rows(prob, sol):
-        if len(basis_rows) == n:
+        if rank == n:
             if strong:
                 degenerate = True
             continue
-        r = a - q @ (q.T @ a)
-        r -= q @ (q.T @ r)  # second pass keeps q orthonormal at scale
+        qk = q[:, :rank]
+        r = a - qk @ (qk.T @ a)
+        r -= qk @ (qk.T @ r)  # second pass keeps q orthonormal at scale
         nr = float(np.linalg.norm(r))
         if nr > RANK_TOL * max(1.0, float(np.linalg.norm(a))):
             if not strong:
                 degenerate = True  # a slack-dual row is needed to pin the point
-            basis_keys[key] = len(basis_rows)
-            basis_rows.append(a)
-            q = np.hstack([q, (r / nr)[:, None]])
+            basis_keys[key] = rank
+            a_basis[rank] = a
+            q[:, rank] = r / nr
+            rank += 1
         elif strong and key[0] != KIND_EQ:
             degenerate = True  # redundant strongly-active row: multiple bases
 
-    rank = len(basis_rows)
     if rank < n:
         # Optimal face has free directions; pin them (zero movement) and flag.
         degenerate = True
         for j in range(n):
             e = np.zeros(n)
             e[j] = 1.0
-            r = e - q @ (q.T @ e)
+            qk = q[:, :rank]
+            r = e - qk @ (qk.T @ e)
             nr = float(np.linalg.norm(r))
             if nr > RANK_TOL:
-                basis_rows.append(e)
-                q = np.hstack([q, (r / nr)[:, None]])
-                if len(basis_rows) == n:
+                a_basis[rank] = e
+                q[:, rank] = r / nr
+                rank += 1
+                if rank == n:
                     break
 
-    a_basis = np.vstack(basis_rows) if basis_rows else np.zeros((0, n))
     rhs = np.zeros((n, n_par))
     param_deg = np.zeros(n_par, dtype=bool)
     tight_unselected = set()
@@ -257,7 +261,7 @@ def solution_sensitivity(prob: LpProblem, sol: LpSolution) -> SensitivityResult:
                 param_deg[p] = True  # tight but outside the chosen basis
 
     if n_par and np.any(rhs):
-        lu, piv = scipy.linalg.lu_factor(a_basis)
+        lu, piv = scipy.linalg.lu_factor(a_basis[:rank])
         matrix = scipy.linalg.lu_solve((lu, piv), rhs)
     else:
         matrix = np.zeros((n, n_par))

@@ -181,7 +181,8 @@ class MarkovTree:
 
     def _make_child(self, node: TreeNode, event_id: int, attempt: int) -> TreeNode:
         rec = cascade.simulate_level(
-            self.case, node.topo, node.state, event_id, self.tau_d
+            self.case, node.topo, node.state, event_id, self.tau_d,
+            jacobians=self.gradients,
         )
         rec.prob = self._child_prob(node, event_id)
         label = node.label + (event_id,)

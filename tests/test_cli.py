@@ -62,6 +62,16 @@ class TestExitCodes:
         assert (out / "convergence.csv").exists()
 
 
+    @pytest.mark.parametrize("kind, eid", [("loads", 99), ("generators", 7)])
+    def test_strategy_with_unknown_id(self, toy_case_file, tmp_path, capsys, kind, eid):
+        strategy = tmp_path / "strategy.json"
+        strategy.write_text(json.dumps({kind: [{"id": eid, "target_mw": 10.0}]}))
+        code = run_cli(["assess", "--case", toy_case_file, "--outages", "3",
+                        "--strategy", str(strategy), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert f"unknown {kind[:-1]} id {eid}" in capsys.readouterr().err
+
+
 class TestCommands:
     def test_zero_rate_assess_reports_zero_risk(self, tmp_path):
         doc = json.loads(serialize_case(cases.toy6()))

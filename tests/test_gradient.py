@@ -97,6 +97,15 @@ class TestForwardChain:
         with pytest.raises(ValueError):
             gradient.chain_step(rec, np.eye(2))
 
+    def test_record_without_jacobians_rejected(self):
+        case = toy6()
+        cfg = AssessmentConfig(tau_d=15.0, t_max=15.0, attempts=10, policy="exhaustive",
+                               gradients=False)
+        a = run_assessment(case, {3}, cfg)
+        rec = next(n.record for n in a.tree.nodes.values() if n.record is not None)
+        with pytest.raises(ValueError, match="without jacobians"):
+            gradient.chain_step(rec, np.eye(case.n_x))
+
 
 class TestBackwardGradient:
     def _stub_tree(self, n_x=3):
@@ -171,6 +180,21 @@ class TestControlGradient:
         assert val.passed
         assert val.unflagged_fraction >= 0.8
         assert val.checked >= 3
+
+    def test_load_clip_at_conventional_target_is_flagged(self):
+        # the conventional target of toy6 {1} serves every load, so P*_d sits
+        # at the execution clip P*_d = P'_d: raising it moves nothing while
+        # lowering it moves the load, and central differences read half the
+        # frozen-basis gradient
+        case = toy6()
+        cfg = AssessmentConfig(tau_d=15.0, t_max=30.0, attempts=400,
+                               policy="exhaustive", seed=1)
+        val = validate_gradient(case, {1}, cfg, step=0.25, rel_tol=0.05)
+        loads = slice(0, case.n_load)
+        assert np.all(val.flagged[loads])
+        assert np.all(np.abs(val.gamma[loads]) > 1.0)
+        assert not np.any(val.rel_err[~val.flagged] > 0.05)
+        assert val.passed
 
 
 def test_compression_error_bound_on_control_gradient():

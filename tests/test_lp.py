@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from gridrisk import lp
 
@@ -160,3 +161,166 @@ def test_lp_text_dump_mentions_rows():
     text = lp.dump_lp_text(split_abs_problem(), "ramp")
     assert "Minimize" in text and "Subject To" in text and "Bounds" in text
     assert "eq0" in text
+
+
+# The tolerances of the reference below, as they were when it was written.
+REF_DUAL_TOL = 1e-9
+REF_RANK_TOL = 1e-9
+
+
+def _hstack_candidates(prob, sol):
+    n = prob.n
+    eq = [((lp.KIND_EQ, i), prob.a_eq[i], True) for i in range(prob.b_eq.size)]
+    strong, weak = [], []
+    for kind, active, duals in ((lp.KIND_IN, sol.active_in, sol.in_duals),
+                                (lp.KIND_LO, sol.active_lo, sol.lo_duals),
+                                (lp.KIND_HI, sol.active_hi, sol.hi_duals)):
+        for i in np.flatnonzero(active):
+            row = prob.a_in[i] if kind == lp.KIND_IN else np.eye(n)[i]
+            entry = ((kind, int(i)), row, abs(duals[i]) > REF_DUAL_TOL)
+            (strong if entry[2] else weak).append(entry)
+    return eq + strong + weak
+
+
+def _hstack_sensitivity(prob, sol):
+    """The basis selection as it was before the in-place buffer: the
+    orthonormal basis grows by `np.hstack` and the selected rows are stacked
+    at the end. Kept, with its own candidate order and tolerances, to pin the
+    rewrite to the same matrices and flags."""
+    n = prob.n
+    names = list(prob.params.keys())
+    n_par = len(names)
+    q = np.zeros((n, 0))
+    basis_rows = []
+    basis_keys = {}
+    degenerate = False
+    for key, a, strong in _hstack_candidates(prob, sol):
+        if len(basis_rows) == n:
+            if strong:
+                degenerate = True
+            continue
+        r = a - q @ (q.T @ a)
+        r -= q @ (q.T @ r)
+        nr = float(np.linalg.norm(r))
+        if nr > REF_RANK_TOL * max(1.0, float(np.linalg.norm(a))):
+            if not strong:
+                degenerate = True
+            basis_keys[key] = len(basis_rows)
+            basis_rows.append(a)
+            q = np.hstack([q, (r / nr)[:, None]])
+        elif strong and key[0] != lp.KIND_EQ:
+            degenerate = True
+    if len(basis_rows) < n:
+        degenerate = True
+        for j in range(n):
+            e = np.zeros(n)
+            e[j] = 1.0
+            r = e - q @ (q.T @ e)
+            nr = float(np.linalg.norm(r))
+            if nr > REF_RANK_TOL:
+                basis_rows.append(e)
+                q = np.hstack([q, (r / nr)[:, None]])
+                if len(basis_rows) == n:
+                    break
+    a_basis = np.vstack(basis_rows) if basis_rows else np.zeros((0, n))
+    rhs = np.zeros((n, n_par))
+    param_deg = np.zeros(n_par, dtype=bool)
+    tight = {(lp.KIND_EQ, i) for i in range(prob.b_eq.size)}
+    tight |= {(lp.KIND_IN, int(i)) for i in np.flatnonzero(sol.active_in)}
+    tight |= {(lp.KIND_LO, int(j)) for j in np.flatnonzero(sol.active_lo)}
+    tight |= {(lp.KIND_HI, int(j)) for j in np.flatnonzero(sol.active_hi)}
+    for p, name in enumerate(names):
+        for kind, idx, coeff in prob.params[name]:
+            key = (kind, int(idx))
+            pos = basis_keys.get(key)
+            if pos is not None:
+                rhs[pos, p] += coeff
+            elif key in tight:
+                param_deg[p] = True
+    if n_par and np.any(rhs):
+        lu, piv = scipy.linalg.lu_factor(a_basis)
+        matrix = scipy.linalg.lu_solve((lu, piv), rhs)
+    else:
+        matrix = np.zeros((n, n_par))
+    return matrix, degenerate or bool(param_deg.any()), param_deg
+
+
+def _random_lps(seed, count, pinch):
+    """test_04's random inequality LPs; with `pinch`, a sparse equality row,
+    tight copies of it and of an inequality row (the second off by 1e-8),
+    pinched bounds (lo == hi) and free zero-cost variables, which make the
+    basis degenerate or leave free directions to fill."""
+    rng = np.random.default_rng(seed)
+    made = 0
+    while made < count:
+        n = int(rng.integers(3, 9))
+        m = int(rng.integers(2, 6))
+        a_in = rng.normal(size=(m, n))
+        x0 = rng.uniform(-1.0, 1.0, size=n)
+        b_in = a_in @ x0 + np.where(rng.random(m) < 0.5, 0.0, rng.uniform(0.2, 1.0, m))
+        lo = x0 - rng.uniform(0.1, 2.0, n)
+        hi = x0 + rng.uniform(0.1, 2.0, n)
+        c = rng.normal(size=n)
+        params = {f"b{i}": [(lp.KIND_IN, i, 1.0)] for i in range(m)}
+        a_eq = b_eq = None
+        if pinch:
+            pinched = rng.random(n) < 0.3
+            lo[pinched] = hi[pinched] = x0[pinched]
+            free = rng.random(n) < 0.3
+            c[free] = 0.0
+            lo[free & ~pinched] = -np.inf
+            hi[free & ~pinched] = np.inf
+            a_eq = rng.normal(size=(1, n)) * (rng.random(n) < 0.6)
+            b_eq = a_eq @ x0
+            copies = np.vstack([a_eq, a_in[:1] + 1e-8 * rng.normal(size=(1, n))])
+            a_in = np.vstack([a_in, copies])
+            b_in = np.concatenate([b_in, copies @ x0])
+            params["eq0"] = [(lp.KIND_EQ, 0, 1.0)]
+            params.update({f"lo{j}": [(lp.KIND_LO, j, 1.0)] for j in range(n)})
+            params.update({f"hi{j}": [(lp.KIND_HI, j, 1.0)] for j in range(n)})
+        prob = lp.LpProblem(c=c, a_eq=a_eq, b_eq=b_eq, a_in=a_in, b_in=b_in,
+                            lo=lo, hi=hi, params=params)
+        sol = lp.solve_lp(prob)
+        if sol.optimal:
+            made += 1
+            yield prob, sol
+
+
+def _scrambled(sol, rng):
+    """`sol` with random active sets and multipliers (zero, just above the
+    strong-activity threshold, or O(1)). It reaches the rules that simplex
+    vertices rarely hit: redundant strong rows, strong rows past a full basis."""
+    levels = [0.0, 1e-8, 1.0] if rng.random() < 0.5 else [1e-8, 1.0]
+    share = rng.uniform(0.3, 0.9)
+
+    def pick(size):
+        act = rng.random(size) < share
+        return act, np.where(act, rng.choice(levels, size=size) * rng.normal(size=size), 0.0)
+
+    active_in, in_duals = pick(sol.active_in.size)
+    active_lo, lo_duals = pick(sol.active_lo.size)
+    active_hi, hi_duals = pick(sol.active_hi.size)
+    active_hi &= ~active_lo
+    return lp.LpSolution(
+        status="optimal", x=sol.x, objective=sol.objective, eq_duals=sol.eq_duals,
+        in_duals=in_duals, lo_duals=lo_duals, hi_duals=hi_duals,
+        active_in=active_in, active_lo=active_lo, active_hi=active_hi,
+    )
+
+
+@pytest.mark.parametrize("pinch", [False, True])
+@pytest.mark.parametrize("scramble", [False, True])
+def test_in_place_basis_matches_hstack_basis(pinch, scramble):
+    rng = np.random.default_rng(5)
+    degenerate = 0
+    for prob, sol in _random_lps(404, 150, pinch):
+        if scramble:
+            sol = _scrambled(sol, rng)
+        sens = lp.solution_sensitivity(prob, sol)
+        matrix, deg, param_deg = _hstack_sensitivity(prob, sol)
+        assert np.array_equal(sens.matrix, matrix)
+        assert sens.degenerate == deg
+        assert np.array_equal(sens.param_degenerate, param_deg)
+        degenerate += deg
+    if pinch or scramble:
+        assert degenerate > 100  # the degenerate paths ran
