@@ -31,10 +31,9 @@ from .gradient import (
     compress,
     control_gradient,
     convergence_indices,
-    forward_derivatives,
 )
 from .lp import LpProblem, LpSolution, solution_sensitivity, solve_lp
-from .management import IrmTrajectory, RmConfig, build_rm, control_cost, irm, rm_step
+from .management import IrmTrajectory, RmConfig, build_rm, irm, rm_step
 from .network import (
     Branch,
     Bus,
@@ -53,7 +52,7 @@ from .network import (
     parse_case,
     serialize_case,
 )
-from .tree import MarkovTree, SearchBudget, TreeNode, backward_risk_update, risk_estimate, search
+from .tree import MarkovTree, SearchBudget, TreeNode, backward_risk_update, search
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -83,11 +83,6 @@ class Assessment:
             return None
         return gradient.control_gradient(self.tree.root.s_accum, self.exec_sensitivity)
 
-    def gamma_at(self, attempt_index: int) -> np.ndarray:
-        return gradient.control_gradient(
-            self.history.gammas[attempt_index], self.exec_sensitivity
-        )
-
     def gamma_history(self) -> list:
         return [
             gradient.control_gradient(g, self.exec_sensitivity)
@@ -169,7 +164,6 @@ def run_assessment(
         exe.state,
         tau_d=config.tau_d,
         depth=config.depth,
-        control_cost=c0,
         gradients=config.gradients,
         threshold=config.resolve_threshold(case),
     )
@@ -223,8 +217,7 @@ def enumeration_risk(
     ids = cascade.in_service_ids(case, topo)
     flows = cascade.dc_power_flow(case, topo, state).flows
     lam, _ = cascade.failure_rates(case, topo, flows)
-    pos = [case.branch_pos[b] for b in ids]
-    probs, pr_no = cascade.level_probabilities(lam[pos], tau_d)
+    probs, pr_no = cascade.level_probabilities(lam[topo.mask], tau_d)
     total = 0.0
     for eid, pr in zip(ids, probs):
         if pr <= 0.0:
@@ -276,7 +269,8 @@ def validate_gradient(
     are those whose perturbation changes which root load targets the
     execution LP clips at the pre-control load (`P*_d > P'_d`): that clip is
     a kink no active set records. Requires an exhaustive budget so both sides
-    see the identical tree.
+    see the identical tree. Passes only when at least one component was
+    checked and every checked component is within `rel_tol`.
     """
     if config.policy != "exhaustive":
         raise ValueError("gradient validation requires an exhaustive search budget")
@@ -322,7 +316,7 @@ def validate_gradient(
         fd=fd,
         rel_err=rel_err,
         flagged=flagged,
-        passed=passed,
+        passed=passed and checked > 0,
         unflagged_fraction=float(frac),
         checked=checked,
     )

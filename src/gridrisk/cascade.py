@@ -51,13 +51,12 @@ def failure_rates(case: NetworkCase, topo: Topology, flows: np.ndarray):
     """
     lam = np.zeros(case.n_branch)
     dlam_df = np.zeros(case.n_branch)
-    in_service = np.array([br.id in topo.in_service for br in case.branches])
     rho = np.abs(flows) / case.f_max
     sgn = np.sign(flows)
 
-    mid = in_service & (rho > case.knee) & (rho <= 1.0)
-    over = in_service & (rho > 1.0)
-    base = in_service & ~mid & ~over
+    mid = topo.mask & (rho > case.knee) & (rho <= 1.0)
+    over = topo.mask & (rho > 1.0)
+    base = topo.mask & ~mid & ~over
 
     lam[base] = case.lam0[base]
     mid_slope = (case.lam1 - case.lam0) / np.maximum(1.0 - case.knee, 1e-12)
@@ -121,19 +120,17 @@ def probability_sensitivity(
     sensitivity of the fixed topology. Rows follow the in-service branch
     order returned by `in_service_ids`.
     """
-    ids = in_service_ids(case, topo)
     flows = dc_power_flow(case, topo, state).flows
     lam_all, dlam_all = failure_rates(case, topo, flows)
-    pos = [case.branch_pos[b] for b in ids]
-    jac_pr = probability_jacobian(lam_all[pos], tau_d)          # (ne+1, ne)
-    dflow = flow_sensitivity(case, topo)[pos, :]                # (ne, n_x)
-    chain = dlam_all[pos][:, None] * dflow                      # dlam/dx
+    jac_pr = probability_jacobian(lam_all[topo.mask], tau_d)    # (ne+1, ne)
+    dflow = flow_sensitivity(case, topo)[topo.mask, :]          # (ne, n_x)
+    chain = dlam_all[topo.mask][:, None] * dflow                # dlam/dx
     return jac_pr @ chain
 
 
 def in_service_ids(case: NetworkCase, topo: Topology) -> list:
     """In-service branch ids in case order (the outage-event candidates)."""
-    return [br.id for br in case.branches if br.id in topo.in_service]
+    return case.branch_ids[topo.mask].tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -185,11 +182,13 @@ def _rebalance(case: NetworkCase, topo: Topology, state: SystemState,
     cost = 0.0
     shed_mw = 0.0
     dcost = np.zeros(n_x) if jacobians else None
+    island_of_bus = np.array(topo.island_of_bus)
+    load_island = island_of_bus[case.load_bus]
+    gen_island = island_of_bus[case.gen_bus]
 
-    for members in topo.islands:
-        mset = set(members)
-        li = np.flatnonzero(np.isin(case.load_bus, list(mset)))
-        gi = np.flatnonzero(np.isin(case.gen_bus, list(mset)))
+    for k in range(len(topo.islands)):
+        li = np.flatnonzero(load_island == k)
+        gi = np.flatnonzero(gen_island == k)
         d_tot = float(p_d[li].sum()) if li.size else 0.0
         g_tot = float(p_g[gi].sum()) if gi.size else 0.0
         if abs(g_tot - d_tot) <= BALANCE_TOL:
@@ -292,12 +291,9 @@ def short_timescale_process(
                 )
             )
         flows = dc_power_flow(case, cur_topo, cur_state).flows
-        over = [
-            br.id
-            for i, br in enumerate(case.branches)
-            if br.id in cur_topo.in_service
-            and abs(flows[i]) > case.trip_factor[i] * case.f_max[i]
-        ]
+        over = case.branch_ids[
+            cur_topo.mask & (np.abs(flows) > case.trip_factor * case.f_max)
+        ].tolist()
         if not over:
             break
         cur_topo, _ = apply_outage(case, cur_topo, over)
@@ -354,6 +350,33 @@ def _island_balance_rows(case: NetworkCase, topo: Topology, n_vars: int):
     return rows, rhs
 
 
+def _flow_limit_rows(case: NetworkCase, topo: Topology, n_vars: int):
+    """|flow| <= F_max over the [P_d; P_g] slots: the +sens rows of every
+    branch with a nonzero flow-sensitivity row, then the -sens rows.
+
+    Out-of-service branches and branches in de-energized islands have zero
+    sensitivity rows, so they drop out.
+    """
+    sens = flow_sensitivity(case, topo)
+    live = np.flatnonzero(np.any(sens, axis=1))
+    rows = np.zeros((2 * live.size, n_vars))
+    rows[: live.size, : case.n_x] = sens[live]
+    rows[live.size :, : case.n_x] = -sens[live]
+    return rows, np.concatenate([case.f_max[live], case.f_max[live]])
+
+
+def _move_split_rows(case: NetworkCase, n_vars: int, p_ref: np.ndarray):
+    """P_g - u + v = p_ref over [P_d, P_g, u, v], one row per generator, so
+    that c_G'(u + v) prices |P_g - p_ref|."""
+    n_l, n_g = case.n_load, case.n_gen
+    rows = np.zeros((n_g, n_vars))
+    j = np.arange(n_g)
+    rows[j, n_l + j] = 1.0
+    rows[j, n_l + n_g + j] = -1.0
+    rows[j, n_l + 2 * n_g + j] = 1.0
+    return rows, np.asarray(p_ref, dtype=float)
+
+
 def dispatch_target(
     case: NetworkCase,
     topo: Topology,
@@ -371,12 +394,7 @@ def dispatch_target(
     n_vars = n_l + n_g
     c = np.concatenate([-case.c_load, TARGET_EPSILON * case.c_gen])
     eq_rows, eq_rhs = _island_balance_rows(case, topo, n_vars)
-
-    sens = flow_sensitivity(case, topo)
-    live = [i for i, br in enumerate(case.branches)
-            if br.id in topo.in_service and np.any(sens[i])]
-    a_in = np.vstack([sens[live], -sens[live]]) if live else None
-    b_in = np.concatenate([case.f_max[live], case.f_max[live]]) if live else None
+    a_in, b_in = _flow_limit_rows(case, topo, n_vars)
 
     lo = np.concatenate([np.zeros(n_l), case.gen_min])
     hi = np.concatenate([np.maximum(x_prime.p_load, 0.0), case.gen_max])
@@ -455,15 +473,8 @@ def dispatch_execute(
 
     c = np.concatenate([case.c_load, np.zeros(n_g), case.c_gen, case.c_gen])
     eq_rows, eq_rhs = _island_balance_rows(case, topo, n_vars)
-    params: dict = {}
-    for j in range(n_g):
-        row = np.zeros(n_vars)
-        row[n_l + j] = 1.0
-        row[n_l + n_g + j] = -1.0
-        row[n_l + 2 * n_g + j] = 1.0
-        eq_rows.append(row)
-        eq_rhs.append(x_star.p_gen[j])
-        params[f"xs_g{j}"] = [(lp.KIND_EQ, len(eq_rhs) - 1, 1.0)]
+    split, split_rhs = _move_split_rows(case, n_vars, x_star.p_gen)
+    params = {f"xs_g{j}": [(lp.KIND_EQ, len(eq_rows) + j, 1.0)] for j in range(n_g)}
 
     a_in = np.zeros((2 * n_g, n_vars))
     b_in = np.zeros(2 * n_g)
@@ -485,7 +496,7 @@ def dispatch_execute(
 
     prob = lp.LpProblem(
         c=c,
-        a_eq=np.vstack(eq_rows), b_eq=np.array(eq_rhs),
+        a_eq=np.vstack(eq_rows + [split]), b_eq=np.concatenate([eq_rhs, split_rhs]),
         a_in=a_in, b_in=b_in, lo=lo, hi=hi, params=params,
     )
     sol = lp.solve_lp(prob)

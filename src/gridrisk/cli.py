@@ -2,7 +2,7 @@
 validation and iterated risk-management runs with CSV/JSON reports.
 
 Exit codes: 0 success, 2 case/config/strategy parse or read error, 3 infeasible
-base case.
+base case, 4 internal error (an island left unbalanced after dispatch).
 """
 
 from __future__ import annotations
@@ -11,12 +11,14 @@ import argparse
 import csv
 import json
 import sys
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import assess as _assess
+from . import cascade as _cascade
 from . import gradient as _gradient
 from . import management as _mgmt
 from . import tree as _tree
@@ -25,6 +27,7 @@ from .network import CaseError, NetworkCase, parse_case
 EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_INFEASIBLE = 3
+EXIT_INTERNAL = 4
 
 
 @dataclass
@@ -71,14 +74,30 @@ class RunConfig:
         )
 
 
+def _type_matches(hint, val) -> bool:
+    """JSON value against a RunConfig annotation: an int counts as a float,
+    a bool counts as no number."""
+    allowed = typing.get_args(hint) or (hint,)
+    if isinstance(val, bool):
+        return bool in allowed or object in allowed
+    return isinstance(val, allowed + ((int,) if float in allowed else ()))
+
+
 def load_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig()
     if args.config:
         with open(args.config) as fh:
             doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise ValueError("config file must hold a JSON object")
+        hints = typing.get_type_hints(RunConfig)
         for key, val in doc.items():
-            if not hasattr(cfg, key):
+            if key not in hints:
                 raise ValueError(f"unknown config key '{key}'")
+            if not _type_matches(hints[key], val):
+                raise ValueError(
+                    f"config key '{key}' has the wrong type: {type(val).__name__}"
+                )
             setattr(cfg, key, val)
     overrides = {
         "case": args.case,
@@ -139,13 +158,15 @@ def write_convergence_csv(path: Path, history, deltas=None, deltas_dir=None) -> 
         fh.write("# schema_version=1\n")
         writer = csv.writer(fh)
         writer.writerow(["attempt", "r_prime", "delta", "delta_dir"])
-        for row in history.to_rows(deltas, deltas_dir):
+        for i, (attempt, r_prime) in enumerate(zip(history.attempts, history.r_prime)):
+            delta = None if deltas is None else deltas[i]
+            delta_dir = None if deltas_dir is None else deltas_dir[i]
             writer.writerow(
                 [
-                    row["attempt"],
-                    _fmt(row["r_prime"]),
-                    "" if row["delta"] == "" else _fmt(row["delta"]),
-                    "" if row["delta_dir"] == "" else _fmt(row["delta_dir"]),
+                    attempt,
+                    _fmt(r_prime),
+                    "" if delta is None else _fmt(delta),
+                    "" if delta_dir is None else _fmt(delta_dir),
                 ]
             )
 
@@ -321,6 +342,9 @@ def main(argv=None) -> int:
     except _assess.InfeasibleBaseCase as exc:
         print(f"infeasible base case: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
+    except _cascade.InternalError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -6,7 +6,7 @@ thresholded compressed storage for the chain matrices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -63,19 +63,6 @@ def to_dense(stored) -> np.ndarray:
 # Forward chain
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ChainSensitivities:
-    """Per-level derivatives of the state chain back to the root state:
-    post-outage, target, post-dispatch states (MW/MW), each level's cost row
-    ($/MW) and the realized event's probability row (1/MW)."""
-
-    x_prime: list = field(default_factory=list)
-    x_star: list = field(default_factory=list)
-    x_next: list = field(default_factory=list)
-    cost_rows: list = field(default_factory=list)
-    prob_rows: list = field(default_factory=list)
-
-
 def chain_step(rec: LevelRecord, x_parent: np.ndarray):
     """Advance the root-referenced chain across one level.
 
@@ -94,27 +81,6 @@ def chain_step(rec: LevelRecord, x_parent: np.ndarray):
     x_next = rec.jac_exec_star @ x_star + rec.jac_exec_prime @ x_prime
     dcost = rec.dcf_dx @ x_parent + rec.dcr_dxprime @ x_prime + rec.dcr_dxstar @ x_star
     return x_prime, x_star, x_next, dcost
-
-
-def forward_derivatives(records: list) -> ChainSensitivities:
-    """Compose a freshly simulated path's local sensitivities into
-    root-referenced chains (level 0 is the identity)."""
-    if not records:
-        raise ValueError("empty path")
-    n = records[0].jac_prime.shape[0]
-    chains = ChainSensitivities()
-    x_parent = np.eye(n)
-    for rec in records:
-        x_prime, x_star, x_next, dcost = chain_step(rec, x_parent)
-        chains.x_prime.append(x_prime)
-        chains.x_star.append(x_star)
-        chains.x_next.append(x_next)
-        chains.cost_rows.append(dcost)
-        chains.prob_rows.append(
-            rec.dprob_dx if rec.dprob_dx is not None else np.zeros(n)
-        )
-        x_parent = x_next
-    return chains
 
 
 # ---------------------------------------------------------------------------

@@ -11,14 +11,8 @@ import numpy as np
 
 from . import lp
 from .assess import Assessment, AssessmentConfig, control_cost_value, run_assessment
-from .cascade import _island_balance_rows
-from .network import NetworkCase, SystemState, Topology, flow_sensitivity
-
-
-def control_cost(case: NetworkCase, x_pre: SystemState, x_target: SystemState) -> float:
-    """Re-dispatch cost of moving the target away from the pre-control state:
-    -c_D'(P*_d - P_d) + c_G'|P*_g - P_g|."""
-    return control_cost_value(case, x_pre, x_target)
+from .cascade import _flow_limit_rows, _island_balance_rows, _move_split_rows
+from .network import NetworkCase, SystemState, Topology
 
 
 def build_rm(
@@ -36,7 +30,8 @@ def build_rm(
     -gamma . (x* - x*_0) <= R_E - R'_0, i.e. gamma . dx* >= R'_0 - R_E, with
     `gamma` in the risk-decrease orientation expected by that form. Network
     constraints: per-island balance, |target flows| <= F_max, generator
-    bounds, 0 <= P*_d <= P_d(pre).
+    bounds, 0 <= P*_d <= P_d(pre). The risk row is inequality row 0; the
+    flow-limit rows follow it.
     """
     n_l, n_g = case.n_load, case.n_gen
     n_vars = n_l + 3 * n_g
@@ -47,28 +42,13 @@ def build_rm(
     c = np.concatenate([-case.c_load, np.zeros(n_g), case.c_gen, case.c_gen])
 
     eq_rows, eq_rhs = _island_balance_rows(case, topo, n_vars)
-    for j in range(n_g):
-        row = np.zeros(n_vars)
-        row[n_l + j] = 1.0
-        row[n_l + n_g + j] = -1.0
-        row[n_l + 2 * n_g + j] = 1.0
-        eq_rows.append(row)
-        eq_rhs.append(x_pre.p_gen[j])
+    split, split_rhs = _move_split_rows(case, n_vars, x_pre.p_gen)
 
-    sens = flow_sensitivity(case, topo)
-    live = [i for i, br in enumerate(case.branches)
-            if br.id in topo.in_service and np.any(sens[i])]
     # -gamma.(z - x0) <= R_E - R'0  ->  -gamma.z <= R_E - R'0 - gamma.x0
-    rows = [np.zeros(n_vars)]
-    rows[0][: case.n_x] = -gamma
-    rhs = [r_expected - r_prime0 - float(gamma @ x_star0.x)]
-    for i in live:
-        row = np.zeros(n_vars)
-        row[: case.n_x] = sens[i]
-        rows.append(row)
-        rhs.append(case.f_max[i])
-        rows.append(-row)
-        rhs.append(case.f_max[i])
+    risk_row = np.zeros(n_vars)
+    risk_row[: case.n_x] = -gamma
+    risk_rhs = r_expected - r_prime0 - float(gamma @ x_star0.x)
+    flow_rows, flow_rhs = _flow_limit_rows(case, topo, n_vars)
 
     lo = np.concatenate([np.zeros(n_l), case.gen_min, np.zeros(2 * n_g)])
     hi = np.concatenate(
@@ -76,8 +56,8 @@ def build_rm(
     )
     return lp.LpProblem(
         c=c,
-        a_eq=np.vstack(eq_rows), b_eq=np.array(eq_rhs),
-        a_in=np.vstack(rows), b_in=np.array(rhs),
+        a_eq=np.vstack(eq_rows + [split]), b_eq=np.concatenate([eq_rhs, split_rhs]),
+        a_in=np.vstack([risk_row, flow_rows]), b_in=np.concatenate([[risk_rhs], flow_rhs]),
         lo=lo, hi=hi,
         params={"risk_row": [(lp.KIND_IN, 0, 1.0)]},
     )
@@ -140,7 +120,7 @@ def rm_step(
     predicted = r_prime0 + float(gamma_assessed @ (x_new.x - x_star0.x))
     return RmStepResult(
         x_star=x_new,
-        cost=control_cost(case, x_pre, x_new),
+        cost=control_cost_value(case, x_pre, x_new),
         predicted_r_prime=predicted,
         delta_r=delta_r,
         feasible=True,

@@ -7,8 +7,9 @@ on the case's MVA base, angles in rad, failure rates in 1/min, costs in $/MW.
 from __future__ import annotations
 
 import json
+import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -60,6 +61,14 @@ class PowerFlowError(RuntimeError):
     """Internal failure of the DC solver (singular island system)."""
 
 
+def _check_finite(entity: str, *items) -> None:
+    """Reject NaN and +-inf in any float attribute of the given objects."""
+    for item in items:
+        for name, value in vars(item).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise CaseSemanticError(f"{name} must be finite, got {value}", entity)
+
+
 @dataclass(frozen=True)
 class FailureRateParams:
     """Piecewise-linear flow-dependent failure rate.
@@ -78,6 +87,7 @@ class FailureRateParams:
     lam_max: float
 
     def validate(self, entity: str) -> None:
+        _check_finite(entity, self)
         if not (0.0 <= self.lam0 <= self.lam1 <= self.lam_max):
             raise CaseSemanticError(
                 "failure rates must satisfy 0 <= lambda_0 <= lambda_1 <= lambda_max", entity
@@ -170,6 +180,7 @@ class NetworkCase:
         self.n_x = self.n_load + self.n_gen
 
         self.bus_pos = {b.id: i for i, b in enumerate(self.buses)}
+        self.branch_ids = np.array([br.id for br in self.branches], dtype=int)
         self.branch_pos = {br.id: i for i, br in enumerate(self.branches)}
         self.branch_from = np.array([self.bus_pos[b.from_bus] for b in self.branches], dtype=int)
         self.branch_to = np.array([self.bus_pos[b.to_bus] for b in self.branches], dtype=int)
@@ -193,6 +204,7 @@ class NetworkCase:
         self._topo_cache: dict[frozenset, dict] = {}
 
     def _validate(self) -> None:
+        _check_finite("case", self)
         bus_ids = {b.id for b in self.buses}
         if len(bus_ids) != len(self.buses):
             raise CaseSemanticError("duplicate bus id")
@@ -201,6 +213,7 @@ class NetworkCase:
             if br.id in seen:
                 raise CaseSemanticError("duplicate branch id", f"branch {br.id}")
             seen.add(br.id)
+            _check_finite(f"branch {br.id}", br)
             for end in (br.from_bus, br.to_bus):
                 if end not in bus_ids:
                     raise CaseSemanticError(
@@ -214,6 +227,7 @@ class NetworkCase:
                 raise CaseSemanticError("trip factor must be >= 1", f"branch {br.id}")
             br.rate.validate(f"branch {br.id}")
         for g in self.generators:
+            _check_finite(f"gen {g.id}", g)
             if g.bus not in bus_ids:
                 raise CaseSemanticError(f"generator references unknown bus {g.bus}", f"gen {g.id}")
             if g.p_min > g.p_max:
@@ -221,6 +235,7 @@ class NetworkCase:
             if g.ramp < 0 or g.cost < 0:
                 raise CaseSemanticError("generator ramp/cost must be >= 0", f"gen {g.id}")
         for l in self.loads:
+            _check_finite(f"load {l.id}", l)
             if l.bus not in bus_ids:
                 raise CaseSemanticError(f"load references unknown bus {l.bus}", f"load {l.id}")
             if l.p < 0 or l.cost < 0:
@@ -245,7 +260,8 @@ class Topology:
 
     islands are tuples of bus positions; an island is energized when it
     contains at least one generator bus, and then carries a reference bus
-    (the generator bus with the lowest id).
+    (the generator bus with the lowest id). `mask` is the in-service set as
+    a bool per branch in case order; equality goes by `in_service` alone.
     """
 
     in_service: frozenset
@@ -253,6 +269,7 @@ class Topology:
     island_of_bus: tuple
     ref_bus: tuple        # bus position per island (-1 when de-energized)
     energized: tuple      # bool per island
+    mask: np.ndarray = field(compare=False)
 
 
 def build_topology(case: NetworkCase, removed: frozenset = frozenset()) -> Topology:
@@ -261,14 +278,12 @@ def build_topology(case: NetworkCase, removed: frozenset = frozenset()) -> Topol
     Reference bus per energized island: the generator bus with the lowest bus
     id (choice does not affect flows).
     """
-    in_service = frozenset(br.id for br in case.branches) - frozenset(removed)
-    rows, cols = [], []
-    for br in case.branches:
-        if br.id in in_service:
-            rows.append(case.bus_pos[br.from_bus])
-            cols.append(case.bus_pos[br.to_bus])
+    in_service = frozenset(case.branch_ids.tolist()) - frozenset(removed)
+    mask = np.zeros(case.n_branch, dtype=bool)
+    mask[[case.branch_pos[b] for b in in_service]] = True
     adj = coo_matrix(
-        (np.ones(len(rows)), (rows, cols)), shape=(case.n_bus, case.n_bus)
+        (np.ones(int(mask.sum())), (case.branch_from[mask], case.branch_to[mask])),
+        shape=(case.n_bus, case.n_bus),
     )
     n_isl, labels = connected_components(adj, directed=False)
     islands = tuple(
@@ -290,6 +305,7 @@ def build_topology(case: NetworkCase, removed: frozenset = frozenset()) -> Topol
         island_of_bus=tuple(int(v) for v in labels),
         ref_bus=tuple(ref),
         energized=tuple(energized),
+        mask=mask,
     )
 
 
@@ -307,7 +323,7 @@ def apply_outage(case: NetworkCase, topo: Topology, branch_ids) -> tuple[Topolog
     effective = requested & topo.in_service
     if not effective:
         return topo, already_out
-    removed = frozenset(br.id for br in case.branches) - topo.in_service | effective
+    removed = frozenset(case.branch_ids.tolist()) - topo.in_service | effective
     return build_topology(case, removed), already_out
 
 
@@ -318,15 +334,15 @@ def _topology_data(case: NetworkCase, topo: Topology) -> dict:
         return cached
 
     n_bus = case.n_bus
+    u, v, y = case.branch_from[topo.mask], case.branch_to[topo.mask], case.branch_y[topo.mask]
+    # np.add.at applies the entries in order: branch by branch, as (u,u), (v,v),
+    # (u,v), (v,u), so every sum is accumulated in case order.
     b_mat = np.zeros((n_bus, n_bus))
-    for i, br in enumerate(case.branches):
-        if br.id not in topo.in_service:
-            continue
-        u, v = case.branch_from[i], case.branch_to[i]
-        b_mat[u, u] += br.y
-        b_mat[v, v] += br.y
-        b_mat[u, v] -= br.y
-        b_mat[v, u] -= br.y
+    np.add.at(
+        b_mat,
+        (np.column_stack([u, v, u, v]).ravel(), np.column_stack([u, v, v, u]).ravel()),
+        np.column_stack([y, y, -y, -y]).ravel(),
+    )
 
     # theta = inv_map @ injections(pu), zero row/col at each reference bus
     inv_map = np.zeros((n_bus, n_bus))
@@ -341,22 +357,20 @@ def _topology_data(case: NetworkCase, topo: Topology) -> dict:
             raise PowerFlowError(f"singular island system (island {k})") from exc
         inv_map[np.ix_(keep, keep)] = sub_inv
 
-    # branch-flow rows: F_pu = y_i * (theta_u - theta_v)
+    # branch-flow rows: F_pu = y_i * (theta_u - theta_v), zero for branches
+    # out of service or in a de-energized island
+    island_energized = np.array(topo.energized, dtype=bool)[list(topo.island_of_bus)]
+    live = np.flatnonzero(topo.mask & island_energized[case.branch_from])
+    frm, to = case.branch_from[live], case.branch_to[live]
     flow_rows = np.zeros((case.n_branch, n_bus))
-    for i, br in enumerate(case.branches):
-        if br.id not in topo.in_service:
-            continue
-        k = topo.island_of_bus[case.branch_from[i]]
-        if not topo.energized[k]:
-            continue
-        flow_rows[i] = br.y * (inv_map[case.branch_from[i]] - inv_map[case.branch_to[i]])
+    flow_rows[live] = case.branch_y[live, None] * (inv_map[frm] - inv_map[to])
 
     # injection-to-state mapping: load columns negative, generator columns positive
     sens = np.zeros((case.n_branch, case.n_x))
     sens[:, : case.n_load] = -flow_rows[:, case.load_bus]
     sens[:, case.n_load :] = flow_rows[:, case.gen_bus]
 
-    data = {"inv_map": inv_map, "flow_sens": sens}
+    data = {"inv_map": inv_map, "flow_sens": sens, "live": live}
     case._topo_cache[topo.in_service] = data
     return data
 
@@ -380,12 +394,11 @@ def dc_power_flow(case: NetworkCase, topo: Topology, state: SystemState) -> Flow
     np.add.at(inj, case.load_bus, -state.p_load)
     inj /= case.base_mva
     angles = data["inv_map"] @ inj
+    live = data["live"]
     flows_pu = np.zeros(case.n_branch)
-    for i, br in enumerate(case.branches):
-        if br.id in topo.in_service:
-            k = topo.island_of_bus[case.branch_from[i]]
-            if topo.energized[k]:
-                flows_pu[i] = br.y * (angles[case.branch_from[i]] - angles[case.branch_to[i]])
+    flows_pu[live] = case.branch_y[live] * (
+        angles[case.branch_from[live]] - angles[case.branch_to[live]]
+    )
     return FlowResult(flows=flows_pu * case.base_mva, angles=angles)
 
 
@@ -642,24 +655,3 @@ def case_equal(a: NetworkCase, b: NetworkCase) -> bool:
         and a.generators == b.generators
         and a.loads == b.loads
     )
-
-
-def with_failure_rate(case: NetworkCase, **overrides) -> NetworkCase:
-    """Copy of the case with failure-rate parameters replaced on every branch.
-
-    Accepts the native-schema keys (lambda_0, lambda_1, knee, overload_slope,
-    lambda_max, trip_factor).
-    """
-    trip = overrides.pop("trip_factor", None)
-    branches = []
-    for br in case.branches:
-        current = {
-            "lambda_0": br.rate.lam0, "lambda_1": br.rate.lam1, "knee": br.rate.knee,
-            "overload_slope": br.rate.slope, "lambda_max": br.rate.lam_max,
-        }
-        current.update(overrides)
-        rate = _rate_from_dict({}, current, f"branch {br.id}")
-        branches.append(
-            replace(br, rate=rate, trip_factor=br.trip_factor if trip is None else float(trip))
-        )
-    return NetworkCase(case.base_mva, case.buses, branches, case.generators, case.loads)

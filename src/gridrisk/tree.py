@@ -18,6 +18,8 @@ from . import cascade
 from .gradient import chain_step, maybe_compress, to_dense
 from .network import NetworkCase, SystemState, Topology
 
+MAX_EXHAUSTIVE_NODES = 200_000
+
 
 @dataclass
 class SearchBudget:
@@ -27,7 +29,8 @@ class SearchBudget:
     best-first (score-guided), probability-sampled, exhaustive (depth-first
     enumeration, `exhaustive_order` picks the child visiting order).
     Exhaustive search refuses label spaces larger than
-    `max_exhaustive_nodes` (counted as (elements+1)^depth).
+    `MAX_EXHAUSTIVE_NODES` (counted as (elements+1)^depth). A search stops
+    early once an exhaustive or best-first policy has visited everything.
     """
 
     attempts: int
@@ -35,8 +38,6 @@ class SearchBudget:
     seed: int = 0
     policy: str = "probability-sampled"
     exhaustive_order: str = "ascending"
-    stop_when_exhausted: bool = True
-    max_exhaustive_nodes: int = 200_000
 
     def __post_init__(self):
         if self.depth < 1:
@@ -47,10 +48,10 @@ class SearchBudget:
     def check_exhaustive_size(self, n_elements: int) -> None:
         if self.policy != "exhaustive":
             return
-        if (n_elements + 1) ** self.depth > self.max_exhaustive_nodes:
+        if (n_elements + 1) ** self.depth > MAX_EXHAUSTIVE_NODES:
             raise ValueError(
                 f"exhaustive search over {n_elements + 1}^{self.depth} labels "
-                f"exceeds the {self.max_exhaustive_nodes} node bound"
+                f"exceeds the {MAX_EXHAUSTIVE_NODES} node bound"
             )
 
     def rng(self) -> np.random.Generator:
@@ -110,14 +111,12 @@ class MarkovTree:
         root_state: SystemState,
         tau_d: float,
         depth: int,
-        control_cost: float = 0.0,
         gradients: bool = True,
         threshold: float | None = None,
     ):
         self.case = case
         self.tau_d = tau_d
         self.depth = depth
-        self.c0 = control_cost
         self.gradients = gradients
         self.threshold = threshold
         self.stored_entries = 0
@@ -154,8 +153,7 @@ class MarkovTree:
         ids = cascade.in_service_ids(self.case, node.topo)
         flows = cascade.dc_power_flow(self.case, node.topo, node.state).flows
         lam, _ = cascade.failure_rates(self.case, node.topo, flows)
-        pos = [self.case.branch_pos[b] for b in ids]
-        probs, pr_no = cascade.level_probabilities(lam[pos], self.tau_d)
+        probs, pr_no = cascade.level_probabilities(lam[node.topo.mask], self.tau_d)
         keep = probs > 0.0
         node.child_events = [ids[i] for i in np.flatnonzero(keep)]
         node.child_probs = probs[keep]
@@ -307,31 +305,11 @@ def backward_risk_update(tree: MarkovTree, path: list) -> None:
         node.c_equiv = total
 
 
-def risk_estimate(tree: MarkovTree) -> tuple:
-    """Total risk R = C_0 + R'(root) and the subsequent risk R'(root)."""
-    r_prime = tree.root.subsequent_risk
-    return tree.c0 + r_prime, r_prime
-
-
 @dataclass
 class ConvergenceHistory:
     attempts: list = field(default_factory=list)
     r_prime: list = field(default_factory=list)
     gammas: list = field(default_factory=list)  # raw root gradient snapshots
-
-    def to_rows(self, deltas=None, deltas_dir=None):
-        rows = []
-        for i, a in enumerate(self.attempts):
-            row = {
-                "attempt": a,
-                "r_prime": self.r_prime[i],
-                "delta": "" if deltas is None or deltas[i] is None else deltas[i],
-                "delta_dir": ""
-                if deltas_dir is None or deltas_dir[i] is None
-                else deltas_dir[i],
-            }
-            rows.append(row)
-        return rows
 
 
 def search(
@@ -345,15 +323,13 @@ def search(
     when supplied (the risk-gradient backward pass); per-attempt R' and the
     root gradient accumulator are recorded.
     """
-    budget.check_exhaustive_size(tree.case.n_branch)
+    budget.check_exhaustive_size(int(tree.root.topo.mask.sum()))
     rng = budget.rng()
     history = ConvergenceHistory()
     for attempt in range(1, budget.attempts + 1):
         path = tree.expand_path(budget, rng, attempt)
         if path is None:
-            if budget.stop_when_exhausted:
-                break
-            path = []
+            break
         if path:
             backward_risk_update(tree, path)
             if gradient_update is not None and tree.gradients:

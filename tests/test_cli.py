@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from gridrisk import cases
+from gridrisk import cascade, cases
 from gridrisk.cli import main
 from gridrisk.network import serialize_case
 
@@ -70,6 +70,35 @@ class TestExitCodes:
                         "--strategy", str(strategy), "--out", str(tmp_path / "o")])
         assert code == 2
         assert f"unknown {kind[:-1]} id {eid}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [
+        ("attempts", "10"), ("tau_d", True), ("seed", 1.5), ("outages", "3"),
+        ("epsilon_stop", "1"),
+    ])
+    def test_config_value_of_wrong_type(self, toy_case_file, tmp_path, capsys, key, value):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"case": toy_case_file, key: value}))
+        code = run_cli(["assess", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert f"config key '{key}' has the wrong type" in capsys.readouterr().err
+
+    def test_config_accepts_int_for_float(self, toy_case_file, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({
+            "case": toy_case_file, "outages": [3], "tau_d": 15, "t_max": 30,
+            "policy": "exhaustive", "attempts": 5, "epsilon_stop": None,
+        }))
+        assert run_cli(["assess", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+
+    def test_internal_error(self, toy_case_file, tmp_path, monkeypatch, capsys):
+        def unbalanced(case, topo, state):
+            raise cascade.InternalError("island 0 unbalanced after dispatch")
+
+        monkeypatch.setattr(cascade, "_assert_balanced", unbalanced)
+        code = run_cli(["assess", "--case", toy_case_file, "--outages", "3",
+                        "--out", str(tmp_path / "o")])
+        assert code == 4
+        assert "internal error: island 0 unbalanced" in capsys.readouterr().err
 
 
 class TestCommands:

@@ -1,0 +1,247 @@
+"""The dispatch LPs and the branch mask against reference implementations.
+
+Each `ref_*` function builds its result row by row and branch by branch,
+testing membership in `topo.in_service`. The shared row builders must give
+the same matrices, bounds and parameters, and the mask-based flow code the
+same numbers, bit for bit.
+"""
+
+import numpy as np
+import pytest
+import scipy.linalg
+
+from gridrisk import cascade, lp
+from gridrisk.assess import AssessmentConfig, base_state, run_assessment
+from gridrisk.cascade import TARGET_EPSILON, _island_balance_rows
+from gridrisk.management import build_rm
+from gridrisk.network import apply_outage, build_topology, dc_power_flow, flow_sensitivity
+
+
+# -- reference copies ---------------------------------------------------------
+
+def ref_target_lp(case, topo, x_prime):
+    n_l, n_g = case.n_load, case.n_gen
+    n_vars = n_l + n_g
+    c = np.concatenate([-case.c_load, TARGET_EPSILON * case.c_gen])
+    eq_rows, eq_rhs = _island_balance_rows(case, topo, n_vars)
+    sens = flow_sensitivity(case, topo)
+    live = [i for i, br in enumerate(case.branches)
+            if br.id in topo.in_service and np.any(sens[i])]
+    a_in = np.vstack([sens[live], -sens[live]]) if live else None
+    b_in = np.concatenate([case.f_max[live], case.f_max[live]]) if live else None
+    lo = np.concatenate([np.zeros(n_l), case.gen_min])
+    hi = np.concatenate([np.maximum(x_prime.p_load, 0.0), case.gen_max])
+    params = {f"xp_d{i}": [(lp.KIND_HI, i, 1.0)] for i in range(n_l)}
+    return lp.LpProblem(
+        c=c,
+        a_eq=np.vstack(eq_rows) if eq_rows else None,
+        b_eq=np.array(eq_rhs) if eq_rows else None,
+        a_in=a_in, b_in=b_in, lo=lo, hi=hi, params=params,
+    )
+
+
+def ref_execute_lp(case, topo, x_prime, x_star, tau_d):
+    n_l, n_g = case.n_load, case.n_gen
+    n_vars = n_l + 3 * n_g
+    c = np.concatenate([case.c_load, np.zeros(n_g), case.c_gen, case.c_gen])
+    eq_rows, eq_rhs = _island_balance_rows(case, topo, n_vars)
+    params = {}
+    for j in range(n_g):
+        row = np.zeros(n_vars)
+        row[n_l + j] = 1.0
+        row[n_l + n_g + j] = -1.0
+        row[n_l + 2 * n_g + j] = 1.0
+        eq_rows.append(row)
+        eq_rhs.append(x_star.p_gen[j])
+        params[f"xs_g{j}"] = [(lp.KIND_EQ, len(eq_rhs) - 1, 1.0)]
+    a_in = np.zeros((2 * n_g, n_vars))
+    b_in = np.zeros(2 * n_g)
+    window = tau_d * case.gen_ramp
+    for j in range(n_g):
+        a_in[j, n_l + j] = 1.0
+        b_in[j] = x_prime.p_gen[j] + window[j]
+        a_in[n_g + j, n_l + j] = -1.0
+        b_in[n_g + j] = -x_prime.p_gen[j] + window[j]
+        params[f"xp_g{j}"] = [(lp.KIND_IN, j, 1.0), (lp.KIND_IN, n_g + j, -1.0)]
+    hi_d = np.maximum(x_prime.p_load, 0.0)
+    lo_d = np.minimum(np.maximum(x_star.p_load, 0.0), hi_d)
+    lo = np.concatenate([lo_d, case.gen_min, np.zeros(2 * n_g)])
+    hi = np.concatenate([hi_d, case.gen_max, np.full(2 * n_g, np.inf)])
+    for i in range(n_l):
+        params[f"xs_d{i}"] = [(lp.KIND_LO, i, 1.0)]
+        params[f"xp_d{i}"] = [(lp.KIND_HI, i, 1.0)]
+    return lp.LpProblem(
+        c=c, a_eq=np.vstack(eq_rows), b_eq=np.array(eq_rhs),
+        a_in=a_in, b_in=b_in, lo=lo, hi=hi, params=params,
+    )
+
+
+def ref_rm_lp(case, topo, x_pre, x_star0, gamma, r_prime0, r_expected):
+    """Flow rows interleaved (+i, -i) after the risk row."""
+    n_l, n_g = case.n_load, case.n_gen
+    n_vars = n_l + 3 * n_g
+    c = np.concatenate([-case.c_load, np.zeros(n_g), case.c_gen, case.c_gen])
+    eq_rows, eq_rhs = _island_balance_rows(case, topo, n_vars)
+    for j in range(n_g):
+        row = np.zeros(n_vars)
+        row[n_l + j] = 1.0
+        row[n_l + n_g + j] = -1.0
+        row[n_l + 2 * n_g + j] = 1.0
+        eq_rows.append(row)
+        eq_rhs.append(x_pre.p_gen[j])
+    sens = flow_sensitivity(case, topo)
+    live = [i for i, br in enumerate(case.branches)
+            if br.id in topo.in_service and np.any(sens[i])]
+    rows = [np.zeros(n_vars)]
+    rows[0][: case.n_x] = -gamma
+    rhs = [r_expected - r_prime0 - float(gamma @ x_star0.x)]
+    for i in live:
+        row = np.zeros(n_vars)
+        row[: case.n_x] = sens[i]
+        rows.append(row)
+        rhs.append(case.f_max[i])
+        rows.append(-row)
+        rhs.append(case.f_max[i])
+    lo = np.concatenate([np.zeros(n_l), case.gen_min, np.zeros(2 * n_g)])
+    hi = np.concatenate([np.maximum(x_pre.p_load, 0.0), case.gen_max, np.full(2 * n_g, np.inf)])
+    return lp.LpProblem(
+        c=c, a_eq=np.vstack(eq_rows), b_eq=np.array(eq_rhs),
+        a_in=np.vstack(rows), b_in=np.array(rhs), lo=lo, hi=hi,
+        params={"risk_row": [(lp.KIND_IN, 0, 1.0)]},
+    ), len(live)
+
+
+def ref_topology_data(case, topo):
+    n_bus = case.n_bus
+    b_mat = np.zeros((n_bus, n_bus))
+    for i, br in enumerate(case.branches):
+        if br.id not in topo.in_service:
+            continue
+        u, v = case.branch_from[i], case.branch_to[i]
+        b_mat[u, u] += br.y
+        b_mat[v, v] += br.y
+        b_mat[u, v] -= br.y
+        b_mat[v, u] -= br.y
+    inv_map = np.zeros((n_bus, n_bus))
+    for k, members in enumerate(topo.islands):
+        if not topo.energized[k] or len(members) == 1:
+            continue
+        keep = [p for p in members if p != topo.ref_bus[k]]
+        inv_map[np.ix_(keep, keep)] = scipy.linalg.inv(b_mat[np.ix_(keep, keep)])
+    flow_rows = np.zeros((case.n_branch, n_bus))
+    for i, br in enumerate(case.branches):
+        if br.id not in topo.in_service:
+            continue
+        if not topo.energized[topo.island_of_bus[case.branch_from[i]]]:
+            continue
+        flow_rows[i] = br.y * (inv_map[case.branch_from[i]] - inv_map[case.branch_to[i]])
+    sens = np.zeros((case.n_branch, case.n_x))
+    sens[:, : case.n_load] = -flow_rows[:, case.load_bus]
+    sens[:, case.n_load :] = flow_rows[:, case.gen_bus]
+    return inv_map, sens
+
+
+def ref_dc_flows(case, topo, state):
+    inv_map, _ = ref_topology_data(case, topo)
+    inj = np.zeros(case.n_bus)
+    np.add.at(inj, case.gen_bus, state.p_gen)
+    np.add.at(inj, case.load_bus, -state.p_load)
+    inj /= case.base_mva
+    angles = inv_map @ inj
+    flows_pu = np.zeros(case.n_branch)
+    for i, br in enumerate(case.branches):
+        if br.id in topo.in_service:
+            if topo.energized[topo.island_of_bus[case.branch_from[i]]]:
+                flows_pu[i] = br.y * (angles[case.branch_from[i]] - angles[case.branch_to[i]])
+    return flows_pu * case.base_mva
+
+
+# -- scenarios ------------------------------------------------------------------
+
+SCENARIOS = [("toy6", ()), ("toy6", (1,)), ("rts96", (22, 23, 24))]
+
+
+def after_fast_process(case, outages):
+    x = base_state(case)
+    topo, _ = apply_outage(case, build_topology(case), outages)
+    fast = cascade.short_timescale_process(
+        case, topo, x, initial_trips=tuple(sorted(outages)), jacobians=False
+    )
+    return fast.final_topology, fast.final_state
+
+
+def assert_same_lp(new, ref):
+    for name in ("c", "a_eq", "b_eq", "a_in", "b_in", "lo", "hi"):
+        assert np.array_equal(getattr(new, name), getattr(ref, name)), name
+    assert new.params == ref.params
+    assert list(new.params) == list(ref.params)
+
+
+@pytest.fixture()
+def captured_lps(monkeypatch):
+    probs = []
+    solve = lp.solve_lp
+
+    def capture(prob):
+        probs.append(prob)
+        return solve(prob)
+
+    monkeypatch.setattr(lp, "solve_lp", capture)
+    return probs
+
+
+@pytest.mark.parametrize("name,outages", SCENARIOS)
+def test_target_and_execute_lps_match_reference(name, outages, request, captured_lps):
+    case = request.getfixturevalue(name)
+    topo, x_prime = after_fast_process(case, outages)
+    tgt = cascade.dispatch_target(case, topo, x_prime)
+    cascade.dispatch_execute(case, topo, x_prime, tgt.x_star, 15.0)
+    new_target, new_execute = captured_lps[-2:]
+    assert_same_lp(new_target, ref_target_lp(case, topo, x_prime))
+    assert_same_lp(new_execute, ref_execute_lp(case, topo, x_prime, tgt.x_star, 15.0))
+
+
+@pytest.mark.parametrize("name,outages", SCENARIOS)
+def test_rm_lp_matches_reference_in_stacked_order(name, outages, request):
+    case = request.getfixturevalue(name)
+    topo, x_pre = after_fast_process(case, outages)
+    x_star0 = cascade.dispatch_target(case, topo, x_pre, jacobians=False).x_star
+    gamma = -np.concatenate([case.c_load, case.c_gen]) * 1e-2
+    r_prime0 = 1000.0
+    new = build_rm(case, topo, x_pre, x_star0, gamma, r_prime0, 0.5 * r_prime0)
+    ref, n_live = ref_rm_lp(case, topo, x_pre, x_star0, gamma, r_prime0, 0.5 * r_prime0)
+    assert n_live > 0
+    # the interleaved rows solve to the same point as the stacked ones
+    sol_new, sol_ref = lp.solve_lp(new), lp.solve_lp(ref)
+    assert sol_new.optimal and sol_ref.optimal
+    assert np.array_equal(sol_new.x, sol_ref.x)
+    assert sol_new.in_duals[0] == sol_ref.in_duals[0]
+    # risk row, then the interleaved +rows (odd positions), then the -rows (even)
+    order = np.concatenate([[0], 1 + 2 * np.arange(n_live), 2 + 2 * np.arange(n_live)])
+    ref.a_in, ref.b_in = ref.a_in[order], ref.b_in[order]
+    assert_same_lp(new, ref)
+
+
+def test_mask_and_flows_match_reference_on_rts96_run(rts96, monkeypatch):
+    seen = []
+    flow = cascade.dc_power_flow
+
+    def record(case, topo, state):
+        seen.append((topo, state))
+        return flow(case, topo, state)
+
+    monkeypatch.setattr(cascade, "dc_power_flow", record)
+    cfg = AssessmentConfig(attempts=8, seed=3, gradients=False)
+    run_assessment(rts96, {22, 23, 24}, cfg)
+    assert len({topo.in_service for topo, _ in seen}) > 3
+    checked = set()
+    for topo, state in seen:
+        assert np.array_equal(
+            topo.mask, [br.id in topo.in_service for br in rts96.branches]
+        )
+        assert np.array_equal(dc_power_flow(rts96, topo, state).flows,
+                              ref_dc_flows(rts96, topo, state))
+        if topo.in_service not in checked:
+            checked.add(topo.in_service)
+            _, sens = ref_topology_data(rts96, topo)
+            assert np.array_equal(flow_sensitivity(rts96, topo), sens)

@@ -77,17 +77,17 @@ class TestForwardChain:
         a = run_assessment(case, {3}, cfg)
         # pick a depth-2 path and recompose the chain independently
         label = next(k for k in a.tree.nodes if len(k) == 2 and k[1] != 0)
-        records = [a.tree.nodes[label[:1]].record, a.tree.nodes[label].record]
-        chains = gradient.forward_derivatives(records)
         x1 = a.tree.nodes[label[:1]]
         x2 = a.tree.nodes[label]
-        np.testing.assert_allclose(chains.x_next[0], gradient.to_dense(x1.chain_x))
-        np.testing.assert_allclose(chains.x_next[1], gradient.to_dense(x2.chain_x))
-        np.testing.assert_allclose(chains.cost_rows[1], x2.dcost_dx0)
-
-    def test_empty_path_rejected(self):
-        with pytest.raises(ValueError):
-            gradient.forward_derivatives([])
+        x_parent = np.eye(case.n_x)
+        next_rows, cost_rows = [], []
+        for node in (x1, x2):
+            _, _, x_parent, dcost = gradient.chain_step(node.record, x_parent)
+            next_rows.append(x_parent)
+            cost_rows.append(dcost)
+        np.testing.assert_allclose(next_rows[0], gradient.to_dense(x1.chain_x))
+        np.testing.assert_allclose(next_rows[1], gradient.to_dense(x2.chain_x))
+        np.testing.assert_allclose(cost_rows[1], x2.dcost_dx0)
 
     def test_dimension_mismatch_rejected(self):
         case = toy6()
@@ -194,7 +194,8 @@ class TestControlGradient:
         assert np.all(val.flagged[loads])
         assert np.all(np.abs(val.gamma[loads]) > 1.0)
         assert not np.any(val.rel_err[~val.flagged] > 0.05)
-        assert val.passed
+        # nothing is left to check, and an empty check does not pass
+        assert val.checked == 0 and not val.passed
 
 
 def test_compression_error_bound_on_control_gradient():

@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from gridrisk import lp
-from gridrisk.assess import AssessmentConfig, run_assessment
+from gridrisk.assess import AssessmentConfig, control_cost_value, run_assessment
 from gridrisk.cases import toy6
 from gridrisk.management import (
     RmConfig,
     build_rm,
-    control_cost,
     irm,
     rm_step,
     write_strategy_json,
@@ -25,15 +24,15 @@ def pre_state(toy6):
 
 class TestControlCost:
     def test_no_change_costs_nothing(self, toy6, pre_state):
-        assert control_cost(toy6, pre_state, pre_state) == 0.0
+        assert control_cost_value(toy6, pre_state, pre_state) == 0.0
 
     def test_shedding_price(self, toy6, pre_state):
         target = SystemState([117.0, 90.0, 60.0], pre_state.p_gen)
-        assert control_cost(toy6, pre_state, target) == pytest.approx(3 * 10000.0)
+        assert control_cost_value(toy6, pre_state, target) == pytest.approx(3 * 10000.0)
 
     def test_generation_move_price(self, toy6, pre_state):
         target = SystemState(pre_state.p_load, [95.0, 175.0, 0.0])
-        assert control_cost(toy6, pre_state, target) == pytest.approx(5 * 80.0 + 5 * 120.0)
+        assert control_cost_value(toy6, pre_state, target) == pytest.approx(5 * 80.0 + 5 * 120.0)
 
 
 class TestBuildRm:

@@ -80,6 +80,29 @@ class TestParsing:
             parse_case(json.dumps(doc))
         assert "7" in str(err.value)
 
+    @pytest.mark.parametrize("section, key, field", [
+        (None, "base_mva", "base_mva"),
+        ("branches", "f_max", "f_max"),
+        ("branches", "y", "y"),
+        ("branches", "trip_factor", "trip_factor"),
+        ("branches", "lambda_0", "lam0"),
+        ("branches", "overload_slope", "slope"),
+        ("branches", "lambda_max", "lam_max"),
+        ("generators", "p_max", "p_max"),
+        ("generators", "ramp", "ramp"),
+        ("generators", "cost", "cost"),
+        ("loads", "p", "p"),
+    ])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_numbers_rejected(self, section, key, field, value):
+        doc = json.loads(json.dumps(MINIMAL_2BUS))
+        (doc if section is None else doc[section][0])[key] = value
+        with pytest.raises(CaseSemanticError, match=f"{field} must be finite") as err:
+            parse_case(json.dumps(doc))
+        entity = {None: "case", "branches": "branch 1", "generators": "gen 1",
+                  "loads": "load 1"}[section]
+        assert err.value.entity == entity
+
     def test_rts96_counts(self, rts96):
         assert rts96.n_bus == 73
         assert rts96.n_branch == 120

@@ -142,8 +142,7 @@ class TestRiskEstimate:
         a = build_tree(case, depth=2)
         oracle = enumeration_risk(case, a.topo, a.x_root, 15.0, 2)
         assert a.r_prime == pytest.approx(oracle, rel=1e-9)
-        risk, r_prime = mtree.risk_estimate(a.tree)
-        assert risk == pytest.approx(a.control_cost + r_prime)
+        assert a.risk == a.control_cost + a.r_prime
 
     def test_zero_rate_case_zero_risk(self):
         doc = json.loads(
@@ -185,6 +184,18 @@ class TestDumps:
         assert len(rows) == len(a.tree.nodes)
         root_row = next(r for r in rows if r["label"] == "root")
         assert float(root_row["r_prime"]) == pytest.approx(a.r_prime)
+
+
+def test_exhaustive_bound_counts_in_service_branches(toy6, monkeypatch):
+    cfg = AssessmentConfig(tau_d=15.0, t_max=30.0, attempts=5, policy="exhaustive")
+    in_service = int(run_assessment(toy6, {1}, cfg).topo.mask.sum())
+    bound = (in_service + 1) ** cfg.depth
+    assert bound < (toy6.n_branch + 1) ** cfg.depth
+    monkeypatch.setattr(mtree, "MAX_EXHAUSTIVE_NODES", bound)
+    run_assessment(toy6, {1}, cfg)
+    monkeypatch.setattr(mtree, "MAX_EXHAUSTIVE_NODES", bound - 1)
+    with pytest.raises(ValueError, match="exceeds"):
+        run_assessment(toy6, {1}, cfg)
 
 
 def test_exhaustive_refuses_huge_label_spaces(rts96):
