@@ -42,8 +42,8 @@ class RunConfig:
     attempts: int = 200
     policy: str = "probability-sampled"
     seed: int = 0
-    delta_r: object = None
-    threshold: object = "auto"
+    delta_r: float | list | None = None     # None = adaptive schedule
+    threshold: float | str | None = "auto"  # "auto", None = dense, float = compressed
     out: str = "out"
     base_dispatch: str = "opf"
     failure_rate: dict = field(default_factory=dict)
@@ -60,6 +60,11 @@ class RunConfig:
             raise ValueError("t_max must be >= tau_d")
         if self.attempts < 1:
             raise ValueError("attempts must be >= 1")
+        if not (self.threshold is None or self.threshold == "auto"
+                or _is_number(self.threshold)):
+            raise ValueError("config key 'threshold' must be \"auto\", null or a number")
+        if isinstance(self.delta_r, list) and not all(map(_is_number, self.delta_r)):
+            raise ValueError("config key 'delta_r' must be a number or a list of numbers")
 
     def assessment(self, gradients: bool = True) -> _assess.AssessmentConfig:
         return _assess.AssessmentConfig(
@@ -72,6 +77,10 @@ class RunConfig:
             threshold=self.threshold,
             base_dispatch=self.base_dispatch,
         )
+
+
+def _is_number(val) -> bool:
+    return isinstance(val, (int, float)) and not isinstance(val, bool)
 
 
 def _type_matches(hint, val) -> bool:

@@ -1,28 +1,51 @@
 """Linear programs with frozen-basis solution sensitivities.
 
-Solving is delegated to HiGHS (scipy.optimize.linprog); the derivative of the
+Solving is delegated to HiGHS dual simplex through the bindings scipy ships
+(`scipy.optimize._highspy`). Each LP gets a fresh solver and the same model,
+options and post-solve feasibility check as scipy's `highs-ds` LP method,
+without that method's per-call Python wrapping. The derivative of the
 optimal point with respect to tagged right-hand-side/bound parameters is
 computed here from the active set, holding the basis fixed.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
-from scipy.optimize import linprog
+import scipy.optimize._highspy._core as _highs
 
 FEAS_TOL = 1e-8          # KKT / constraint residual tolerance
 TIGHT_TOL = 1e-7         # activity detection
 DUAL_TOL = 1e-9          # strongly-active threshold on multipliers
 RANK_TOL = 1e-9
 
-_HIGHS_OPTIONS = {
-    "presolve": True,
-    "primal_feasibility_tolerance": 1e-10,
-    "dual_feasibility_tolerance": 1e-10,
-}
+
+def _highs_options() -> _highs.HighsOptions:
+    """The options scipy's `highs-ds` method passes for our tolerances."""
+    opts = _highs.HighsOptions()
+    opts.presolve = "on"
+    opts.solver = "simplex"
+    opts.simplex_strategy = _highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    opts.primal_feasibility_tolerance = 1e-10
+    opts.dual_feasibility_tolerance = 1e-10
+    opts.output_flag = False
+    opts.log_to_console = False
+    opts.highs_debug_level = _highs.HighsDebugLevel.kHighsDebugLevelNone
+    return opts
+
+
+_HIGHS_OPTIONS = _highs_options()
+_INF = _highs.kHighsInf
+_ERROR = _highs.HighsStatus.kError
+_OPTIMAL = _highs.HighsModelStatus.kOptimal
+_UNBOUNDED = _highs.HighsModelStatus.kUnbounded
+_AT_LOWER = int(_highs.HighsBasisStatus.kLower)
+_AT_UPPER = int(_highs.HighsBasisStatus.kUpper)
+# scipy's post-solve check tolerance: sqrt(tol) * 10 with its default 1e-9.
+_CHECK_TOL = math.sqrt(1e-9) * 10
 
 # Parameter tag kinds: which RHS/bound vector the parameter perturbs.
 KIND_EQ = "eq"
@@ -107,38 +130,83 @@ class LpSolution:
         )
 
 
-_STATUS = {0: "optimal", 2: "infeasible", 3: "unbounded"}
+def _highs_model(prob: LpProblem):
+    """HiGHS column-wise LP for rows [A_in; A_eq] and its column bounds."""
+    a_t = np.vstack([prob.a_in, prob.a_eq]).T
+    if not (np.isfinite(prob.c).all() and np.isfinite(a_t).all()
+            and np.isfinite(prob.b_in).all() and np.isfinite(prob.b_eq).all()):
+        raise ValueError("LP costs, matrices and right-hand sides must be finite")
+    nonzero = a_t != 0.0
+    cols, rows = np.nonzero(nonzero)
+    n, m = a_t.shape
+    # +-inf becomes +-kHighsInf, and a NaN bound means none, as in scipy's
+    # LP front end (fmax/fmin return the non-NaN operand).
+    lb = np.fmin(np.fmax(prob.lo, -_INF), _INF)
+    ub = np.fmax(np.fmin(prob.hi, _INF), -_INF)
+    model = _highs.HighsLp()
+    model.num_col_ = n
+    model.num_row_ = m
+    model.col_cost_ = prob.c
+    model.col_lower_ = lb
+    model.col_upper_ = ub
+    model.row_lower_ = np.concatenate([np.full(prob.b_in.size, -_INF), prob.b_eq])
+    model.row_upper_ = np.concatenate([prob.b_in, prob.b_eq])
+    matrix = model.a_matrix_
+    matrix.format_ = _highs.MatrixFormat.kColwise
+    matrix.num_col_ = n
+    matrix.num_row_ = m
+    matrix.start_ = np.searchsorted(cols, np.arange(n + 1))
+    matrix.index_ = rows
+    matrix.value_ = a_t[nonzero]
+    return model, lb, ub
 
 
 def solve_lp(prob: LpProblem) -> LpSolution:
-    """Solve with HiGHS dual simplex; statuses are reported, never raised."""
-    res = linprog(
-        c=prob.c,
-        A_ub=prob.a_in if prob.b_in.size else None,
-        b_ub=prob.b_in if prob.b_in.size else None,
-        A_eq=prob.a_eq if prob.b_eq.size else None,
-        b_eq=prob.b_eq if prob.b_eq.size else None,
-        bounds=np.column_stack([prob.lo, prob.hi]),
-        method="highs-ds",
-        options=_HIGHS_OPTIONS,
-    )
-    status = _STATUS.get(res.status, "infeasible")
-    if status != "optimal":
-        return LpSolution(status=status)
-    x = np.asarray(res.x, dtype=float)
-    in_res = prob.b_in - prob.a_in @ x if prob.b_in.size else np.zeros(0)
-    scale_in = 1.0 + np.abs(prob.b_in) if prob.b_in.size else np.zeros(0)
-    active_in = in_res <= TIGHT_TOL * scale_in
+    """Solve with HiGHS dual simplex; statuses are reported, never raised.
+
+    Non-finite costs, matrix entries or right-hand sides raise `ValueError`.
+    A solution that misses its bounds or rows by more than scipy's post-solve
+    check tolerance, or holds a NaN, is reported infeasible.
+    """
+    model, lb, ub = _highs_model(prob)
+    highs = _highs._Highs()
+    highs.passOptions(_HIGHS_OPTIONS)
+    if highs.passModel(model) == _ERROR:
+        return LpSolution(status="infeasible")
+    ran = highs.run() != _ERROR
+    model_status = highs.getModelStatus()
+    if model_status == _UNBOUNDED:
+        return LpSolution(status="unbounded")
+    if not ran or model_status != _OPTIMAL:
+        return LpSolution(status="infeasible")
+
+    solution = highs.getSolution()
+    x = np.array(solution.col_value)
+    objective = highs.getInfo().objective_function_value
+    m_in = prob.b_in.size
+    row_value = np.array(solution.row_value)
+    slack = prob.b_in - row_value[:m_in]
+    con = prob.b_eq - row_value[m_in:]
+    if (math.isnan(objective) or np.isnan(x).any() or np.isnan(slack).any()
+            or np.isnan(con).any()
+            or not np.all((x >= lb - _CHECK_TOL) & (x <= ub + _CHECK_TOL))
+            or (slack < -_CHECK_TOL).any() or (np.abs(con) > _CHECK_TOL).any()):
+        return LpSolution(status="infeasible")
+
+    row_dual = np.array(solution.row_dual)
+    col_dual = np.array(solution.col_dual)
+    col_status = np.array(highs.getBasis().col_status, dtype=np.int8)
+    active_in = prob.b_in - prob.a_in @ x <= TIGHT_TOL * (1.0 + np.abs(prob.b_in))
     active_lo = np.isfinite(prob.lo) & (x - prob.lo <= TIGHT_TOL * (1.0 + np.abs(prob.lo)))
     active_hi = np.isfinite(prob.hi) & (prob.hi - x <= TIGHT_TOL * (1.0 + np.abs(prob.hi)))
     return LpSolution(
         status="optimal",
         x=x,
-        objective=float(res.fun),
-        eq_duals=np.asarray(res.eqlin.marginals, dtype=float) if prob.b_eq.size else np.zeros(0),
-        in_duals=np.asarray(res.ineqlin.marginals, dtype=float) if prob.b_in.size else np.zeros(0),
-        lo_duals=np.asarray(res.lower.marginals, dtype=float),
-        hi_duals=np.asarray(res.upper.marginals, dtype=float),
+        objective=float(objective),
+        eq_duals=row_dual[m_in:],
+        in_duals=row_dual[:m_in],
+        lo_duals=np.where(col_status == _AT_LOWER, col_dual, 0.0),
+        hi_duals=np.where(col_status == _AT_UPPER, col_dual, 0.0),
         active_in=active_in,
         active_lo=active_lo,
         active_hi=active_hi,

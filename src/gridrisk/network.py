@@ -205,6 +205,8 @@ class NetworkCase:
 
     def _validate(self) -> None:
         _check_finite("case", self)
+        if self.base_mva <= 0:
+            raise CaseSemanticError("base_mva must be > 0", "case")
         bus_ids = {b.id for b in self.buses}
         if len(bus_ids) != len(self.buses):
             raise CaseSemanticError("duplicate bus id")

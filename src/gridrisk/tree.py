@@ -83,21 +83,29 @@ class TreeNode:
     child_probs: np.ndarray | None = None
     prob_no_outage: float | None = None
     dpr_dx0: np.ndarray | None = None   # rows: events then no-outage
+    # cached True result of fully_explored()
+    _explored: bool = field(default=False, init=False, repr=False)
 
     @property
     def subsequent_risk(self) -> float:
         return self.c_equiv - self.cost
 
     def fully_explored(self) -> bool:
+        """Every path below has reached a visited terminal node.
+
+        `visited`, `terminal` and `children` only ever grow, so once True the
+        answer stays True and is cached instead of re-walking the subtree.
+        """
+        if self._explored:
+            return True
         if self.terminal:
-            return self.visited
-        if self.child_events is None:
-            return False
-        for eid in self.child_events + [0]:
-            child = self.children.get(eid)
-            if child is None or not child.fully_explored():
-                return False
-        return True
+            self._explored = self.visited
+        elif self.child_events is not None:
+            self._explored = all(
+                (child := self.children.get(eid)) is not None and child.fully_explored()
+                for eid in self.child_events + [0]
+            )
+        return self._explored
 
 
 class MarkovTree:

@@ -38,6 +38,16 @@ class TestExitCodes:
         code = run_cli(["assess", "--case", str(bad), "--out", str(tmp_path / "o")])
         assert code == 2
 
+    @pytest.mark.parametrize("base_mva", [0.0, -100.0])
+    def test_non_positive_base_mva(self, tmp_path, capsys, base_mva):
+        doc = json.loads(serialize_case(cases.toy6()))
+        doc["base_mva"] = base_mva
+        f = tmp_path / "case.json"
+        f.write_text(json.dumps(doc))
+        code = run_cli(["assess", "--case", str(f), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "base_mva must be > 0" in capsys.readouterr().err
+
     def test_infeasible_base_case(self, tmp_path):
         doc = json.loads(serialize_case(cases.toy6()))
         for l in doc["loads"]:
@@ -81,6 +91,35 @@ class TestExitCodes:
         code = run_cli(["assess", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert code == 2
         assert f"config key '{key}' has the wrong type" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, key, value", [
+        ("gradient", "threshold", "abc"),
+        ("irm", "delta_r", "x"),
+        ("irm", "delta_r", [50000.0, "x"]),
+    ])
+    def test_config_threshold_and_delta_r_checked(self, toy_case_file, tmp_path, capsys,
+                                                  command, key, value):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({
+            "case": toy_case_file, "outages": [3], "tau_d": 15, "t_max": 30,
+            "policy": "exhaustive", "attempts": 5, key: value,
+        }))
+        code = run_cli([command, "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert f"config key '{key}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, key, value", [
+        ("gradient", "threshold", None), ("gradient", "threshold", 1e-5),
+        ("irm", "delta_r", 50000), ("irm", "delta_r", [50000.0, 20000])
+    ])
+    def test_config_threshold_and_delta_r_accepted(self, toy_case_file, tmp_path,
+                                                   command, key, value):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({
+            "case": toy_case_file, "outages": [3], "tau_d": 15, "t_max": 30,
+            "policy": "exhaustive", "attempts": 5, "max_iterations": 2, key: value,
+        }))
+        assert run_cli([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
 
     def test_config_accepts_int_for_float(self, toy_case_file, tmp_path):
         cfg = tmp_path / "run.json"

@@ -324,3 +324,218 @@ def test_in_place_basis_matches_hstack_basis(pinch, scramble):
         degenerate += deg
     if pinch or scramble:
         assert degenerate > 100  # the degenerate paths ran
+
+
+# -- the direct HiGHS call against scipy.optimize.linprog ----------------------
+#
+# `linprog_solution` is `solve_lp` as it was when it went through `linprog`:
+# the same options, status mapping and active-set rules. The direct call must
+# reproduce it bit for bit.
+
+LINPROG_OPTIONS = {
+    "presolve": True,
+    "primal_feasibility_tolerance": 1e-10,
+    "dual_feasibility_tolerance": 1e-10,
+}
+LINPROG_STATUS = {0: "optimal", 2: "infeasible", 3: "unbounded"}
+SOLUTION_ARRAYS = ("x", "eq_duals", "in_duals", "lo_duals", "hi_duals",
+                   "active_in", "active_lo", "active_hi")
+
+
+def linprog_solution(prob):
+    from scipy.optimize import linprog
+
+    res = linprog(
+        c=prob.c,
+        A_ub=prob.a_in if prob.b_in.size else None,
+        b_ub=prob.b_in if prob.b_in.size else None,
+        A_eq=prob.a_eq if prob.b_eq.size else None,
+        b_eq=prob.b_eq if prob.b_eq.size else None,
+        bounds=np.column_stack([prob.lo, prob.hi]),
+        method="highs-ds",
+        options=LINPROG_OPTIONS,
+    )
+    status = LINPROG_STATUS.get(res.status, "infeasible")
+    if status != "optimal":
+        return lp.LpSolution(status=status)
+    x = np.asarray(res.x, dtype=float)
+    in_res = prob.b_in - prob.a_in @ x if prob.b_in.size else np.zeros(0)
+    scale_in = 1.0 + np.abs(prob.b_in) if prob.b_in.size else np.zeros(0)
+    return lp.LpSolution(
+        status="optimal",
+        x=x,
+        objective=float(res.fun),
+        eq_duals=np.asarray(res.eqlin.marginals, dtype=float) if prob.b_eq.size else np.zeros(0),
+        in_duals=np.asarray(res.ineqlin.marginals, dtype=float) if prob.b_in.size else np.zeros(0),
+        lo_duals=np.asarray(res.lower.marginals, dtype=float),
+        hi_duals=np.asarray(res.upper.marginals, dtype=float),
+        active_in=in_res <= lp.TIGHT_TOL * scale_in,
+        active_lo=np.isfinite(prob.lo) & (x - prob.lo <= lp.TIGHT_TOL * (1.0 + np.abs(prob.lo))),
+        active_hi=np.isfinite(prob.hi) & (prob.hi - x <= lp.TIGHT_TOL * (1.0 + np.abs(prob.hi))),
+    )
+
+
+def assert_same_bits(sol, ref):
+    assert sol.status == ref.status
+    if ref.optimal:
+        assert sol.objective == ref.objective
+        for name in SOLUTION_ARRAYS:
+            got, want = getattr(sol, name), getattr(ref, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
+
+
+def recorded_lps(run):
+    """Every LP `run()` hands to `solve_lp`."""
+    seen = []
+    solve = lp.solve_lp
+
+    def capture(prob):
+        seen.append(prob)
+        return solve(prob)
+
+    lp.solve_lp = capture
+    try:
+        run()
+    finally:
+        lp.solve_lp = solve
+    return seen
+
+
+def toy6_irm_lps():
+    from gridrisk.assess import AssessmentConfig
+    from gridrisk.cases import toy6
+    from gridrisk.management import RmConfig, irm
+
+    cfg = RmConfig(assessment=AssessmentConfig(
+        tau_d=15.0, t_max=30.0, attempts=200, policy="exhaustive", seed=1))
+    return recorded_lps(lambda: irm(toy6(), {2, 5}, cfg))
+
+
+def rts96_sampled_lps():
+    from gridrisk.assess import AssessmentConfig, run_assessment
+    from gridrisk.cases import rts96
+
+    cfg = AssessmentConfig(tau_d=15.0, t_max=150.0, attempts=10,
+                           policy="probability-sampled", seed=1, gradients=False)
+    return recorded_lps(lambda: run_assessment(rts96(), {22, 23, 24}, cfg))
+
+
+@pytest.mark.parametrize("record", [toy6_irm_lps, rts96_sampled_lps])
+def test_recorded_lps_match_linprog(record):
+    probs = record()
+    refs = [linprog_solution(p) for p in probs]
+    for prob, ref in zip(probs, refs):
+        assert_same_bits(lp.solve_lp(prob), ref)
+    statuses = [r.status for r in refs]
+    assert statuses.count("optimal") >= 20 and statuses.count("infeasible") >= 5
+
+
+def hand_built_lps():
+    free = [-np.inf, np.inf]
+    return {
+        "infeasible": lp.LpProblem(c=[1.0], a_eq=[[1.0]], b_eq=[5.0], lo=[0.0], hi=[1.0]),
+        "infeasible_rows": lp.LpProblem(c=[1.0, 1.0], a_in=[[1.0, 1.0], [-1.0, -1.0]],
+                                        b_in=[1.0, -2.0], lo=[0.0, 0.0], hi=[5.0, 5.0]),
+        "unbounded": lp.LpProblem(c=[-1.0], lo=[0.0], hi=[np.inf]),
+        "unbounded_rows": lp.LpProblem(c=[-1.0, -1.0], a_in=[[1.0, -1.0]], b_in=[1.0],
+                                       lo=[0.0, 0.0]),
+        "no_rows": lp.LpProblem(c=[1.0, -2.0, 0.5], lo=[0.0, -1.0, 2.0], hi=[1.0, 3.0, 4.0]),
+        "equality_only": lp.LpProblem(c=[1.0, 2.0, 3.0], a_eq=[[1.0, 1.0, 1.0], [1.0, -1.0, 0.0]],
+                                      b_eq=[6.0, 1.0], lo=[0.0, 0.0, 0.0], hi=[10.0, 10.0, 10.0]),
+        "free_variables": lp.LpProblem(c=[0.0, 1.0, 0.0], a_eq=[[1.0, -1.0, 1.0]], b_eq=[2.0],
+                                       a_in=[[0.0, -1.0, 0.0]], b_in=[0.0],
+                                       lo=[free[0], 0.0, free[0]], hi=[free[1], np.inf, free[1]]),
+        "pinched_bounds": lp.LpProblem(c=[1.0, 1.0], a_eq=[[1.0, 1.0]], b_eq=[2.0],
+                                       lo=[1.0, 0.0], hi=[1.0, 5.0]),
+        "nan_bound_means_none": lp.LpProblem(c=[-1.0, 1.0], a_in=[[1.0, 1.0]], b_in=[4.0],
+                                             lo=[np.nan, 1.0], hi=[3.0, np.nan]),
+        "split_abs": split_abs_problem(),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(hand_built_lps()))
+def test_hand_built_lps_match_linprog(name):
+    prob = hand_built_lps()[name]
+    assert_same_bits(lp.solve_lp(prob), linprog_solution(prob))
+    if name.startswith(("infeasible", "unbounded")):
+        assert lp.solve_lp(prob).status == name.split("_")[0]
+
+
+@pytest.mark.parametrize("pinch", [False, True])
+def test_random_lps_match_linprog(pinch):
+    for prob, sol in _random_lps(405, 60, pinch):
+        assert_same_bits(sol, linprog_solution(prob))
+
+
+def test_highs_options_match_linprog(monkeypatch):
+    """The options linprog builds for every solve equal the ones built once."""
+    import scipy.optimize._highspy._core as core
+
+    passed = []
+
+    class Recording(core._Highs):
+        def passOptions(self, options):
+            passed.append(options)
+            return super().passOptions(options)
+
+    monkeypatch.setattr(core, "_Highs", Recording)
+    linprog_solution(split_abs_problem())
+    assert len(passed) == 1
+    names = [n for n in dir(core.HighsOptions()) if not n.startswith("_")]
+    assert names
+    for name in names:
+        assert getattr(lp._HIGHS_OPTIONS, name) == getattr(passed[0], name), name
+
+
+def test_solve_order_does_not_matter():
+    """A fresh solver per LP: no basis carries from one solve to the next.
+    Every point of `a` is optimal, so a basis kept from `b` (whose optimum
+    is x2 = 3) would move its answer away from x0 = 3."""
+    a = lp.LpProblem(c=[0.0, 0.0, 0.0], a_eq=[[1.0, 1.0, 1.0]], b_eq=[3.0],
+                     lo=[0.0, 0.0, 0.0], hi=[3.0, 3.0, 3.0])
+    b = lp.LpProblem(c=[1.0, 1.0, -1.0], a_eq=[[1.0, 1.0, 1.0]], b_eq=[3.0],
+                     lo=[0.0, 0.0, 0.0], hi=[3.0, 3.0, 3.0])
+    first = lp.solve_lp(a)
+    lp.solve_lp(b)
+    again = lp.solve_lp(a)
+    assert_same_bits(again, first)
+    assert_same_bits(first, linprog_solution(a))
+
+
+@pytest.mark.parametrize("field, shift, optimal", [
+    ("col_value", 1e-4, True),       # inside the check tolerance sqrt(1e-9) * 10
+    ("col_value", 1e-3, False),      # x past its bound
+    ("col_value", np.nan, False),
+    ("row_value", 1e-3, False),      # inequality slack and equality residual
+    ("row_value", -1e-3, False),     # equality residual alone
+])
+def test_post_solve_check(monkeypatch, field, shift, optimal):
+    """A HiGHS "optimal" whose solution misses bounds or rows by more than
+    scipy's check tolerance is reported infeasible, as linprog does."""
+    import scipy.optimize._highspy._core as core
+
+    class Shifted(core._Highs):
+        def getSolution(self):
+            solution = super().getSolution()
+            setattr(solution, field, [v + shift for v in getattr(solution, field)])
+            return solution
+
+    # x0 sits on both its upper bound and the inequality row; x1 is basic.
+    prob = lp.LpProblem(c=[-1.0, 1.0], a_in=[[1.0, 0.0]], b_in=[2.0],
+                        a_eq=[[1.0, 1.0]], b_eq=[5.0], lo=[0.0, 0.0], hi=[2.0, 10.0])
+    assert lp.solve_lp(prob).optimal
+    monkeypatch.setattr(core, "_Highs", Shifted)
+    sol = lp.solve_lp(prob)
+    assert sol.optimal == optimal
+    assert_same_bits(sol, linprog_solution(prob))
+
+
+@pytest.mark.parametrize("field", ["c", "a_in", "b_in", "a_eq", "b_eq"])
+def test_non_finite_coefficients_raise(field):
+    prob = lp.LpProblem(c=[1.0, 1.0], a_in=[[1.0, 1.0]], b_in=[3.0],
+                        a_eq=[[1.0, -1.0]], b_eq=[0.0], lo=[0.0, 0.0], hi=[5.0, 5.0])
+    getattr(prob, field).flat[0] = np.inf
+    with pytest.raises(ValueError):
+        linprog_solution(prob)
+    with pytest.raises(ValueError, match="must be finite"):
+        lp.solve_lp(prob)

@@ -103,6 +103,14 @@ class TestParsing:
                   "loads": "load 1"}[section]
         assert err.value.entity == entity
 
+    @pytest.mark.parametrize("value", [0.0, -100.0])
+    def test_non_positive_base_mva_rejected(self, value):
+        doc = json.loads(json.dumps(MINIMAL_2BUS))
+        doc["base_mva"] = value
+        with pytest.raises(CaseSemanticError, match="base_mva must be > 0") as err:
+            parse_case(json.dumps(doc))
+        assert err.value.entity == "case"
+
     def test_rts96_counts(self, rts96):
         assert rts96.n_bus == 73
         assert rts96.n_branch == 120

@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -202,3 +203,51 @@ def test_exhaustive_refuses_huge_label_spaces(rts96):
     cfg = AssessmentConfig(tau_d=15.0, t_max=150.0, attempts=10, policy="exhaustive")
     with pytest.raises(ValueError, match="exceeds"):
         run_assessment(rts96, {22, 23, 24}, cfg)
+
+
+def uncached_fully_explored(node):
+    """`TreeNode.fully_explored` as it was before the flag was cached: a walk
+    of the whole subtree on every call."""
+    if node.terminal:
+        return node.visited
+    if node.child_events is None:
+        return False
+    for eid in node.child_events + [0]:
+        child = node.children.get(eid)
+        if child is None or not uncached_fully_explored(child):
+            return False
+    return True
+
+
+def tree_rows(a):
+    return [(label, n.prob, n.cost, n.c_equiv, n.visited, n.first_attempt)
+            for label, n in a.tree.nodes.items()]
+
+
+TOY6_CONTINGENCIES = [c for k in (1, 2) for c in itertools.combinations(range(1, 7), k)]
+
+
+@pytest.mark.parametrize("name, runs", [
+    ("toy6", [(set(c), AssessmentConfig(tau_d=15.0, t_max=30.0, attempts=200,
+                                         policy="exhaustive", seed=1, gradients=False))
+              for c in TOY6_CONTINGENCIES]),
+    ("rts96", [({22, 23, 24}, AssessmentConfig(tau_d=15.0, t_max=150.0, attempts=25,
+                                               policy="best-first", seed=1,
+                                               gradients=False))]),
+], ids=["toy6-exhaustive", "rts96-best-first"])
+def test_cached_fully_explored_builds_the_same_tree(request, monkeypatch, name, runs):
+    case = request.getfixturevalue(name)
+    for outages, cfg in runs:
+        with monkeypatch.context() as m:
+            m.setattr(mtree.TreeNode, "fully_explored", uncached_fully_explored)
+            ref = run_assessment(case, outages, cfg)
+        got = run_assessment(case, outages, cfg)
+        assert tree_rows(got) == tree_rows(ref)
+        assert got.history.r_prime == ref.history.r_prime
+        for node in got.tree.nodes.values():
+            assert node.fully_explored() == uncached_fully_explored(node)
+        if cfg.policy == "exhaustive":
+            root = got.tree.root
+            assert root.fully_explored()
+            root.children.clear()
+            assert root.fully_explored()   # cached, not walked again
