@@ -119,7 +119,7 @@ def base_state(case: NetworkCase, base_dispatch: str = "opf") -> SystemState:
             )
         return tgt.x_star
     if base_dispatch == "case":
-        state, _, cost, _, _ = cascade._rebalance(case, topo0, full, jacobians=False)
+        state, _, cost, _ = cascade._rebalance(case, topo0, full, jacobians=False)
         if cost > 0:
             raise InfeasibleBaseCase("case dispatch cannot cover the base load")
         if np.any(state.p_gen > case.gen_max + 1e-9) or np.any(
@@ -167,11 +167,7 @@ def run_assessment(
         gradients=config.gradients,
         threshold=config.resolve_threshold(case),
     )
-    history = mtree.search(
-        t,
-        config.budget(),
-        gradient_update=gradient.backward_gradient_update if config.gradients else None,
-    )
+    history = mtree.search(t, config.budget())
     return Assessment(
         case=case,
         config=config,

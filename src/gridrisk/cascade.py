@@ -142,11 +142,7 @@ class FastEvent:
     """One iteration of the fast process: trips applied, then rebalancing."""
 
     tripped: tuple
-    shed_mw: float
     cost: float
-    state: SystemState          # after this event
-    dcost_dx: np.ndarray | None  # d(cost)/d(process input state)
-    jac_dx: np.ndarray | None    # d(state)/d(process input state)
 
 
 @dataclass
@@ -171,7 +167,7 @@ def _rebalance(case: NetworkCase, topo: Topology, state: SystemState,
     Deficit islands (generation below load, incl. de-energized) shed load
     proportionally at cost c_D per MW; surplus islands curtail generation
     proportionally above P_min when island load covers total P_min, else
-    fully proportionally. Returns (state', jacobian, cost, dcost_dx, shed_mw);
+    fully proportionally. Returns (state', jacobian, cost, dcost_dx);
     the map is linear per island given the frozen partition. Without
     `jacobians` the jacobian and dcost_dx are None.
     """
@@ -180,7 +176,6 @@ def _rebalance(case: NetworkCase, topo: Topology, state: SystemState,
     p_g = state.p_gen.copy()
     jac = np.eye(n_x) if jacobians else None
     cost = 0.0
-    shed_mw = 0.0
     dcost = np.zeros(n_x) if jacobians else None
     island_of_bus = np.array(topo.island_of_bus)
     load_island = island_of_bus[case.load_bus]
@@ -200,7 +195,6 @@ def _rebalance(case: NetworkCase, topo: Topology, state: SystemState,
             alpha = g_tot / d_tot
             cd = case.c_load[li]
             cost += float(cd @ (p_d[li] * (1.0 - alpha)))
-            shed_mw += float(np.sum(p_d[li] * (1.0 - alpha)))
             if jacobians:
                 rows = np.zeros((li.size, n_x))
                 block_dd = -np.outer(p_d[li], np.full(li.size, g_tot / d_tot**2))
@@ -236,7 +230,7 @@ def _rebalance(case: NetworkCase, topo: Topology, state: SystemState,
                 if li.size:
                     rows[:, lx] = np.outer(ref, np.full(li.size, 1.0 / scale))
                 jac[gx, :] = rows
-    return SystemState(p_d, p_g), jac, cost, dcost, shed_mw
+    return SystemState(p_d, p_g), jac, cost, dcost
 
 
 def short_timescale_process(
@@ -261,35 +255,24 @@ def short_timescale_process(
     cur_state = state
     jac_total = np.eye(case.n_x) if jacobians else None
     dcost_total = np.zeros(case.n_x) if jacobians else None
-    dcost_event = None
     cost_total = 0.0
     pending_trips: tuple = tuple(initial_trips)
     truncated = False
 
     for _ in range(max_events):
-        new_state, jac_step, cost_step, dcost_step, shed = _rebalance(
+        new_state, jac_step, cost_step, dcost_step = _rebalance(
             case, cur_topo, cur_state, jacobians
         )
         changed = cost_step > 0.0 or bool(pending_trips) or not np.array_equal(
             new_state.x, cur_state.x
         )
         if jacobians:
-            dcost_event = dcost_step @ jac_total  # w.r.t. the process input state
-            dcost_total += dcost_event
+            dcost_total += dcost_step @ jac_total  # w.r.t. the process input state
             jac_total = jac_step @ jac_total
         cost_total += cost_step
         cur_state = new_state
         if changed:
-            events.append(
-                FastEvent(
-                    tripped=pending_trips,
-                    shed_mw=shed,
-                    cost=cost_step,
-                    state=cur_state,
-                    dcost_dx=dcost_event,
-                    jac_dx=jac_total.copy() if jacobians else None,
-                )
-            )
+            events.append(FastEvent(tripped=pending_trips, cost=cost_step))
         flows = dc_power_flow(case, cur_topo, cur_state).flows
         over = case.branch_ids[
             cur_topo.mask & (np.abs(flows) > case.trip_factor * case.f_max)
@@ -502,7 +485,7 @@ def dispatch_execute(
     sol = lp.solve_lp(prob)
     if not sol.optimal:
         # Ramp window cannot restore balance: emergency proportional shedding.
-        state, jac, cost, dcost, _ = _rebalance(case, topo, x_prime, jacobians)
+        state, jac, cost, dcost = _rebalance(case, topo, x_prime, jacobians)
         return ExecuteResult(
             state=state, cost=cost,
             jac_prime=jac, jac_star=np.zeros((n_x, n_x)) if jacobians else None,
@@ -569,8 +552,8 @@ class LevelRecord:
 
     The Jacobian and cost-row fields are None, and `degenerate` is False, for
     a level simulated without jacobians. The conditional probability of the
-    sampled event and its gradient row are attached by the tree layer (they
-    live in the parent's distribution).
+    sampled event and its gradient row live in the parent's distribution, so
+    the tree layer keeps them on the node.
     """
 
     event_id: int                      # 0 = no outage this level
@@ -593,8 +576,6 @@ class LevelRecord:
     emergency: bool = False
     degenerate: bool = False
     signature: tuple = ()
-    prob: float = 0.0                  # set by the tree layer
-    dprob_dx: np.ndarray | None = None # row over the parent state
 
     @property
     def cost(self) -> float:

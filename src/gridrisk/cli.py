@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import typing
 from dataclasses import dataclass, field
@@ -54,6 +55,13 @@ class RunConfig:
     fd_step: float = 0.25
 
     def validate(self) -> None:
+        if not all(isinstance(b, int) and not isinstance(b, bool) for b in self.outages):
+            raise ValueError("config key 'outages' must be a list of integer branch ids")
+        for key in ("tau_d", "t_max", "threshold", "delta_r", "epsilon_stop", "fd_step"):
+            val = getattr(self, key)
+            vals = val if isinstance(val, list) else [val]
+            if not all(math.isfinite(v) for v in vals if _is_number(v)):
+                raise ValueError(f"config key '{key}' must be finite")
         if self.tau_d <= 0:
             raise ValueError("tau_d must be > 0")
         if self.t_max < self.tau_d:
@@ -65,6 +73,8 @@ class RunConfig:
             raise ValueError("config key 'threshold' must be \"auto\", null or a number")
         if isinstance(self.delta_r, list) and not all(map(_is_number, self.delta_r)):
             raise ValueError("config key 'delta_r' must be a number or a list of numbers")
+        if self.fd_step <= 0:
+            raise ValueError("config key 'fd_step' must be > 0")
 
     def assessment(self, gradients: bool = True) -> _assess.AssessmentConfig:
         return _assess.AssessmentConfig(
@@ -154,7 +164,10 @@ def load_strategy(case: NetworkCase, path: str):
             eid = int(row["id"])
             if eid not in pos:
                 raise ValueError(f"strategy names unknown {key[:-1]} id {eid}")
-            values[pos[eid]] = float(row["target_mw"])
+            target = float(row["target_mw"])
+            if not math.isfinite(target):
+                raise ValueError(f"strategy target_mw of {key[:-1]} id {eid} must be finite")
+            values[pos[eid]] = target
     return SystemState(p_load, p_gen)
 
 
@@ -191,7 +204,7 @@ def write_gradient_csv(path: Path, case: NetworkCase, gamma: np.ndarray) -> None
 
 def _summary(assessment, cfg: RunConfig) -> dict:
     return {
-        "schema_version": 1,
+        "schema_version": 2,
         "case": cfg.case,
         "outages": list(cfg.outages),
         "seed": cfg.seed,
@@ -231,16 +244,9 @@ def cmd_gradient(cfg: RunConfig) -> int:
     write_gradient_csv(out / "gradient.csv", case, a.gamma)
     summary = _summary(a, cfg)
     summary["gamma_norm"] = float(np.linalg.norm(a.gamma))
-    if cfg.assessment().resolve_threshold(case) is not None:
-        # compare against the dense-storage gradient of the identical run
-        dense_cfg = cfg.assessment(gradients=True)
-        dense_cfg.threshold = None
-        dense = _assess.run_assessment(case, cfg.outages, dense_cfg, target)
-        _, dd = _gradient.convergence_indices([a.gamma], dense.gamma)
-        summary["delta_dir_compressed_vs_dense"] = dd[0]
+    if a.tree.threshold is not None:
         summary["stored_entries"] = int(a.tree.stored_entries)
         summary["dense_entries"] = int(a.tree.dense_entries)
-        print(f"compressed-vs-dense delta_dir={dd[0]!r}")
     with open(out / "summary.json", "w") as fh:
         json.dump(summary, fh, indent=1, sort_keys=True)
         fh.write("\n")

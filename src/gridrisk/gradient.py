@@ -45,7 +45,7 @@ class CompressedMatrix:
 
 def compress(matrix: np.ndarray, threshold: float) -> CompressedMatrix:
     """Drop entries below the absolute threshold (0 keeps the matrix lossless)."""
-    if threshold < 0:
+    if not threshold >= 0:
         raise ValueError("threshold must be >= 0")
     kept = np.where(np.abs(matrix) >= threshold, matrix, 0.0) if threshold > 0 else matrix
     return CompressedMatrix(data=sp.csr_matrix(kept), threshold=threshold)

@@ -92,6 +92,8 @@ class LpProblem:
             raise ValueError("inconsistent LP dimensions")
         if self.lo.size != n or self.hi.size != n:
             raise ValueError("bound vectors must match the variable count")
+        if np.isnan(self.lo).any() or np.isnan(self.hi).any():
+            raise ValueError("LP bounds must not be NaN")
         if np.any(self.lo > self.hi + FEAS_TOL):
             raise ValueError("lower bound exceeds upper bound")
 
@@ -139,8 +141,7 @@ def _highs_model(prob: LpProblem):
     nonzero = a_t != 0.0
     cols, rows = np.nonzero(nonzero)
     n, m = a_t.shape
-    # +-inf becomes +-kHighsInf, and a NaN bound means none, as in scipy's
-    # LP front end (fmax/fmin return the non-NaN operand).
+    # +-inf becomes +-kHighsInf, as in scipy's LP front end.
     lb = np.fmin(np.fmax(prob.lo, -_INF), _INF)
     ub = np.fmax(np.fmin(prob.hi, _INF), -_INF)
     model = _highs.HighsLp()
@@ -361,26 +362,3 @@ def kkt_residuals(prob: LpProblem, sol: LpSolution) -> dict:
     out["stationarity"] = float(np.max(np.abs(grad)))
     return out
 
-
-def dump_lp_text(prob: LpProblem, name: str = "problem") -> str:
-    """Plain-text LP interchange dump for cross-checking with other solvers."""
-    def term(coef, j):
-        return f"{coef:+.12g} x{j}"
-
-    lines = [f"\\ gridrisk debug dump: {name}", "Minimize", " obj: " + " ".join(
-        term(c, j) for j, c in enumerate(prob.c) if c != 0.0
-    )]
-    lines.append("Subject To")
-    for i in range(prob.b_eq.size):
-        body = " ".join(term(v, j) for j, v in enumerate(prob.a_eq[i]) if v != 0.0)
-        lines.append(f" eq{i}: {body} = {prob.b_eq[i]:.12g}")
-    for i in range(prob.b_in.size):
-        body = " ".join(term(v, j) for j, v in enumerate(prob.a_in[i]) if v != 0.0)
-        lines.append(f" in{i}: {body} <= {prob.b_in[i]:.12g}")
-    lines.append("Bounds")
-    for j in range(prob.n):
-        lo = "-inf" if not np.isfinite(prob.lo[j]) else f"{prob.lo[j]:.12g}"
-        hi = "+inf" if not np.isfinite(prob.hi[j]) else f"{prob.hi[j]:.12g}"
-        lines.append(f" {lo} <= x{j} <= {hi}")
-    lines.append("End")
-    return "\n".join(lines) + "\n"

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import cascade
-from .gradient import chain_step, maybe_compress, to_dense
+from .gradient import backward_gradient_update, chain_step, maybe_compress, to_dense
 from .network import NetworkCase, SystemState, Topology
 
 MAX_EXHAUSTIVE_NODES = 200_000
@@ -190,7 +190,6 @@ class MarkovTree:
             self.case, node.topo, node.state, event_id, self.tau_d,
             jacobians=self.gradients,
         )
-        rec.prob = self._child_prob(node, event_id)
         label = node.label + (event_id,)
         level = node.level + 1
         terminal = (
@@ -200,17 +199,16 @@ class MarkovTree:
         )
         child = TreeNode(
             label=label, level=level, event_id=event_id,
-            prob=rec.prob, cost=rec.cost,
+            prob=self._child_prob(node, event_id), cost=rec.cost,
             state=rec.x_next, topo=rec.topo,
             terminal=terminal, record=rec, first_attempt=attempt,
         )
         if self.gradients:
             x_parent = to_dense(node.chain_x)
             x_prime, x_star, x_next, dcost = chain_step(rec, x_parent)
-            rec.dprob_dx = self._child_dprob(node, event_id)
             child.chain_x = self._store(x_next)
             child.dcost_dx0 = dcost
-            child.dprob_dx0 = rec.dprob_dx
+            child.dprob_dx0 = self._child_dprob(node, event_id)
             child.s_accum = np.zeros(self.case.n_x)
         node.children[event_id] = child
         self.nodes[label] = child
@@ -320,16 +318,11 @@ class ConvergenceHistory:
     gammas: list = field(default_factory=list)  # raw root gradient snapshots
 
 
-def search(
-    tree: MarkovTree,
-    budget: SearchBudget,
-    gradient_update=None,
-) -> ConvergenceHistory:
+def search(tree: MarkovTree, budget: SearchBudget) -> ConvergenceHistory:
     """Run forward expansion + backward updates `budget.attempts` times.
 
-    `gradient_update(tree, path, attempt)` is invoked after each risk update
-    when supplied (the risk-gradient backward pass); per-attempt R' and the
-    root gradient accumulator are recorded.
+    With `tree.gradients` the risk-gradient backward pass follows each risk
+    update; per-attempt R' and the root gradient accumulator are recorded.
     """
     budget.check_exhaustive_size(int(tree.root.topo.mask.sum()))
     rng = budget.rng()
@@ -340,8 +333,8 @@ def search(
             break
         if path:
             backward_risk_update(tree, path)
-            if gradient_update is not None and tree.gradients:
-                gradient_update(tree, path, attempt)
+            if tree.gradients:
+                backward_gradient_update(tree, path, attempt)
         history.attempts.append(attempt)
         history.r_prime.append(tree.root.subsequent_risk)
         if tree.gradients:

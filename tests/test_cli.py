@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from gridrisk import cascade, cases
+from gridrisk import assess, cascade, cases
 from gridrisk.cli import main
 from gridrisk.network import serialize_case
 
@@ -66,7 +66,7 @@ class TestExitCodes:
         ])
         assert code == 0
         summary = json.loads((out / "summary.json").read_text())
-        assert summary["schema_version"] == 1
+        assert summary["schema_version"] == 2
         assert summary["R"] == pytest.approx(summary["C0"] + summary["R_prime"])
         assert (out / "tree.csv").exists()
         assert (out / "convergence.csv").exists()
@@ -120,6 +120,58 @@ class TestExitCodes:
             "policy": "exhaustive", "attempts": 5, "max_iterations": 2, key: value,
         }))
         assert run_cli([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+
+    @pytest.mark.parametrize("step", ["0", "nan", "-0.25"])
+    def test_fd_step_must_be_finite_and_positive(self, toy_case_file, tmp_path, capsys, step):
+        code = run_cli(["validate-gradient", "--case", toy_case_file, "--outages", "3",
+                        "--policy", "exhaustive", "--t-max", "30", "--fd-step", step,
+                        "--out", str(tmp_path / "v")])
+        assert code == 2
+        assert "config key 'fd_step'" in capsys.readouterr().err
+        assert not (tmp_path / "v").exists()
+
+    @pytest.mark.parametrize("command, flag, value, key", [
+        ("gradient", "--threshold", "nan", "threshold"),
+        ("assess", "--tau-d", "nan", "tau_d"),
+        ("assess", "--t-max", "inf", "t_max"),
+        ("irm", "--delta-r", "nan", "delta_r"),
+        ("irm", "--delta-r", "50000,inf", "delta_r"),
+    ])
+    def test_non_finite_flag_rejected(self, toy_case_file, tmp_path, capsys,
+                                      command, flag, value, key):
+        code = run_cli([command, "--case", toy_case_file, "--outages", "3",
+                        "--policy", "exhaustive", "--t-max", "30", flag, value,
+                        "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert f"config key '{key}' must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("epsilon_stop", float("nan"), "config key 'epsilon_stop' must be finite"),
+        ("delta_r", [50000.0, float("-inf")], "config key 'delta_r' must be finite"),
+        ("outages", ["3"], "config key 'outages' must be a list of integer branch ids"),
+        ("outages", [3.0], "config key 'outages' must be a list of integer branch ids"),
+    ])
+    def test_config_value_rejected(self, toy_case_file, tmp_path, capsys, key, value, message):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({
+            "case": toy_case_file, "outages": [3], "t_max": 30, "policy": "exhaustive",
+            key: value,
+        }))
+        code = run_cli(["irm", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind, eid, text", [
+        ("loads", 2, "NaN"), ("loads", 1, "Infinity"), ("generators", 3, "-Infinity"),
+    ])
+    def test_strategy_with_non_finite_target(self, toy_case_file, tmp_path, capsys,
+                                             kind, eid, text):
+        strategy = tmp_path / "strategy.json"
+        strategy.write_text(f'{{"{kind}": [{{"id": {eid}, "target_mw": {text}}}]}}')
+        code = run_cli(["assess", "--case", toy_case_file, "--outages", "3",
+                        "--strategy", str(strategy), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert f"target_mw of {kind[:-1]} id {eid} must be finite" in capsys.readouterr().err
 
     def test_config_accepts_int_for_float(self, toy_case_file, tmp_path):
         cfg = tmp_path / "run.json"
@@ -182,8 +234,25 @@ class TestCommands:
         ])
         assert code == 0
         summary = json.loads((out / "summary.json").read_text())
-        assert "delta_dir_compressed_vs_dense" in summary
+        assert "delta_dir_compressed_vs_dense" not in summary
+        assert summary["schema_version"] == 2
         assert summary["stored_entries"] <= summary["dense_entries"]
+
+    @pytest.mark.parametrize("threshold", [["--threshold", "1e-5"], []])
+    def test_gradient_runs_one_assessment(self, toy_case_file, tmp_path, monkeypatch,
+                                          threshold):
+        calls = []
+        run = assess.run_assessment
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(assess, "run_assessment", counting)
+        assert run_cli(["gradient", "--case", toy_case_file, "--outages", "3",
+                        "--t-max", "30", "--policy", "exhaustive", "--attempts", "100",
+                        *threshold, "--out", str(tmp_path / "g")]) == 0
+        assert len(calls) == 1
 
     def test_validate_gradient_requires_exhaustive(self, toy_case_file, tmp_path):
         code = run_cli([

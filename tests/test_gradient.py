@@ -35,6 +35,11 @@ class TestCompression:
         with pytest.raises(ValueError):
             gradient.compress(np.eye(2), -1.0)
 
+    def test_nan_threshold_rejected(self):
+        # NaN used to pass the sign check and act as the lossless threshold 0
+        with pytest.raises(ValueError):
+            gradient.compress(np.eye(2), np.nan)
+
 
 class TestConvergenceIndices:
     def test_exact_match_gives_zero(self):

@@ -157,12 +157,6 @@ class TestSensitivity:
                 )
 
 
-def test_lp_text_dump_mentions_rows():
-    text = lp.dump_lp_text(split_abs_problem(), "ramp")
-    assert "Minimize" in text and "Subject To" in text and "Bounds" in text
-    assert "eq0" in text
-
-
 # The tolerances of the reference below, as they were when it was written.
 REF_DUAL_TOL = 1e-9
 REF_RANK_TOL = 1e-9
@@ -447,8 +441,6 @@ def hand_built_lps():
                                        lo=[free[0], 0.0, free[0]], hi=[free[1], np.inf, free[1]]),
         "pinched_bounds": lp.LpProblem(c=[1.0, 1.0], a_eq=[[1.0, 1.0]], b_eq=[2.0],
                                        lo=[1.0, 0.0], hi=[1.0, 5.0]),
-        "nan_bound_means_none": lp.LpProblem(c=[-1.0, 1.0], a_in=[[1.0, 1.0]], b_in=[4.0],
-                                             lo=[np.nan, 1.0], hi=[3.0, np.nan]),
         "split_abs": split_abs_problem(),
     }
 
@@ -539,3 +531,10 @@ def test_non_finite_coefficients_raise(field):
         linprog_solution(prob)
     with pytest.raises(ValueError, match="must be finite"):
         lp.solve_lp(prob)
+
+
+def test_nan_bound_rejected():
+    """A NaN bound raises instead of being dropped (linprog drops it)."""
+    for lo, hi in (([np.nan, 1.0], [3.0, 4.0]), ([0.0, 1.0], [3.0, np.nan])):
+        with pytest.raises(ValueError, match="must not be NaN"):
+            lp.LpProblem(c=[-1.0, 1.0], a_in=[[1.0, 1.0]], b_in=[4.0], lo=lo, hi=hi)
