@@ -177,13 +177,10 @@ def _rebalance(case: NetworkCase, topo: Topology, state: SystemState,
     jac = np.eye(n_x) if jacobians else None
     cost = 0.0
     dcost = np.zeros(n_x) if jacobians else None
-    island_of_bus = np.array(topo.island_of_bus)
-    load_island = island_of_bus[case.load_bus]
-    gen_island = island_of_bus[case.gen_bus]
 
     for k in range(len(topo.islands)):
-        li = np.flatnonzero(load_island == k)
-        gi = np.flatnonzero(gen_island == k)
+        li = np.flatnonzero(topo.load_island == k)
+        gi = np.flatnonzero(topo.gen_island == k)
         d_tot = float(p_d[li].sum()) if li.size else 0.0
         g_tot = float(p_g[gi].sum()) if gi.size else 0.0
         if abs(g_tot - d_tot) <= BALANCE_TOL:
@@ -314,23 +311,14 @@ class TargetResult:
     signature: tuple
 
 
-def _island_balance_rows(case: NetworkCase, topo: Topology, n_vars: int):
-    """One equality row per energized island over [P_d; P_g] slots."""
-    rows, rhs = [], []
-    for k, members in enumerate(topo.islands):
-        if not topo.energized[k]:
-            continue
-        mset = set(members)
-        row = np.zeros(n_vars)
-        for i, p in enumerate(case.load_bus):
-            if p in mset:
-                row[i] = -1.0
-        for j, p in enumerate(case.gen_bus):
-            if p in mset:
-                row[case.n_load + j] = 1.0
-        rows.append(row)
-        rhs.append(0.0)
-    return rows, rhs
+def _island_balance_rows(case: NetworkCase, topo: Topology, n_vars: int) -> np.ndarray:
+    """One equality row, right-hand side 0, per energized island over the
+    [P_d; P_g] slots: -1 for its loads, +1 for its generators."""
+    k = np.flatnonzero(topo.energized)[:, None]
+    rows = np.zeros((k.size, n_vars))
+    rows[:, : case.n_load][topo.load_island == k] = -1.0
+    rows[:, case.n_load : case.n_x][topo.gen_island == k] = 1.0
+    return rows
 
 
 def _flow_limit_rows(case: NetworkCase, topo: Topology, n_vars: int):
@@ -376,7 +364,7 @@ def dispatch_target(
     n_l, n_g = case.n_load, case.n_gen
     n_vars = n_l + n_g
     c = np.concatenate([-case.c_load, TARGET_EPSILON * case.c_gen])
-    eq_rows, eq_rhs = _island_balance_rows(case, topo, n_vars)
+    balance = _island_balance_rows(case, topo, n_vars)
     a_in, b_in = _flow_limit_rows(case, topo, n_vars)
 
     lo = np.concatenate([np.zeros(n_l), case.gen_min])
@@ -385,8 +373,8 @@ def dispatch_target(
 
     prob = lp.LpProblem(
         c=c,
-        a_eq=np.vstack(eq_rows) if eq_rows else None,
-        b_eq=np.array(eq_rhs) if eq_rows else None,
+        a_eq=balance,
+        b_eq=np.zeros(len(balance)),
         a_in=a_in,
         b_in=b_in,
         lo=lo,
@@ -455,9 +443,9 @@ def dispatch_execute(
     n_vars = n_l + 3 * n_g  # P_d, P_g, u, v with P_g - u + v = P*_g
 
     c = np.concatenate([case.c_load, np.zeros(n_g), case.c_gen, case.c_gen])
-    eq_rows, eq_rhs = _island_balance_rows(case, topo, n_vars)
+    balance = _island_balance_rows(case, topo, n_vars)
     split, split_rhs = _move_split_rows(case, n_vars, x_star.p_gen)
-    params = {f"xs_g{j}": [(lp.KIND_EQ, len(eq_rows) + j, 1.0)] for j in range(n_g)}
+    params = {f"xs_g{j}": [(lp.KIND_EQ, len(balance) + j, 1.0)] for j in range(n_g)}
 
     a_in = np.zeros((2 * n_g, n_vars))
     b_in = np.zeros(2 * n_g)
@@ -479,7 +467,8 @@ def dispatch_execute(
 
     prob = lp.LpProblem(
         c=c,
-        a_eq=np.vstack(eq_rows + [split]), b_eq=np.concatenate([eq_rhs, split_rhs]),
+        a_eq=np.vstack([balance, split]),
+        b_eq=np.concatenate([np.zeros(len(balance)), split_rhs]),
         a_in=a_in, b_in=b_in, lo=lo, hi=hi, params=params,
     )
     sol = lp.solve_lp(prob)
@@ -532,14 +521,15 @@ def dispatch_execute(
 
 def _assert_balanced(case: NetworkCase, topo: Topology, state: SystemState) -> None:
     """Hard post-condition: per-island |sum P_g - sum P_d| <= 1e-6 MW."""
-    for k, members in enumerate(topo.islands):
-        mset = set(members)
-        d = sum(state.p_load[i] for i, p in enumerate(case.load_bus) if p in mset)
-        g = sum(state.p_gen[j] for j, p in enumerate(case.gen_bus) if p in mset)
-        if abs(g - d) > 1e-6:
-            raise InternalError(
-                f"island {k} unbalanced after dispatch: |{g:.9f} - {d:.9f}| > 1e-6"
-            )
+    n_isl = len(topo.islands)
+    d = np.bincount(topo.load_island, weights=state.p_load, minlength=n_isl)
+    g = np.bincount(topo.gen_island, weights=state.p_gen, minlength=n_isl)
+    bad = np.flatnonzero(np.abs(g - d) > 1e-6)
+    if bad.size:
+        k = bad[0]
+        raise InternalError(
+            f"island {k} unbalanced after dispatch: |{g[k]:.9f} - {d[k]:.9f}| > 1e-6"
+        )
 
 
 # ---------------------------------------------------------------------------

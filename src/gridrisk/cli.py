@@ -135,7 +135,14 @@ def load_config(args: argparse.Namespace) -> RunConfig:
         if val is not None:
             setattr(cfg, key, val)
     if args.outages is not None:
-        cfg.outages = [int(tok) for tok in args.outages.split(",") if tok.strip()]
+        cfg.outages = []
+        for tok in filter(str.strip, args.outages.split(",")):
+            try:
+                cfg.outages.append(int(tok))
+            except ValueError:
+                raise ValueError(
+                    f"--outages takes integer branch ids, got '{tok.strip()}'"
+                ) from None
     if getattr(args, "delta_r", None) is not None:
         cfg.delta_r = [float(tok) for tok in args.delta_r.split(",")]
         if len(cfg.delta_r) == 1:

@@ -226,24 +226,15 @@ class SensitivityResult:
 
 def _candidate_rows(prob: LpProblem, sol: LpSolution):
     """Active rows as (key, row_vector, strong) in basis-priority order."""
-    n = prob.n
-    cands = []
-    for i in range(prob.b_eq.size):
-        cands.append(((KIND_EQ, i), prob.a_eq[i], True))
+    cands = [((KIND_EQ, i), prob.a_eq[i], True) for i in range(prob.b_eq.size)]
     strong, weak = [], []
-    for i in np.flatnonzero(sol.active_in):
-        entry = ((KIND_IN, int(i)), prob.a_in[i], abs(sol.in_duals[i]) > DUAL_TOL)
-        (strong if entry[2] else weak).append(entry)
-    for j in np.flatnonzero(sol.active_lo):
-        e = np.zeros(n)
-        e[j] = 1.0
-        entry = ((KIND_LO, int(j)), e, abs(sol.lo_duals[j]) > DUAL_TOL)
-        (strong if entry[2] else weak).append(entry)
-    for j in np.flatnonzero(sol.active_hi):
-        e = np.zeros(n)
-        e[j] = 1.0
-        entry = ((KIND_HI, int(j)), e, abs(sol.hi_duals[j]) > DUAL_TOL)
-        (strong if entry[2] else weak).append(entry)
+    for kind, active, duals in ((KIND_IN, sol.active_in, sol.in_duals),
+                                (KIND_LO, sol.active_lo, sol.lo_duals),
+                                (KIND_HI, sol.active_hi, sol.hi_duals)):
+        for i in np.flatnonzero(active):
+            row = prob.a_in[i] if kind == KIND_IN else np.eye(1, prob.n, i)[0]
+            strong_row = abs(duals[i]) > DUAL_TOL
+            (strong if strong_row else weak).append(((kind, int(i)), row, strong_row))
     return cands + strong + weak
 
 
@@ -269,7 +260,8 @@ def solution_sensitivity(prob: LpProblem, sol: LpSolution) -> SensitivityResult:
     rank = 0
     basis_keys: dict = {}
     degenerate = False
-    for key, a, strong in _candidate_rows(prob, sol):
+    candidates = _candidate_rows(prob, sol)
+    for key, a, strong in candidates:
         if rank == n:
             if strong:
                 degenerate = True
@@ -306,19 +298,7 @@ def solution_sensitivity(prob: LpProblem, sol: LpSolution) -> SensitivityResult:
 
     rhs = np.zeros((n, n_par))
     param_deg = np.zeros(n_par, dtype=bool)
-    tight_unselected = set()
-    for i in range(prob.b_eq.size):
-        if (KIND_EQ, i) not in basis_keys:
-            tight_unselected.add((KIND_EQ, i))
-    for i in np.flatnonzero(sol.active_in):
-        if (KIND_IN, int(i)) not in basis_keys:
-            tight_unselected.add((KIND_IN, int(i)))
-    for j in np.flatnonzero(sol.active_lo):
-        if (KIND_LO, int(j)) not in basis_keys:
-            tight_unselected.add((KIND_LO, int(j)))
-    for j in np.flatnonzero(sol.active_hi):
-        if (KIND_HI, int(j)) not in basis_keys:
-            tight_unselected.add((KIND_HI, int(j)))
+    tight_unselected = {key for key, _, _ in candidates} - basis_keys.keys()
 
     for p, name in enumerate(names):
         for kind, idx, coeff in prob.params[name]:

@@ -41,7 +41,7 @@ def build_rm(
 
     c = np.concatenate([-case.c_load, np.zeros(n_g), case.c_gen, case.c_gen])
 
-    eq_rows, eq_rhs = _island_balance_rows(case, topo, n_vars)
+    balance = _island_balance_rows(case, topo, n_vars)
     split, split_rhs = _move_split_rows(case, n_vars, x_pre.p_gen)
 
     # -gamma.(z - x0) <= R_E - R'0  ->  -gamma.z <= R_E - R'0 - gamma.x0
@@ -56,7 +56,8 @@ def build_rm(
     )
     return lp.LpProblem(
         c=c,
-        a_eq=np.vstack(eq_rows + [split]), b_eq=np.concatenate([eq_rhs, split_rhs]),
+        a_eq=np.vstack([balance, split]),
+        b_eq=np.concatenate([np.zeros(len(balance)), split_rhs]),
         a_in=np.vstack([risk_row, flow_rows]), b_in=np.concatenate([[risk_rhs], flow_rhs]),
         lo=lo, hi=hi,
         params={"risk_row": [(lp.KIND_IN, 0, 1.0)]},

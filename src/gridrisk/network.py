@@ -161,8 +161,9 @@ class SystemState:
 class NetworkCase:
     """Validated grid description with precomputed index arrays.
 
-    Immutable by convention; derived per-topology factorizations are cached on
-    the instance (idempotent writes, safe to share read-only across tasks).
+    Immutable by convention; `build_topology` caches one read-only
+    `Topology` per in-service set on the instance (idempotent writes, safe to
+    share across tasks).
     """
 
     def __init__(self, base_mva: float, buses, branches, generators, loads):
@@ -201,7 +202,7 @@ class NetworkCase:
         self.gen_min = np.array([g.p_min for g in self.generators])
         self.gen_max = np.array([g.p_max for g in self.generators])
         self.gen_ramp = np.array([g.ramp for g in self.generators])
-        self._topo_cache: dict[frozenset, dict] = {}
+        self._topo_cache: dict[frozenset, "Topology"] = {}
 
     def _validate(self) -> None:
         _check_finite("case", self)
@@ -258,61 +259,111 @@ class NetworkCase:
 
 @dataclass(frozen=True)
 class Topology:
-    """In-service branch set with its island decomposition.
+    """In-service branch set with its islands and flow factors; one shared,
+    read-only instance per set and case (see `build_topology`).
 
     islands are tuples of bus positions; an island is energized when it
     contains at least one generator bus, and then carries a reference bus
-    (the generator bus with the lowest id). `mask` is the in-service set as
-    a bool per branch in case order; equality goes by `in_service` alone.
+    (the generator bus with the lowest id). `mask` is the in-service set as a
+    bool per branch in case order; equality ignores the arrays.
     """
 
     in_service: frozenset
     islands: tuple
-    island_of_bus: tuple
     ref_bus: tuple        # bus position per island (-1 when de-energized)
     energized: tuple      # bool per island
     mask: np.ndarray = field(compare=False)
+    load_island: np.ndarray = field(compare=False)  # island per load
+    gen_island: np.ndarray = field(compare=False)   # island per generator
+    inv_map: np.ndarray = field(compare=False)      # injections (pu) -> angles
+    flow_sens: np.ndarray = field(compare=False)    # d(flows, MW)/d([P_d; P_g], MW)
+    live: np.ndarray = field(compare=False)  # in-service branches of energized islands
 
 
 def build_topology(case: NetworkCase, removed: frozenset = frozenset()) -> Topology:
-    """Island decomposition of the network without `removed` branches.
+    """The topology of the network without `removed` branches, from the
+    case's cache or, on the first request for its in-service set, built and
+    cached.
 
     Reference bus per energized island: the generator bus with the lowest bus
     id (choice does not affect flows).
     """
     in_service = frozenset(case.branch_ids.tolist()) - frozenset(removed)
+    cached = case._topo_cache.get(in_service)
+    if cached is not None:
+        return cached
+
+    n_bus = case.n_bus
     mask = np.zeros(case.n_branch, dtype=bool)
     mask[[case.branch_pos[b] for b in in_service]] = True
-    adj = coo_matrix(
-        (np.ones(int(mask.sum())), (case.branch_from[mask], case.branch_to[mask])),
-        shape=(case.n_bus, case.n_bus),
+    u, v, y = case.branch_from[mask], case.branch_to[mask], case.branch_y[mask]
+    n_isl, labels = connected_components(
+        coo_matrix((np.ones(u.size), (u, v)), shape=(n_bus, n_bus)), directed=False
     )
-    n_isl, labels = connected_components(adj, directed=False)
     islands = tuple(
         tuple(np.flatnonzero(labels == k).tolist()) for k in range(n_isl)
     )
     gen_buses = set(case.gen_bus.tolist())
-    ref, energized = [], []
-    for members in islands:
-        gens_here = [p for p in members if p in gen_buses]
-        if gens_here:
-            ref.append(min(gens_here, key=lambda p: case.buses[p].id))
-            energized.append(True)
-        else:
-            ref.append(-1)
-            energized.append(False)
-    return Topology(
+    ref_bus = tuple(
+        min((p for p in members if p in gen_buses), key=lambda p: case.buses[p].id, default=-1)
+        for members in islands
+    )
+    energized = tuple(r >= 0 for r in ref_bus)
+
+    # np.add.at applies the entries in order: branch by branch, as (u,u), (v,v),
+    # (u,v), (v,u), so every sum is accumulated in case order.
+    b_mat = np.zeros((n_bus, n_bus))
+    np.add.at(
+        b_mat,
+        (np.column_stack([u, v, u, v]).ravel(), np.column_stack([u, v, v, u]).ravel()),
+        np.column_stack([y, y, -y, -y]).ravel(),
+    )
+
+    # theta = inv_map @ injections(pu), zero row/col at each reference bus
+    inv_map = np.zeros((n_bus, n_bus))
+    for k, members in enumerate(islands):
+        if not energized[k] or len(members) == 1:
+            continue
+        keep = [p for p in members if p != ref_bus[k]]
+        sub = b_mat[np.ix_(keep, keep)]
+        try:
+            sub_inv = scipy.linalg.inv(sub)
+        except scipy.linalg.LinAlgError as exc:  # pragma: no cover - guarded by connectivity
+            raise PowerFlowError(f"singular island system (island {k})") from exc
+        inv_map[np.ix_(keep, keep)] = sub_inv
+
+    # branch-flow rows: F_pu = y_i * (theta_u - theta_v), zero for branches
+    # out of service or in a de-energized island
+    live = np.flatnonzero(mask & np.array(energized, dtype=bool)[labels][case.branch_from])
+    frm, to = case.branch_from[live], case.branch_to[live]
+    flow_rows = np.zeros((case.n_branch, n_bus))
+    flow_rows[live] = case.branch_y[live, None] * (inv_map[frm] - inv_map[to])
+
+    # injection-to-state mapping: load columns negative, generator columns positive
+    sens = np.zeros((case.n_branch, case.n_x))
+    sens[:, : case.n_load] = -flow_rows[:, case.load_bus]
+    sens[:, case.n_load :] = flow_rows[:, case.gen_bus]
+
+    topo = Topology(
         in_service=in_service,
         islands=islands,
-        island_of_bus=tuple(int(v) for v in labels),
-        ref_bus=tuple(ref),
-        energized=tuple(energized),
+        ref_bus=ref_bus,
+        energized=energized,
         mask=mask,
+        load_island=labels[case.load_bus],
+        gen_island=labels[case.gen_bus],
+        inv_map=inv_map,
+        flow_sens=sens,
+        live=live,
     )
+    for arr in (topo.mask, topo.load_island, topo.gen_island, topo.inv_map, sens, live):
+        arr.flags.writeable = False
+    case._topo_cache[in_service] = topo
+    return topo
 
 
 def apply_outage(case: NetworkCase, topo: Topology, branch_ids) -> tuple[Topology, frozenset]:
-    """Remove branches and recompute islands.
+    """Remove branches and look up the resulting topology.
 
     Returns the new topology and the subset of requested ids that were
     already out of service (no-op entries, flagged for the caller).
@@ -329,54 +380,6 @@ def apply_outage(case: NetworkCase, topo: Topology, branch_ids) -> tuple[Topolog
     return build_topology(case, removed), already_out
 
 
-def _topology_data(case: NetworkCase, topo: Topology) -> dict:
-    """Per-topology factorizations and the flow sensitivity matrix (cached)."""
-    cached = case._topo_cache.get(topo.in_service)
-    if cached is not None:
-        return cached
-
-    n_bus = case.n_bus
-    u, v, y = case.branch_from[topo.mask], case.branch_to[topo.mask], case.branch_y[topo.mask]
-    # np.add.at applies the entries in order: branch by branch, as (u,u), (v,v),
-    # (u,v), (v,u), so every sum is accumulated in case order.
-    b_mat = np.zeros((n_bus, n_bus))
-    np.add.at(
-        b_mat,
-        (np.column_stack([u, v, u, v]).ravel(), np.column_stack([u, v, v, u]).ravel()),
-        np.column_stack([y, y, -y, -y]).ravel(),
-    )
-
-    # theta = inv_map @ injections(pu), zero row/col at each reference bus
-    inv_map = np.zeros((n_bus, n_bus))
-    for k, members in enumerate(topo.islands):
-        if not topo.energized[k] or len(members) == 1:
-            continue
-        keep = [p for p in members if p != topo.ref_bus[k]]
-        sub = b_mat[np.ix_(keep, keep)]
-        try:
-            sub_inv = scipy.linalg.inv(sub)
-        except scipy.linalg.LinAlgError as exc:  # pragma: no cover - guarded by connectivity
-            raise PowerFlowError(f"singular island system (island {k})") from exc
-        inv_map[np.ix_(keep, keep)] = sub_inv
-
-    # branch-flow rows: F_pu = y_i * (theta_u - theta_v), zero for branches
-    # out of service or in a de-energized island
-    island_energized = np.array(topo.energized, dtype=bool)[list(topo.island_of_bus)]
-    live = np.flatnonzero(topo.mask & island_energized[case.branch_from])
-    frm, to = case.branch_from[live], case.branch_to[live]
-    flow_rows = np.zeros((case.n_branch, n_bus))
-    flow_rows[live] = case.branch_y[live, None] * (inv_map[frm] - inv_map[to])
-
-    # injection-to-state mapping: load columns negative, generator columns positive
-    sens = np.zeros((case.n_branch, case.n_x))
-    sens[:, : case.n_load] = -flow_rows[:, case.load_bus]
-    sens[:, case.n_load :] = flow_rows[:, case.gen_bus]
-
-    data = {"inv_map": inv_map, "flow_sens": sens, "live": live}
-    case._topo_cache[topo.in_service] = data
-    return data
-
-
 @dataclass(frozen=True)
 class FlowResult:
     flows: np.ndarray   # MW per branch (0 for out-of-service / de-energized)
@@ -390,13 +393,12 @@ def dc_power_flow(case: NetworkCase, topo: Topology, state: SystemState) -> Flow
     residual lands on the island reference. De-energized islands report zero
     flows and angles.
     """
-    data = _topology_data(case, topo)
     inj = np.zeros(case.n_bus)
     np.add.at(inj, case.gen_bus, state.p_gen)
     np.add.at(inj, case.load_bus, -state.p_load)
     inj /= case.base_mva
-    angles = data["inv_map"] @ inj
-    live = data["live"]
+    angles = topo.inv_map @ inj
+    live = topo.live
     flows_pu = np.zeros(case.n_branch)
     flows_pu[live] = case.branch_y[live] * (
         angles[case.branch_from[live]] - angles[case.branch_to[live]]
@@ -409,27 +411,59 @@ def flow_sensitivity(case: NetworkCase, topo: Topology) -> np.ndarray:
 
     Injection-shift factors computed per island against the island reference;
     rows of out-of-service branches and branches in de-energized islands are
-    zero. Load columns carry a negative injection sign.
+    zero. Load columns carry a negative injection sign. The matrix is the
+    topology's own, shared and read-only.
     """
-    return _topology_data(case, topo)["flow_sens"].copy()
+    return topo.flow_sens
 
 
 # ---------------------------------------------------------------------------
 # Case parsing
 # ---------------------------------------------------------------------------
 
+_REQUIRED = object()
+
+
+def _number(row: dict, key: str, entity: str, default=_REQUIRED, kind=float):
+    """`kind(row[key])`, or `default` when the key is absent. A missing
+    required key, or a value `kind` cannot convert, names the entity and key."""
+    if key not in row:
+        if default is _REQUIRED:
+            raise CaseSemanticError(f"missing key '{key}'", entity)
+        return default
+    try:
+        return kind(row[key])
+    except (TypeError, ValueError, OverflowError):
+        raise CaseSemanticError(f"'{key}' must be a number, got {row[key]!r}", entity) from None
+
+
+def _parameter_defaults(source: dict) -> tuple[dict, float, float, float]:
+    """Failure-rate defaults, load-shed cost, generator-adjustment cost and
+    trip factor, from the optional `failure_rate` and `costs` objects."""
+    blocks = []
+    for key, base in (("failure_rate", DEFAULT_FAILURE_RATE), ("costs", DEFAULT_COSTS)):
+        block = source.get(key, {})
+        if not isinstance(block, dict):
+            raise CaseSemanticError(f"'{key}' must be an object")
+        blocks.append({**base, **block})
+    rates, costs = blocks
+    return (rates, _number(costs, "load_shed", "costs"), _number(costs, "gen_adjust", "costs"),
+            _number(rates, "trip_factor", "failure_rate"))
+
+
 def _rate_from_dict(d: dict, defaults: dict, entity: str) -> FailureRateParams:
     merged = dict(defaults)
     merged.update({k: v for k, v in d.items() if v is not None})
-    lam0 = float(merged["lambda_0"])
-    lam1 = float(merged["lambda_1"])
-    knee = float(merged["knee"])
-    slope = merged.get("overload_slope")
-    if slope is None:
+    lam0 = _number(merged, "lambda_0", entity)
+    lam1 = _number(merged, "lambda_1", entity)
+    knee = _number(merged, "knee", entity)
+    if merged.get("overload_slope") is None:
         slope = (lam1 - lam0) / max(1.0 - knee, 1e-12)
+    else:
+        slope = _number(merged, "overload_slope", entity)
     params = FailureRateParams(
-        lam0=lam0, lam1=lam1, knee=knee, slope=float(slope),
-        lam_max=float(merged["lambda_max"]),
+        lam0=lam0, lam1=lam1, knee=knee, slope=slope,
+        lam_max=_number(merged, "lambda_max", entity),
     )
     params.validate(entity)
     return params
@@ -445,54 +479,68 @@ def _parse_native_json(text: str) -> NetworkCase:
     for key in ("base_mva", "buses", "branches", "generators", "loads"):
         if key not in doc:
             raise CaseSemanticError(f"missing top-level key '{key}'")
+        if key != "base_mva" and not (
+            isinstance(doc[key], list) and all(isinstance(row, dict) for row in doc[key])
+        ):
+            raise CaseSemanticError(f"'{key}' must be a list of objects", "case")
+    fr_defaults, shed_cost, adjust_cost, trip_default = _parameter_defaults(doc)
 
-    fr_defaults = dict(DEFAULT_FAILURE_RATE)
-    fr_defaults.update(doc.get("failure_rate", {}))
-    cost_defaults = dict(DEFAULT_COSTS)
-    cost_defaults.update(doc.get("costs", {}))
-    trip_default = float(fr_defaults.get("trip_factor", DEFAULT_FAILURE_RATE["trip_factor"]))
+    def entities(key: str, label: str):
+        """(row, id, entity name) per object under `key`."""
+        for i, row in enumerate(doc[key]):
+            eid = _number(row, "id", f"{key}[{i}]", kind=int)
+            yield row, eid, f"{label} {eid}"
 
-    buses = [Bus(id=int(b["id"]), kind=int(b.get("kind", 1))) for b in doc["buses"]]
-    branches = []
-    for row in doc["branches"]:
-        bid = int(row["id"])
-        rate = _rate_from_dict(row, fr_defaults, f"branch {bid}")
-        branches.append(
-            Branch(
-                id=bid,
-                from_bus=int(row["from"]),
-                to_bus=int(row["to"]),
-                y=float(row["y"]),
-                f_max=float(row["f_max"]),
-                trip_factor=float(row.get("trip_factor", trip_default)),
-                rate=rate,
-            )
+    buses = [
+        Bus(id=eid, kind=_number(b, "kind", where, 1, int))
+        for b, eid, where in entities("buses", "bus")
+    ]
+    branches = [
+        Branch(
+            id=eid,
+            from_bus=_number(row, "from", where, kind=int),
+            to_bus=_number(row, "to", where, kind=int),
+            y=_number(row, "y", where),
+            f_max=_number(row, "f_max", where),
+            trip_factor=_number(row, "trip_factor", where, trip_default),
+            rate=_rate_from_dict(row, fr_defaults, where),
         )
+        for row, eid, where in entities("branches", "branch")
+    ]
     gens = [
         Generator(
-            id=int(g["id"]),
-            bus=int(g["bus"]),
-            p=float(g.get("p", 0.0)),
-            p_min=float(g.get("p_min", 0.0)),
-            p_max=float(g["p_max"]),
-            ramp=float(g["ramp"]),
-            cost=float(g.get("cost", cost_defaults["gen_adjust"])),
+            id=eid,
+            bus=_number(g, "bus", where, kind=int),
+            p=_number(g, "p", where, 0.0),
+            p_min=_number(g, "p_min", where, 0.0),
+            p_max=_number(g, "p_max", where),
+            ramp=_number(g, "ramp", where),
+            cost=_number(g, "cost", where, adjust_cost),
         )
-        for g in doc["generators"]
+        for g, eid, where in entities("generators", "gen")
     ]
     loads = [
         Load(
-            id=int(l["id"]),
-            bus=int(l["bus"]),
-            p=float(l["p"]),
-            cost=float(l.get("cost", cost_defaults["load_shed"])),
+            id=eid,
+            bus=_number(l, "bus", where, kind=int),
+            p=_number(l, "p", where),
+            cost=_number(l, "cost", where, shed_cost),
         )
-        for l in doc["loads"]
+        for l, eid, where in entities("loads", "load")
     ]
-    return NetworkCase(doc["base_mva"], buses, branches, gens, loads)
+    return NetworkCase(_number(doc, "base_mva", "case"), buses, branches, gens, loads)
 
 
 _MP_NUM = re.compile(r"[-+0-9.eE]+")
+
+
+def _mp_float(tok: str) -> float | None:
+    """The finite number a matpower token spells, else None."""
+    try:
+        value = float(tok) if _MP_NUM.fullmatch(tok) else math.nan
+    except ValueError:
+        value = math.nan
+    return value if math.isfinite(value) else None
 
 
 def _matpower_block(text: str, name: str) -> tuple[list[list[float]], int]:
@@ -514,12 +562,13 @@ def _matpower_block(text: str, name: str) -> tuple[list[list[float]], int]:
             continue
         vals = []
         for tok in stripped.split():
-            if not _MP_NUM.fullmatch(tok):
+            value = _mp_float(tok)
+            if value is None:
                 col = raw.index(tok) + 1
                 raise CaseSyntaxError(
                     f"invalid numeric token '{tok}' in mpc.{name}", base_line + off, col
                 )
-            vals.append(float(tok))
+            vals.append(value)
         rows.append(vals)
     return rows, base_line
 
@@ -531,18 +580,17 @@ def _parse_matpower(text: str, defaults: dict | None = None) -> NetworkCase:
     from `defaults` (keys: failure_rate, costs, ramp_fraction, branch_limit).
     """
     defaults = defaults or {}
-    fr_defaults = dict(DEFAULT_FAILURE_RATE)
-    fr_defaults.update(defaults.get("failure_rate", {}))
-    cost_defaults = dict(DEFAULT_COSTS)
-    cost_defaults.update(defaults.get("costs", {}))
-    ramp_fraction = float(defaults.get("ramp_fraction", DEFAULT_RAMP_FRACTION))
-    branch_limit = float(defaults.get("branch_limit", DEFAULT_BRANCH_LIMIT))
-    trip_default = float(fr_defaults.get("trip_factor", DEFAULT_FAILURE_RATE["trip_factor"]))
+    fr_defaults, shed_cost, adjust_cost, trip_default = _parameter_defaults(defaults)
+    ramp_fraction = _number(defaults, "ramp_fraction", "defaults", DEFAULT_RAMP_FRACTION)
+    branch_limit = _number(defaults, "branch_limit", "defaults", DEFAULT_BRANCH_LIMIT)
 
     m = re.search(r"mpc\.baseMVA\s*=\s*([-+0-9.eE]+)\s*;", text)
     if m is None:
         raise CaseSyntaxError("mpc.baseMVA assignment not found", 1, 1)
-    base_mva = float(m.group(1))
+    base_mva = _mp_float(m.group(1))
+    if base_mva is None:
+        line = text.count("\n", 0, m.start(1)) + 1
+        raise CaseSyntaxError(f"invalid mpc.baseMVA value '{m.group(1)}'", line)
 
     bus_rows, bus_line = _matpower_block(text, "bus")
     gen_rows, gen_line = _matpower_block(text, "gen")
@@ -556,7 +604,7 @@ def _parse_matpower(text: str, defaults: dict | None = None) -> NetworkCase:
         buses.append(Bus(id=bid, kind=int(row[1])))
         if row[2] != 0.0:
             loads.append(
-                Load(id=len(loads) + 1, bus=bid, p=row[2], cost=cost_defaults["load_shed"])
+                Load(id=len(loads) + 1, bus=bid, p=row[2], cost=shed_cost)
             )
     bus_ids = {b.id for b in buses}
 
@@ -573,7 +621,7 @@ def _parse_matpower(text: str, defaults: dict | None = None) -> NetworkCase:
         gens.append(
             Generator(
                 id=len(gens) + 1, bus=bus, p=pg, p_min=pmin, p_max=pmax,
-                ramp=ramp, cost=cost_defaults["gen_adjust"],
+                ramp=ramp, cost=adjust_cost,
             )
         )
 

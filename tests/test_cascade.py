@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from gridrisk import cases
 from gridrisk.network import parse_case, serialize_case
 from gridrisk.cascade import (
+    InternalError,
+    _assert_balanced,
     dispatch_execute,
     dispatch_target,
     failure_rates,
@@ -234,6 +236,14 @@ class TestDispatchTarget:
 
 
 class TestDispatchExecute:
+    def test_unbalanced_island_raises(self, two_bus):
+        topo = build_topology(two_bus)
+        _assert_balanced(two_bus, topo, SystemState([50.0], [50.0]))
+        split, _ = apply_outage(two_bus, topo, {1})   # gen on island 0, load on 1
+        _assert_balanced(two_bus, split, SystemState([0.0], [0.0]))
+        with pytest.raises(InternalError, match=r"island 1 unbalanced .*\|0\.0+ - 50\.0+\|"):
+            _assert_balanced(two_bus, split, SystemState([50.0], [0.0]))
+
     def test_target_reached_within_ramp(self, toy6):
         topo = build_topology(toy6)
         xp = SystemState([120.0, 90.0, 60.0], [100.0, 170.0, 0.0])

@@ -161,6 +161,31 @@ class TestExitCodes:
         assert code == 2
         assert message in capsys.readouterr().err
 
+    def test_outages_flag_names_bad_token(self, toy_case_file, tmp_path, capsys):
+        code = run_cli(["assess", "--case", toy_case_file, "--outages", "3,x",
+                        "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "--outages takes integer branch ids, got 'x'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fmt, costs, message", [
+        ("native-json", {}, "missing key 'ramp' [gen 1]"),
+        ("matpower-text", {"load_shed": "x"}, "'load_shed' must be a number, got 'x' [costs]"),
+        ("matpower-text", {"load_shed": None}, "'load_shed' must be a number, got None [costs]"),
+    ])
+    def test_malformed_case_input(self, tmp_path, capsys, fmt, costs, message):
+        case = tmp_path / "case"
+        if fmt == "native-json":
+            doc = json.loads(serialize_case(cases.toy6()))
+            del doc["generators"][0]["ramp"]
+            case.write_text(json.dumps(doc))
+        else:
+            case.write_text(cases.rts96_text())
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"case": str(case), "format": fmt, "costs": costs}))
+        code = run_cli(["assess", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert message in capsys.readouterr().err
+
     @pytest.mark.parametrize("kind, eid, text", [
         ("loads", 2, "NaN"), ("loads", 1, "Infinity"), ("generators", 3, "-Infinity"),
     ])

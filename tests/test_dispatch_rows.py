@@ -1,9 +1,10 @@
-"""The dispatch LPs and the branch mask against reference implementations.
+"""The dispatch LPs and the cached topology arrays against reference
+implementations.
 
 Each `ref_*` function builds its result row by row and branch by branch,
-testing membership in `topo.in_service`. The shared row builders must give
-the same matrices, bounds and parameters, and the mask-based flow code the
-same numbers, bit for bit.
+testing membership in `topo.in_service` and in the island bus tuples. The
+shared row builders must give the same matrices, bounds and parameters, and
+the mask- and island-array code the same numbers, bit for bit.
 """
 
 import numpy as np
@@ -12,18 +13,36 @@ import scipy.linalg
 
 from gridrisk import cascade, lp
 from gridrisk.assess import AssessmentConfig, base_state, run_assessment
-from gridrisk.cascade import TARGET_EPSILON, _island_balance_rows
+from gridrisk.cascade import TARGET_EPSILON
 from gridrisk.management import build_rm
 from gridrisk.network import apply_outage, build_topology, dc_power_flow, flow_sensitivity
 
 
 # -- reference copies ---------------------------------------------------------
 
+def ref_island_balance_rows(case, topo, n_vars):
+    rows, rhs = [], []
+    for k, members in enumerate(topo.islands):
+        if not topo.energized[k]:
+            continue
+        mset = set(members)
+        row = np.zeros(n_vars)
+        for i, p in enumerate(case.load_bus):
+            if p in mset:
+                row[i] = -1.0
+        for j, p in enumerate(case.gen_bus):
+            if p in mset:
+                row[case.n_load + j] = 1.0
+        rows.append(row)
+        rhs.append(0.0)
+    return rows, rhs
+
+
 def ref_target_lp(case, topo, x_prime):
     n_l, n_g = case.n_load, case.n_gen
     n_vars = n_l + n_g
     c = np.concatenate([-case.c_load, TARGET_EPSILON * case.c_gen])
-    eq_rows, eq_rhs = _island_balance_rows(case, topo, n_vars)
+    eq_rows, eq_rhs = ref_island_balance_rows(case, topo, n_vars)
     sens = flow_sensitivity(case, topo)
     live = [i for i, br in enumerate(case.branches)
             if br.id in topo.in_service and np.any(sens[i])]
@@ -44,7 +63,7 @@ def ref_execute_lp(case, topo, x_prime, x_star, tau_d):
     n_l, n_g = case.n_load, case.n_gen
     n_vars = n_l + 3 * n_g
     c = np.concatenate([case.c_load, np.zeros(n_g), case.c_gen, case.c_gen])
-    eq_rows, eq_rhs = _island_balance_rows(case, topo, n_vars)
+    eq_rows, eq_rhs = ref_island_balance_rows(case, topo, n_vars)
     params = {}
     for j in range(n_g):
         row = np.zeros(n_vars)
@@ -81,7 +100,7 @@ def ref_rm_lp(case, topo, x_pre, x_star0, gamma, r_prime0, r_expected):
     n_l, n_g = case.n_load, case.n_gen
     n_vars = n_l + 3 * n_g
     c = np.concatenate([-case.c_load, np.zeros(n_g), case.c_gen, case.c_gen])
-    eq_rows, eq_rhs = _island_balance_rows(case, topo, n_vars)
+    eq_rows, eq_rhs = ref_island_balance_rows(case, topo, n_vars)
     for j in range(n_g):
         row = np.zeros(n_vars)
         row[n_l + j] = 1.0
@@ -111,8 +130,13 @@ def ref_rm_lp(case, topo, x_pre, x_star0, gamma, r_prime0, r_expected):
     ), len(live)
 
 
+def ref_island_of_bus(topo):
+    return {p: k for k, members in enumerate(topo.islands) for p in members}
+
+
 def ref_topology_data(case, topo):
     n_bus = case.n_bus
+    island_of = ref_island_of_bus(topo)
     b_mat = np.zeros((n_bus, n_bus))
     for i, br in enumerate(case.branches):
         if br.id not in topo.in_service:
@@ -132,7 +156,7 @@ def ref_topology_data(case, topo):
     for i, br in enumerate(case.branches):
         if br.id not in topo.in_service:
             continue
-        if not topo.energized[topo.island_of_bus[case.branch_from[i]]]:
+        if not topo.energized[island_of[case.branch_from[i]]]:
             continue
         flow_rows[i] = br.y * (inv_map[case.branch_from[i]] - inv_map[case.branch_to[i]])
     sens = np.zeros((case.n_branch, case.n_x))
@@ -143,6 +167,7 @@ def ref_topology_data(case, topo):
 
 def ref_dc_flows(case, topo, state):
     inv_map, _ = ref_topology_data(case, topo)
+    island_of = ref_island_of_bus(topo)
     inj = np.zeros(case.n_bus)
     np.add.at(inj, case.gen_bus, state.p_gen)
     np.add.at(inj, case.load_bus, -state.p_load)
@@ -151,7 +176,7 @@ def ref_dc_flows(case, topo, state):
     flows_pu = np.zeros(case.n_branch)
     for i, br in enumerate(case.branches):
         if br.id in topo.in_service:
-            if topo.energized[topo.island_of_bus[case.branch_from[i]]]:
+            if topo.energized[island_of[case.branch_from[i]]]:
                 flows_pu[i] = br.y * (angles[case.branch_from[i]] - angles[case.branch_to[i]])
     return flows_pu * case.base_mva
 
@@ -243,5 +268,12 @@ def test_mask_and_flows_match_reference_on_rts96_run(rts96, monkeypatch):
                               ref_dc_flows(rts96, topo, state))
         if topo.in_service not in checked:
             checked.add(topo.in_service)
-            _, sens = ref_topology_data(rts96, topo)
+            inv_map, sens = ref_topology_data(rts96, topo)
+            assert np.array_equal(topo.inv_map, inv_map)
             assert np.array_equal(flow_sensitivity(rts96, topo), sens)
+            island_of = ref_island_of_bus(topo)
+            assert np.array_equal(topo.load_island, [island_of[p] for p in rts96.load_bus])
+            assert np.array_equal(topo.gen_island, [island_of[p] for p in rts96.gen_bus])
+            live = [i for i, br in enumerate(rts96.branches) if br.id in topo.in_service
+                    and topo.energized[island_of[rts96.branch_from[i]]]]
+            assert np.array_equal(topo.live, live)

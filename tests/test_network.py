@@ -1,8 +1,12 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
+from gridrisk import cases, network
+from gridrisk.assess import AssessmentConfig
+from gridrisk.management import RmConfig, irm
 from gridrisk.network import (
     CaseSemanticError,
     CaseSyntaxError,
@@ -38,6 +42,8 @@ mpc.branch = [
 \t1\t99\t0.01\t0.1\t0\t100\t100\t100\t0\t0\t1\t-360\t360;
 ];
 """
+MATPOWER_OK = MATPOWER_BAD_BUS.replace("\t1\t99\t", "\t1\t2\t")
+DROP = object()   # delete the key instead of setting it
 
 
 class TestParsing:
@@ -111,6 +117,55 @@ class TestParsing:
             parse_case(json.dumps(doc))
         assert err.value.entity == "case"
 
+    @pytest.mark.parametrize("path, value, entity, message", [
+        (("generators", 0, "ramp"), DROP, "gen 1", "missing key 'ramp'"),
+        (("generators", 0, "p_max"), None, "gen 1", "'p_max' must be a number, got None"),
+        (("branches",), 5, "case", "'branches' must be a list"),
+        (("loads",), [5], "case", "'loads' must be a list of objects"),
+        (("buses", 0, "id"), "x", "buses[0]", "'id' must be a number, got 'x'"),
+        (("loads", 0, "id"), float("inf"), "loads[0]", "'id' must be a number, got inf"),
+        (("branches", 0, "lambda_0"), "x", "branch 1", "'lambda_0' must be a number"),
+        (("branches", 0, "from"), [1], "branch 1", "'from' must be a number, got [1]"),
+        (("costs",), {"load_shed": "x"}, "costs", "'load_shed' must be a number, got 'x'"),
+        (("failure_rate",), [1], None, "'failure_rate' must be an object"),
+        (("base_mva",), "x", "case", "'base_mva' must be a number, got 'x'"),
+    ])
+    def test_malformed_native_value_named(self, path, value, entity, message):
+        doc = json.loads(json.dumps(MINIMAL_2BUS))
+        *parents, key = path
+        target = doc
+        for step in parents:
+            target = target[step]
+        if value is DROP:
+            del target[key]
+        else:
+            target[key] = value
+        with pytest.raises(CaseSemanticError, match=re.escape(message)) as err:
+            parse_case(json.dumps(doc))
+        assert err.value.entity == entity
+
+    @pytest.mark.parametrize("defaults, entity, message", [
+        ({"costs": {"load_shed": "x"}}, "costs", "'load_shed' must be a number, got 'x'"),
+        ({"costs": {"gen_adjust": None}}, "costs", "'gen_adjust' must be a number, got None"),
+        ({"costs": 5}, None, "'costs' must be an object"),
+        ({"failure_rate": {"knee": "x"}}, "branch 1", "'knee' must be a number, got 'x'"),
+        ({"ramp_fraction": "x"}, "defaults", "'ramp_fraction' must be a number"),
+    ])
+    def test_malformed_matpower_defaults_named(self, defaults, entity, message):
+        with pytest.raises(CaseSemanticError, match=re.escape(message)) as err:
+            parse_case(MATPOWER_OK, "matpower-text", defaults)
+        assert err.value.entity == entity
+
+    @pytest.mark.parametrize("old, new", [
+        ("0.01", "1e"),                            # spelled like a number, but not one
+        ("0.01", "1e400"),                         # overflows to inf
+        ("mpc.baseMVA = 100", "mpc.baseMVA = 1.0.0"),
+    ])
+    def test_matpower_unreadable_number_located(self, old, new):
+        with pytest.raises(CaseSyntaxError) as err:
+            parse_case(MATPOWER_OK.replace(old, new), "matpower-text")
+        assert err.value.line is not None
+
     def test_rts96_counts(self, rts96):
         assert rts96.n_bus == 73
         assert rts96.n_branch == 120
@@ -151,6 +206,44 @@ class TestTopology:
         topo = build_topology(two_bus)
         with pytest.raises(CaseSemanticError):
             apply_outage(two_bus, topo, {42})
+
+    def test_live_skips_deenergized_island(self, triangle):
+        # without branches 1 (1-2) and 3 (1-3), branch 2 joins two load-only buses
+        topo, _ = apply_outage(triangle, build_topology(triangle), {1, 3})
+        assert topo.mask.tolist() == [False, True, False]
+        assert topo.energized == (True, False)
+        assert topo.live.size == 0
+
+    def test_one_object_per_in_service_set(self, toy6):
+        topo = build_topology(toy6, {1, 2})
+        step, _ = apply_outage(toy6, build_topology(toy6), {2})
+        step, _ = apply_outage(toy6, step, {1})
+        assert step is topo
+        assert toy6._topo_cache[topo.in_service] is topo
+
+    @pytest.mark.parametrize("name", [
+        "mask", "inv_map", "flow_sens", "live", "load_island", "gen_island",
+    ])
+    def test_arrays_read_only(self, toy6, name):
+        topo, _ = apply_outage(toy6, build_topology(toy6), {3})
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(topo, name)[0] = 0
+
+    def test_islanding_once_per_in_service_set(self, monkeypatch):
+        calls = []
+        components = network.connected_components
+
+        def count(*args, **kwargs):
+            calls.append(1)
+            return components(*args, **kwargs)
+
+        monkeypatch.setattr(network, "connected_components", count)
+        case = cases.toy6()
+        cfg = RmConfig(assessment=AssessmentConfig(
+            tau_d=15.0, t_max=30.0, attempts=200, policy="exhaustive", seed=1))
+        irm(case, {3}, cfg)
+        assert len(case._topo_cache) > 5
+        assert len(calls) == len(case._topo_cache)
 
 
 class TestDcPowerFlow:
@@ -222,7 +315,7 @@ class TestFlowSensitivity:
         state = case.base_state()
         sens = flow_sensitivity(case, topo)
         h = 0.01 * case.base_mva  # +-0.01 pu
-        ref = {k: topo.ref_bus[topo.island_of_bus[b]] for k, b in enumerate(case.load_bus)}
+        ref = {k: topo.ref_bus[isl] for k, isl in enumerate(topo.load_island)}
         base = dc_power_flow(case, topo, state)
 
         def flows_with(dx):

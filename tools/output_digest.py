@@ -1,0 +1,96 @@
+"""Fingerprint the CLI outputs of a fixed set of gridrisk commands.
+
+    python3 tools/output_digest.py --src src > change.txt
+    python3 tools/output_digest.py --src ../parent/src > parent.txt
+    diff parent.txt change.txt
+
+runs every command of `commands()` in its own process, with `--src` on
+PYTHONPATH and one BLAS thread (the thread count changes the last digits of
+the results), and prints one line per output file and per stdout:
+`<sha256>  <command>/<file>`. The case files are written by the checked-out
+code's own `serialize_case`, and every path a command sees is relative to one
+work directory, so two checkouts that compute the same results print the
+same lines. A command that exits non-zero stops the run with exit code 1.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import itertools
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+TOY6 = ["--case", "toy6.json", "--tau-d", "15", "--t-max", "30"]
+RTS96 = ["--case", "rts96.json", "--outages", "22,23,24"]
+
+
+def commands() -> list:
+    """(label, gridrisk argv without --out) for every command digested."""
+    cmds = []
+    for k in (1, 2):
+        for outage in itertools.combinations(range(1, 7), k):
+            ids = ",".join(map(str, outage))
+            cmds.append((f"toy6-irm-{ids}", [
+                "irm", *TOY6, "--outages", ids, "--policy", "exhaustive",
+                "--attempts", "200", "--seed", "1",
+            ]))
+    cmds += [
+        ("rts96-assess", ["assess", *RTS96, "--attempts", "40"]),
+        ("rts96-gradient", ["gradient", *RTS96, "--attempts", "30"]),
+        ("rts96-irm", ["irm", *RTS96, "--attempts", "20"]),
+        # acceptance criterion 11's command
+        ("toy6-gradient-3", [
+            "gradient", *TOY6, "--outages", "3", "--policy", "probability-sampled",
+            "--attempts", "120", "--seed", "17",
+        ]),
+        ("toy6-validate-gradient-3", [
+            "validate-gradient", *TOY6, "--outages", "3", "--policy", "exhaustive",
+            "--attempts", "300", "--fd-step", "0.25",
+        ]),
+    ]
+    return cmds
+
+
+def _run(argv: list, env: dict, cwd: Path) -> bytes:
+    proc = subprocess.run(argv, env=env, cwd=cwd, capture_output=True)
+    if proc.returncode != 0:
+        sys.stderr.write(proc.stderr.decode(errors="replace"))
+        raise SystemExit(f"exit {proc.returncode}: {' '.join(argv)}")
+    return proc.stdout
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--src", default=str(ROOT / "src"),
+                        help="directory holding the gridrisk package (default: this checkout's src)")
+    args = parser.parse_args(argv)
+
+    env = dict(os.environ)
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "1"
+    env["PYTHONPATH"] = str(Path(args.src).resolve())
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        _run([sys.executable, "-c",
+              "from gridrisk import cases, serialize_case\n"
+              "for name in ('toy6', 'rts96'):\n"
+              "    with open(name + '.json', 'w') as fh:\n"
+              "        fh.write(serialize_case(getattr(cases, name)()))\n"], env, work)
+        for label, cmd in commands():
+            out = Path("out") / label
+            stdout = _run([sys.executable, "-m", "gridrisk.cli", *cmd, "--out", str(out)],
+                          env, work)
+            print(f"{hashlib.sha256(stdout).hexdigest()}  {label}/stdout", flush=True)
+            for path in sorted((work / out).iterdir()):
+                digest = hashlib.sha256(path.read_bytes()).hexdigest()
+                print(f"{digest}  {label}/{path.name}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
