@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lp
+from .lp import InternalError
 from .network import (
     NetworkCase,
     SystemState,
@@ -33,10 +34,6 @@ BALANCE_TOL = 1e-9      # MW, island imbalance treated as balanced
 SHED_EPS = 1e-9         # MW, total load below this counts as fully shed
 TARGET_EPSILON = 1e-3   # weight of the generation-cost tie-break in the target LP
 MAX_FAST_EVENTS = 50
-
-
-class InternalError(RuntimeError):
-    """Violated internal post-condition (unbalanced island after dispatch)."""
 
 
 # ---------------------------------------------------------------------------

@@ -144,7 +144,12 @@ def load_config(args: argparse.Namespace) -> RunConfig:
                     f"--outages takes integer branch ids, got '{tok.strip()}'"
                 ) from None
     if getattr(args, "delta_r", None) is not None:
-        cfg.delta_r = [float(tok) for tok in args.delta_r.split(",")]
+        cfg.delta_r = []
+        for tok in args.delta_r.split(","):
+            try:
+                cfg.delta_r.append(float(tok))
+            except ValueError:
+                raise ValueError(f"--delta-r takes numbers, got '{tok.strip()}'") from None
         if len(cfg.delta_r) == 1:
             cfg.delta_r = cfg.delta_r[0]
     cfg.validate()

@@ -4,8 +4,10 @@ Solving is delegated to HiGHS dual simplex through the bindings scipy ships
 (`scipy.optimize._highspy`). Each LP gets a fresh solver and the same model,
 options and post-solve feasibility check as scipy's `highs-ds` LP method,
 without that method's per-call Python wrapping. The derivative of the
-optimal point with respect to tagged right-hand-side/bound parameters is
-computed here from the active set, holding the basis fixed.
+optimal point with respect to tagged right-hand-side/bound parameters holds
+HiGHS's optimal basis fixed: its n nonbasic rows and columns are the binding
+constraints. The basis is degenerate when more than n constraints are tight
+or a nonbasic multiplier is within `DUAL_TOL` of zero.
 """
 
 from __future__ import annotations
@@ -14,13 +16,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 import scipy.optimize._highspy._core as _highs
 
 FEAS_TOL = 1e-8          # KKT / constraint residual tolerance
 TIGHT_TOL = 1e-7         # activity detection
-DUAL_TOL = 1e-9          # strongly-active threshold on multipliers
-RANK_TOL = 1e-9
+DUAL_TOL = 1e-9          # multipliers at most this far from zero are weak
 
 
 def _highs_options() -> _highs.HighsOptions:
@@ -44,8 +44,15 @@ _OPTIMAL = _highs.HighsModelStatus.kOptimal
 _UNBOUNDED = _highs.HighsModelStatus.kUnbounded
 _AT_LOWER = int(_highs.HighsBasisStatus.kLower)
 _AT_UPPER = int(_highs.HighsBasisStatus.kUpper)
+_BASIC = int(_highs.HighsBasisStatus.kBasic)
 # scipy's post-solve check tolerance: sqrt(tol) * 10 with its default 1e-9.
 _CHECK_TOL = math.sqrt(1e-9) * 10
+
+
+class InternalError(RuntimeError):
+    """Violated internal post-condition (an optimal LP without a valid basis,
+    an unbalanced island after dispatch)."""
+
 
 # Parameter tag kinds: which RHS/bound vector the parameter perturbs.
 KIND_EQ = "eq"
@@ -116,6 +123,8 @@ class LpSolution:
     active_in: np.ndarray | None = None   # bool per inequality row
     active_lo: np.ndarray | None = None
     active_hi: np.ndarray | None = None
+    col_status: np.ndarray | None = None  # HiGHS basis status per column
+    row_status: np.ndarray | None = None  # and per row of [A_in; A_eq]
 
     @property
     def optimal(self) -> bool:
@@ -180,6 +189,14 @@ def solve_lp(prob: LpProblem) -> LpSolution:
         return LpSolution(status="unbounded")
     if not ran or model_status != _OPTIMAL:
         return LpSolution(status="infeasible")
+    basis = highs.getBasis()
+    # `.value` per enum reads the status lists about twice as fast as numpy does
+    col_status = np.array([s.value for s in basis.col_status], dtype=np.int8)
+    row_status = np.array([s.value for s in basis.row_status], dtype=np.int8)
+    nonbasic = np.count_nonzero(col_status != _BASIC) + np.count_nonzero(row_status != _BASIC)
+    if not basis.valid or nonbasic != prob.n:
+        raise InternalError(f"HiGHS reports an optimal LP without a valid basis "
+                            f"({nonbasic} nonbasic for {prob.n} columns)")
 
     solution = highs.getSolution()
     x = np.array(solution.col_value)
@@ -196,7 +213,6 @@ def solve_lp(prob: LpProblem) -> LpSolution:
 
     row_dual = np.array(solution.row_dual)
     col_dual = np.array(solution.col_dual)
-    col_status = np.array(highs.getBasis().col_status, dtype=np.int8)
     active_in = prob.b_in - prob.a_in @ x <= TIGHT_TOL * (1.0 + np.abs(prob.b_in))
     active_lo = np.isfinite(prob.lo) & (x - prob.lo <= TIGHT_TOL * (1.0 + np.abs(prob.lo)))
     active_hi = np.isfinite(prob.hi) & (prob.hi - x <= TIGHT_TOL * (1.0 + np.abs(prob.hi)))
@@ -211,6 +227,8 @@ def solve_lp(prob: LpProblem) -> LpSolution:
         active_in=active_in,
         active_lo=active_lo,
         active_hi=active_hi,
+        col_status=col_status,
+        row_status=row_status,
     )
 
 
@@ -221,99 +239,62 @@ class SensitivityResult:
     matrix: np.ndarray          # (n, n_params)
     param_names: list
     degenerate: bool
-    param_degenerate: np.ndarray  # bool per param: tied to an ambiguous row
-
-
-def _candidate_rows(prob: LpProblem, sol: LpSolution):
-    """Active rows as (key, row_vector, strong) in basis-priority order."""
-    cands = [((KIND_EQ, i), prob.a_eq[i], True) for i in range(prob.b_eq.size)]
-    strong, weak = [], []
-    for kind, active, duals in ((KIND_IN, sol.active_in, sol.in_duals),
-                                (KIND_LO, sol.active_lo, sol.lo_duals),
-                                (KIND_HI, sol.active_hi, sol.hi_duals)):
-        for i in np.flatnonzero(active):
-            row = prob.a_in[i] if kind == KIND_IN else np.eye(1, prob.n, i)[0]
-            strong_row = abs(duals[i]) > DUAL_TOL
-            (strong if strong_row else weak).append(((kind, int(i)), row, strong_row))
-    return cands + strong + weak
+    param_degenerate: np.ndarray  # bool per param: tied to a tight non-binding constraint
 
 
 def solution_sensitivity(prob: LpProblem, sol: LpSolution) -> SensitivityResult:
     """Frozen-basis derivative of the optimal primal w.r.t. tagged parameters.
 
-    The binding constraints are assembled into a square system in priority
-    order (equalities, then nonzero-dual actives, then zero-dual actives);
-    parameters whose rows do not enter the selected basis get zero columns.
-    Ambiguity (a zero-dual row adding rank, redundant strong rows, or an
-    under-determined optimal face) sets the degeneracy flag; the derivative of
-    the basis actually selected is returned regardless.
+    HiGHS's optimal basis names the n binding constraints: the nonbasic
+    columns, each held at the bound it sits on, and the nonbasic rows R. A
+    nonbasic column moves by its bound's coefficient; the basic columns B
+    follow from A[R, B] dx_B = d rhs_R - A[R, N] dx_N, where |R| = |B|.
+    Parameters of constraints that are not binding get zero columns.
+
+    The basis is degenerate when more than n constraints are tight (a basic
+    row or column sits at a bound, or a nonbasic column at both) or when a
+    nonbasic row or column has a multiplier within `DUAL_TOL` of zero.
+    `param_degenerate` marks parameters of tight constraints outside the
+    binding set. The derivative of HiGHS's basis is returned regardless.
     """
     if not sol.optimal:
         raise ValueError("sensitivity requires an optimal solution")
-    n = prob.n
+    n, m_in = prob.n, prob.b_in.size
     names = list(prob.params.keys())
-    n_par = len(names)
+    at_lo = sol.col_status == _AT_LOWER
+    at_hi = sol.col_status == _AT_UPPER
+    basic = sol.col_status == _BASIC
+    row_binding = sol.row_status != _BASIC
+    row_tight = np.concatenate([sol.active_in, np.ones(prob.b_eq.size, dtype=bool)])
+    duals = np.concatenate([sol.in_duals, sol.eq_duals, sol.lo_duals + sol.hi_duals])
+    degenerate = bool(
+        (sol.active_lo & ~at_lo).any() or (sol.active_hi & ~at_hi).any()
+        or (row_tight & ~row_binding).any()
+        or (np.abs(duals) <= DUAL_TOL)[np.concatenate([row_binding, ~basic])].any()
+    )
 
-    # Orthonormal basis of the selected rows, grown column by column in place.
-    q = np.empty((n, n))
-    a_basis = np.empty((n, n))
-    rank = 0
-    basis_keys: dict = {}
-    degenerate = False
-    candidates = _candidate_rows(prob, sol)
-    for key, a, strong in candidates:
-        if rank == n:
-            if strong:
-                degenerate = True
-            continue
-        qk = q[:, :rank]
-        r = a - qk @ (qk.T @ a)
-        r -= qk @ (qk.T @ r)  # second pass keeps q orthonormal at scale
-        nr = float(np.linalg.norm(r))
-        if nr > RANK_TOL * max(1.0, float(np.linalg.norm(a))):
-            if not strong:
-                degenerate = True  # a slack-dual row is needed to pin the point
-            basis_keys[key] = rank
-            a_basis[rank] = a
-            q[:, rank] = r / nr
-            rank += 1
-        elif strong and key[0] != KIND_EQ:
-            degenerate = True  # redundant strongly-active row: multiple bases
-
-    if rank < n:
-        # Optimal face has free directions; pin them (zero movement) and flag.
-        degenerate = True
-        for j in range(n):
-            e = np.zeros(n)
-            e[j] = 1.0
-            qk = q[:, :rank]
-            r = e - qk @ (qk.T @ e)
-            nr = float(np.linalg.norm(r))
-            if nr > RANK_TOL:
-                a_basis[rank] = e
-                q[:, rank] = r / nr
-                rank += 1
-                if rank == n:
-                    break
-
-    rhs = np.zeros((n, n_par))
-    param_deg = np.zeros(n_par, dtype=bool)
-    tight_unselected = {key for key, _, _ in candidates} - basis_keys.keys()
-
+    matrix = np.zeros((n, len(names)))   # set on nonbasic columns, then solved on B
+    row_rhs = np.zeros((row_binding.size, len(names)))   # rows of [A_in; A_eq]
+    param_deg = np.zeros(len(names), dtype=bool)
+    # (binding, tight, where its coefficient goes, index offset) per kind
+    targets = {KIND_LO: (at_lo, sol.active_lo, matrix, 0),
+               KIND_HI: (at_hi, sol.active_hi, matrix, 0),
+               KIND_IN: (row_binding, row_tight, row_rhs, 0),
+               KIND_EQ: (row_binding, row_tight, row_rhs, m_in)}
     for p, name in enumerate(names):
         for kind, idx, coeff in prob.params[name]:
-            key = (kind, int(idx))
-            pos = basis_keys.get(key)
-            if pos is not None:
-                rhs[pos, p] += coeff
-            elif key in tight_unselected:
-                param_deg[p] = True  # tight but outside the chosen basis
+            binding, tight, out, offset = targets[kind]
+            k = offset + int(idx)
+            if binding[k]:
+                out[k, p] += coeff
+            elif tight[k]:
+                param_deg[p] = True
 
-    if n_par and np.any(rhs):
-        lu, piv = scipy.linalg.lu_factor(a_basis[:rank])
-        matrix = scipy.linalg.lu_solve((lu, piv), rhs)
-    else:
-        matrix = np.zeros((n, n_par))
+    if basic.any():
+        a_rows = np.concatenate([prob.a_in[row_binding[:m_in]], prob.a_eq[row_binding[m_in:]]])
+        rhs = row_rhs[row_binding] - a_rows @ matrix
+        if np.any(rhs):
+            matrix[basic] = np.linalg.solve(a_rows[:, basic], rhs)
     return SensitivityResult(
         matrix=matrix, param_names=names,
         degenerate=degenerate or bool(param_deg.any()),

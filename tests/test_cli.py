@@ -3,6 +3,7 @@ import json
 from pathlib import Path
 
 import pytest
+import scipy.optimize._highspy._core as core
 
 from gridrisk import assess, cascade, cases
 from gridrisk.cli import main
@@ -167,6 +168,12 @@ class TestExitCodes:
         assert code == 2
         assert "--outages takes integer branch ids, got 'x'" in capsys.readouterr().err
 
+    def test_delta_r_flag_names_bad_token(self, toy_case_file, tmp_path, capsys):
+        code = run_cli(["irm", "--case", toy_case_file, "--outages", "3", "--delta-r", "1,x",
+                        "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "--delta-r takes numbers, got 'x'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("fmt, costs, message", [
         ("native-json", {}, "missing key 'ramp' [gen 1]"),
         ("matpower-text", {"load_shed": "x"}, "'load_shed' must be a number, got 'x' [costs]"),
@@ -215,6 +222,21 @@ class TestExitCodes:
                         "--out", str(tmp_path / "o")])
         assert code == 4
         assert "internal error: island 0 unbalanced" in capsys.readouterr().err
+
+    def test_optimal_lp_without_basis_exits_4(self, toy_case_file, tmp_path, monkeypatch,
+                                              capsys):
+        class NoBasis(core._Highs):
+            def getBasis(self):
+                basis = super().getBasis()
+                basis.valid = False
+                return basis
+
+        monkeypatch.setattr(core, "_Highs", NoBasis)
+        code = run_cli(["assess", "--case", toy_case_file, "--outages", "3",
+                        "--out", str(tmp_path / "o")])
+        assert code == 4
+        assert "internal error: HiGHS reports an optimal LP without a valid basis" in (
+            capsys.readouterr().err)
 
 
 class TestCommands:

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.optimize._highspy._core as core
+from hypothesis import assume, event, given, settings
+from hypothesis import strategies as st
 
 from gridrisk import lp
 
@@ -119,6 +122,40 @@ class TestSensitivity:
         sens = lp.solution_sensitivity(prob, sol)
         assert sens.degenerate
 
+    def test_degenerate_flag_on_duplicate_row(self):
+        # x <= 1 twice: one copy binds, the other is basic at its bound
+        def prob(params):
+            return lp.LpProblem(c=[-1.0], a_in=[[1.0], [1.0]], b_in=[1.0, 1.0],
+                                lo=[0.0], hi=[5.0], params=params)
+
+        plain = prob({})
+        assert lp.solution_sensitivity(plain, lp.solve_lp(plain)).degenerate
+        tagged = prob({"b0": [(lp.KIND_IN, 0, 1.0)], "b1": [(lp.KIND_IN, 1, 1.0)]})
+        sens = lp.solution_sensitivity(tagged, lp.solve_lp(tagged))
+        assert sens.param_degenerate.sum() == 1
+        np.testing.assert_array_equal(sens.matrix[0], ~sens.param_degenerate)
+
+    def test_degenerate_flag_on_basic_column_at_bound(self):
+        # x0 + x1 = b with x0 at its upper bound 1 leaves the basic x1 at 0:
+        # b can rise (x1 follows one for one) but not fall
+        prob = lp.LpProblem(c=[-1.0, 0.5], a_eq=[[1.0, 1.0]], b_eq=[1.0],
+                            lo=[0.0, 0.0], hi=[1.0, 5.0], params={"b": [(lp.KIND_EQ, 0, 1.0)]})
+        sol = lp.solve_lp(prob)
+        assert sol.col_status[1] == lp._BASIC and sol.x[1] == 0.0
+        sens = lp.solution_sensitivity(prob, sol)
+        assert sens.degenerate
+        np.testing.assert_array_equal(sens.matrix[:, 0], [0.0, 1.0])
+
+    def test_degenerate_flag_on_optimal_edge(self):
+        # min x0 + x1 over x0 + x1 >= 1: HiGHS returns one end of an optimal
+        # edge, and the nonbasic column there has a zero reduced cost
+        prob = lp.LpProblem(c=[1.0, 1.0], a_in=[[-1.0, -1.0]], b_in=[-1.0],
+                            lo=[0.0, 0.0], hi=[5.0, 5.0], params={"b": [(lp.KIND_IN, 0, 1.0)]})
+        sol = lp.solve_lp(prob)
+        nonbasic = np.flatnonzero(sol.col_status != lp._BASIC)
+        assert nonbasic.size == 1 and sol.lo_duals[nonbasic[0]] == 0.0
+        assert lp.solution_sensitivity(prob, sol).degenerate
+
     def test_randomized_fd_agreement(self):
         rng = np.random.default_rng(11)
         checked = 0
@@ -157,7 +194,7 @@ class TestSensitivity:
                 )
 
 
-# The tolerances of the reference below, as they were when it was written.
+# The oracle's own tolerances.
 REF_DUAL_TOL = 1e-9
 REF_RANK_TOL = 1e-9
 
@@ -177,10 +214,12 @@ def _hstack_candidates(prob, sol):
 
 
 def _hstack_sensitivity(prob, sol):
-    """The basis selection as it was before the in-place buffer: the
-    orthonormal basis grows by `np.hstack` and the selected rows are stacked
-    at the end. Kept, with its own candidate order and tolerances, to pin the
-    rewrite to the same matrices and flags."""
+    """An independent frozen-basis derivative, the oracle for
+    `lp.solution_sensitivity`: it picks its own active set (equalities, then
+    nonzero-multiplier rows, then zero-multiplier rows, by Gram-Schmidt rank)
+    and solves the n x n system of the picked rows. Where it reports no
+    degeneracy its active set is the unique binding set, so any correct
+    frozen-basis derivative agrees with it."""
     n = prob.n
     names = list(prob.params.keys())
     n_par = len(names)
@@ -280,44 +319,186 @@ def _random_lps(seed, count, pinch):
             yield prob, sol
 
 
-def _scrambled(sol, rng):
-    """`sol` with random active sets and multipliers (zero, just above the
-    strong-activity threshold, or O(1)). It reaches the rules that simplex
-    vertices rarely hit: redundant strong rows, strong rows past a full basis."""
-    levels = [0.0, 1e-8, 1.0] if rng.random() < 0.5 else [1e-8, 1.0]
-    share = rng.uniform(0.3, 0.9)
+def _param_shifts(prob):
+    """Per parameter, its (kind, index, coeff) spread over the HiGHS rows
+    [A_in; A_eq] and the columns' lower and upper bounds."""
+    m_in = prob.b_in.size
+    rows = np.zeros((m_in + prob.b_eq.size, len(prob.params)))
+    lo, hi = np.zeros((prob.n, len(prob.params))), np.zeros((prob.n, len(prob.params)))
+    for p, terms in enumerate(prob.params.values()):
+        for kind, idx, coeff in terms:
+            if kind == lp.KIND_LO:
+                lo[idx, p] += coeff
+            elif kind == lp.KIND_HI:
+                hi[idx, p] += coeff
+            else:
+                rows[idx + (m_in if kind == lp.KIND_EQ else 0), p] += coeff
+    return rows, lo, hi
 
-    def pick(size):
-        act = rng.random(size) < share
-        return act, np.where(act, rng.choice(levels, size=size) * rng.normal(size=size), 0.0)
 
-    active_in, in_duals = pick(sol.active_in.size)
-    active_lo, lo_duals = pick(sol.active_lo.size)
-    active_hi, hi_duals = pick(sol.active_hi.size)
-    active_hi &= ~active_lo
-    return lp.LpSolution(
-        status="optimal", x=sol.x, objective=sol.objective, eq_duals=sol.eq_duals,
-        in_duals=in_duals, lo_duals=lo_duals, hi_duals=hi_duals,
-        active_in=active_in, active_lo=active_lo, active_hi=active_hi,
-    )
+def assert_frozen_system(prob, sol, sens):
+    """The matrix solves the system of HiGHS's binding set: each nonbasic
+    row moves its activity by its right-hand side's coefficient, and each
+    nonbasic column moves by the coefficient of the bound it sits on."""
+    rows, lo, hi = _param_shifts(prob)
+    dx = sens.matrix
+    at_lo = sol.col_status == int(core.HighsBasisStatus.kLower)
+    at_hi = sol.col_status == int(core.HighsBasisStatus.kUpper)
+    nonbasic_col = sol.col_status != int(core.HighsBasisStatus.kBasic)
+    want = np.where(at_lo[:, None], lo, np.where(at_hi[:, None], hi, 0.0))
+    np.testing.assert_allclose(dx[nonbasic_col], want[nonbasic_col], rtol=0, atol=1e-12)
+    a = np.vstack([prob.a_in, prob.a_eq])
+    binding = sol.row_status != int(core.HighsBasisStatus.kBasic)
+    scale = 1.0 + np.abs(a[binding]) @ np.abs(dx)
+    assert np.all(np.abs(a[binding] @ dx - rows[binding]) <= 1e-9 * scale)
 
 
 @pytest.mark.parametrize("pinch", [False, True])
-@pytest.mark.parametrize("scramble", [False, True])
-def test_in_place_basis_matches_hstack_basis(pinch, scramble):
-    rng = np.random.default_rng(5)
-    degenerate = 0
+def test_sensitivity_matches_oracle(pinch):
+    degenerate = checked = 0
     for prob, sol in _random_lps(404, 150, pinch):
-        if scramble:
-            sol = _scrambled(sol, rng)
         sens = lp.solution_sensitivity(prob, sol)
-        matrix, deg, param_deg = _hstack_sensitivity(prob, sol)
-        assert np.array_equal(sens.matrix, matrix)
-        assert sens.degenerate == deg
-        assert np.array_equal(sens.param_degenerate, param_deg)
-        degenerate += deg
-    if pinch or scramble:
-        assert degenerate > 100  # the degenerate paths ran
+        assert_frozen_system(prob, sol, sens)
+        matrix, oracle_degenerate, _ = _hstack_sensitivity(prob, sol)
+        if not oracle_degenerate:
+            np.testing.assert_allclose(sens.matrix, matrix, rtol=0, atol=1e-9)
+            checked += 1
+        degenerate += sens.degenerate
+    assert checked >= 10
+    if pinch:
+        assert degenerate >= 100  # the degenerate paths ran
+
+
+GRID = st.integers(-8, 8).map(lambda k: k / 4.0)  # exact ties, no near-ties
+
+
+@st.composite
+def generated_lps(draw):
+    """3-8 variables, boxed, pinched (lo == hi) or free zero-cost columns,
+    inequality rows tight or slack at a feasible point x0, an optional
+    equality row, and an optional exact or near (1e-8) copy of a row. Every
+    right-hand side and bound is a parameter."""
+    n = draw(st.integers(3, 8))
+    m = draw(st.integers(1, 5))
+    a_in = np.array(draw(st.lists(GRID, min_size=m * n, max_size=m * n))).reshape(m, n)
+    x0 = np.array(draw(st.lists(GRID, min_size=n, max_size=n)))
+    c = np.array(draw(st.lists(GRID, min_size=n, max_size=n)))
+    width = np.array(draw(st.lists(st.sampled_from([0.25, 0.5, 1.0, 2.0]),
+                                   min_size=n, max_size=n)))
+    lo, hi = x0 - width, x0 + width
+    for j, kind in enumerate(draw(st.lists(st.sampled_from(["box"] * 4 + ["pinched", "free"]),
+                                           min_size=n, max_size=n))):
+        if kind == "pinched":
+            lo[j] = hi[j] = x0[j]
+        elif kind == "free":
+            lo[j], hi[j], c[j] = -np.inf, np.inf, 0.0
+    slack = np.array(draw(st.lists(st.sampled_from([0.0, 0.0, 0.5]), min_size=m, max_size=m)))
+    b_in = a_in @ x0 + slack
+    a_eq = b_eq = None
+    if draw(st.booleans()):
+        a_eq = np.array([draw(st.lists(GRID, min_size=n, max_size=n))])
+        b_eq = a_eq @ x0
+    copy = draw(st.sampled_from([None, 0.0, 1e-8]))
+    if copy is not None:
+        row = draw(st.integers(0, m - 1))
+        a_in = np.vstack([a_in, a_in[row] + copy * np.arange(1, n + 1)])
+        b_in = np.append(b_in, a_in[-1] @ x0 + slack[row])
+    params = {f"b{i}": [(lp.KIND_IN, i, 1.0)] for i in range(b_in.size)}
+    if a_eq is not None:
+        params["eq0"] = [(lp.KIND_EQ, 0, 1.0)]
+    params.update({f"lo{j}": [(lp.KIND_LO, j, 1.0)] for j in range(n)})
+    params.update({f"hi{j}": [(lp.KIND_HI, j, 1.0)] for j in range(n)})
+    return lp.LpProblem(c=c, a_eq=a_eq, b_eq=b_eq, a_in=a_in, b_in=b_in,
+                        lo=lo, hi=hi, params=params)
+
+
+def _shifted(prob, p, h):
+    """`prob` with parameter `p` moved by h."""
+    rows, lo, hi = _param_shifts(prob)
+    m_in = prob.b_in.size
+    return lp.LpProblem(c=prob.c, a_eq=prob.a_eq, b_eq=prob.b_eq + h * rows[m_in:, p],
+                        a_in=prob.a_in, b_in=prob.b_in + h * rows[:m_in, p],
+                        lo=prob.lo + h * lo[:, p], hi=prob.hi + h * hi[:, p])
+
+
+def _fd_step(prob, sol, p, dx):
+    """The largest step <= 1e-6 in parameter `p` that moves no basic column
+    or inequality row more than halfway to a bound along `dx`. A right-hand
+    side step leaves the multipliers alone, so below it a non-degenerate
+    basis stays the unique optimum and central differences see its
+    derivative, even where a near-duplicate row sits 1e-7 away."""
+    rows, lo, hi = _param_shifts(prob)
+    basic = sol.col_status == int(core.HighsBasisStatus.kBasic)
+    m_in = prob.b_in.size
+    basic_in = sol.row_status[:m_in] == int(core.HighsBasisStatus.kBasic)
+    slack = np.concatenate([(sol.x - prob.lo)[basic], (prob.hi - sol.x)[basic],
+                            (prob.b_in - prob.a_in @ sol.x)[basic_in]])
+    rate = np.abs(np.concatenate([(dx - lo[:, p])[basic], (hi[:, p] - dx)[basic],
+                                  (rows[:m_in, p] - prob.a_in @ dx)[basic_in]]))
+    moving = rate > 0
+    return min([1e-6, *(0.5 * slack[moving] / rate[moving])])
+
+
+@given(prob=generated_lps())
+@settings(max_examples=250, deadline=None)
+def test_generated_lp_sensitivity(prob):
+    sol = lp.solve_lp(prob)
+    assume(sol.optimal)
+    sens = lp.solution_sensitivity(prob, sol)
+    assert_frozen_system(prob, sol, sens)
+    event("degenerate" if sens.degenerate else "finite differences checked")
+    if sens.degenerate:
+        return
+    for p in range(len(sens.param_names)):
+        h = _fd_step(prob, sol, p, sens.matrix[:, p])
+        if h < 1e-9:
+            event("step below 1e-9")
+            continue
+        up, dn = lp.solve_lp(_shifted(prob, p, h)), lp.solve_lp(_shifted(prob, p, -h))
+        fd = (up.x - dn.x) / (2 * h)
+        np.testing.assert_allclose(sens.matrix[:, p], fd, rtol=0,
+                                   atol=1e-5 * max(1.0, np.abs(fd).max()))
+
+
+def test_recorded_rts96_lps_have_valid_bases():
+    """HiGHS hands back a valid basis with exactly n nonbasic entries for
+    every optimal LP of a recorded RTS-96 run, and `solve_lp` keeps it."""
+    optimal = 0
+    for prob in rts96_sampled_lps():
+        highs = core._Highs()
+        highs.passOptions(lp._HIGHS_OPTIONS)
+        highs.passModel(lp._highs_model(prob)[0])
+        highs.run()
+        if highs.getModelStatus() != core.HighsModelStatus.kOptimal:
+            continue
+        basis = highs.getBasis()
+        status = np.array([int(s) for s in basis.col_status + basis.row_status])
+        assert basis.valid
+        assert np.count_nonzero(status != int(core.HighsBasisStatus.kBasic)) == prob.n
+        sol = lp.solve_lp(prob)
+        assert np.array_equal(np.concatenate([sol.col_status, sol.row_status]), status)
+        optimal += 1
+    assert optimal >= 20
+
+
+@pytest.mark.parametrize("valid, drop", [(False, 0), (True, 1)])
+def test_optimal_without_basis_raises(monkeypatch, valid, drop):
+    """An optimal LP whose basis is not valid, or does not leave n entries
+    nonbasic, is an internal error, not a silent fallback."""
+
+    class NoBasis(core._Highs):
+        def getBasis(self):
+            basis = super().getBasis()
+            basis.valid = valid
+            if drop:
+                basis.col_status = [core.HighsBasisStatus.kBasic] * len(basis.col_status)
+            return basis
+
+    prob = split_abs_problem()
+    assert lp.solve_lp(prob).optimal
+    monkeypatch.setattr(core, "_Highs", NoBasis)
+    with pytest.raises(lp.InternalError, match="without a valid basis"):
+        lp.solve_lp(prob)
 
 
 # -- the direct HiGHS call against scipy.optimize.linprog ----------------------
@@ -461,8 +642,6 @@ def test_random_lps_match_linprog(pinch):
 
 def test_highs_options_match_linprog(monkeypatch):
     """The options linprog builds for every solve equal the ones built once."""
-    import scipy.optimize._highspy._core as core
-
     passed = []
 
     class Recording(core._Highs):
@@ -504,7 +683,6 @@ def test_solve_order_does_not_matter():
 def test_post_solve_check(monkeypatch, field, shift, optimal):
     """A HiGHS "optimal" whose solution misses bounds or rows by more than
     scipy's check tolerance is reported infeasible, as linprog does."""
-    import scipy.optimize._highspy._core as core
 
     class Shifted(core._Highs):
         def getSolution(self):

@@ -1,8 +1,7 @@
 """Fingerprint the CLI outputs of a fixed set of gridrisk commands.
 
     python3 tools/output_digest.py --src src > change.txt
-    python3 tools/output_digest.py --src ../parent/src > parent.txt
-    diff parent.txt change.txt
+    python3 tools/output_digest.py --src src --against ../parent/src
 
 runs every command of `commands()` in its own process, with `--src` on
 PYTHONPATH and one BLAS thread (the thread count changes the last digits of
@@ -10,7 +9,10 @@ the results), and prints one line per output file and per stdout:
 `<sha256>  <command>/<file>`. The case files are written by the checked-out
 code's own `serialize_case`, and every path a command sees is relative to one
 work directory, so two checkouts that compute the same results print the
-same lines. A command that exits non-zero stops the run with exit code 1.
+same lines. With `--against DIR` it runs the commands on both source trees
+and prints only the `<command>/<file>` labels whose digests differ (or that
+only one tree writes), exiting 1 if there is any. A command that exits
+non-zero stops the run with exit code 1.
 """
 
 from __future__ import annotations
@@ -64,16 +66,20 @@ def _run(argv: list, env: dict, cwd: Path) -> bytes:
     return proc.stdout
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--src", default=str(ROOT / "src"),
-                        help="directory holding the gridrisk package (default: this checkout's src)")
-    args = parser.parse_args(argv)
-
+def digests(src: str, emit=None) -> dict:
+    """`<command>/<file>` -> sha256 for every command run on the package in
+    `src`; `emit(line)` sees each line as soon as it is known."""
     env = dict(os.environ)
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = "1"
-    env["PYTHONPATH"] = str(Path(args.src).resolve())
+    env["PYTHONPATH"] = str(Path(src).resolve())
+    found = {}
+
+    def record(label, data):
+        found[label] = hashlib.sha256(data).hexdigest()
+        if emit is not None:
+            emit(f"{found[label]}  {label}")
+
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         _run([sys.executable, "-c",
@@ -83,13 +89,29 @@ def main(argv=None) -> int:
               "        fh.write(serialize_case(getattr(cases, name)()))\n"], env, work)
         for label, cmd in commands():
             out = Path("out") / label
-            stdout = _run([sys.executable, "-m", "gridrisk.cli", *cmd, "--out", str(out)],
-                          env, work)
-            print(f"{hashlib.sha256(stdout).hexdigest()}  {label}/stdout", flush=True)
+            record(f"{label}/stdout",
+                   _run([sys.executable, "-m", "gridrisk.cli", *cmd, "--out", str(out)],
+                        env, work))
             for path in sorted((work / out).iterdir()):
-                digest = hashlib.sha256(path.read_bytes()).hexdigest()
-                print(f"{digest}  {label}/{path.name}", flush=True)
-    return 0
+                record(f"{label}/{path.name}", path.read_bytes())
+    return found
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--src", default=str(ROOT / "src"),
+                        help="directory holding the gridrisk package (default: this checkout's src)")
+    parser.add_argument("--against", metavar="DIR",
+                        help="a second package directory; print only the labels whose digests differ")
+    args = parser.parse_args(argv)
+    if args.against is None:
+        digests(args.src, emit=lambda line: print(line, flush=True))
+        return 0
+    ours, theirs = digests(args.src), digests(args.against)
+    changed = [label for label in {**ours, **theirs} if ours.get(label) != theirs.get(label)]
+    for label in changed:
+        print(label)
+    return 1 if changed else 0
 
 
 if __name__ == "__main__":
