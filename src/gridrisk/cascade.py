@@ -345,6 +345,23 @@ def _move_split_rows(case: NetworkCase, n_vars: int, p_ref: np.ndarray):
     return rows, np.asarray(p_ref, dtype=float)
 
 
+def _solve_dispatch_lp(topo: Topology, kind: str, prob: lp.LpProblem) -> lp.LpSolution:
+    """`lp.solve_lp(prob)`, solved once per distinct LP on `topo`.
+
+    The costs and the matrices a_eq, a_in of the target and execution LPs
+    depend only on the case, the topology and the LP `kind` ("target" or
+    "execute"); the state enters through b_eq, b_in, lo and hi alone. So
+    `kind` and the bytes of those four vectors name the LP in `topo.lp_memo`,
+    and a hit returns the (read-only) solution HiGHS gave the same LP before.
+    """
+    key = (kind, prob.b_eq.tobytes(), prob.b_in.tobytes(), prob.lo.tobytes(),
+           prob.hi.tobytes())
+    sol = topo.lp_memo.get(key)
+    if sol is None:
+        sol = topo.lp_memo[key] = lp.solve_lp(prob)
+    return sol
+
+
 def dispatch_target(
     case: NetworkCase,
     topo: Topology,
@@ -378,7 +395,7 @@ def dispatch_target(
         hi=hi,
         params=params,
     )
-    sol = lp.solve_lp(prob)
+    sol = _solve_dispatch_lp(topo, "target", prob)
     if not sol.optimal:
         jac = None
         if jacobians:
@@ -468,7 +485,7 @@ def dispatch_execute(
         b_eq=np.concatenate([np.zeros(len(balance)), split_rhs]),
         a_in=a_in, b_in=b_in, lo=lo, hi=hi, params=params,
     )
-    sol = lp.solve_lp(prob)
+    sol = _solve_dispatch_lp(topo, "execute", prob)
     if not sol.optimal:
         # Ramp window cannot restore balance: emergency proportional shedding.
         state, jac, cost, dcost = _rebalance(case, topo, x_prime, jacobians)

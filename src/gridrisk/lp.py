@@ -3,7 +3,9 @@
 Solving is delegated to HiGHS dual simplex through the bindings scipy ships
 (`scipy.optimize._highspy`). Each LP gets a fresh solver and the same model,
 options and post-solve feasibility check as scipy's `highs-ds` LP method,
-without that method's per-call Python wrapping. The derivative of the
+without that method's per-call Python wrapping; the model goes to HiGHS as
+column-wise arrays in one `passModel` call. Solution arrays are read-only,
+so one solution can be shared by every caller of its LP. The derivative of the
 optimal point with respect to tagged right-hand-side/bound parameters holds
 HiGHS's optimal basis fixed: its n nonbasic rows and columns are the binding
 constraints. The basis is degenerate when more than n constraints are tight
@@ -39,6 +41,8 @@ def _highs_options() -> _highs.HighsOptions:
 
 _HIGHS_OPTIONS = _highs_options()
 _INF = _highs.kHighsInf
+_COLWISE = int(_highs.MatrixFormat.kColwise)
+_MINIMIZE = int(_highs.ObjSense.kMinimize)
 _ERROR = _highs.HighsStatus.kError
 _OPTIMAL = _highs.HighsModelStatus.kOptimal
 _UNBOUNDED = _highs.HighsModelStatus.kUnbounded
@@ -126,6 +130,12 @@ class LpSolution:
     col_status: np.ndarray | None = None  # HiGHS basis status per column
     row_status: np.ndarray | None = None  # and per row of [A_in; A_eq]
 
+    def __post_init__(self):
+        # read-only: one solution may be shared by every caller of its LP
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+
     @property
     def optimal(self) -> bool:
         return self.status == "optimal"
@@ -141,34 +151,28 @@ class LpSolution:
         )
 
 
-def _highs_model(prob: LpProblem):
-    """HiGHS column-wise LP for rows [A_in; A_eq] and its column bounds."""
-    a_t = np.vstack([prob.a_in, prob.a_eq]).T
+def _highs_model(prob: LpProblem) -> tuple:
+    """The arguments of HiGHS's array `passModel` for rows [A_in; A_eq]:
+    (n, m, nnz, format, sense, offset, c, col_lower, col_upper, row_lower,
+    row_upper, start, index, value, integrality), column-wise, minimized."""
+    a_t = np.ascontiguousarray(np.vstack([prob.a_in, prob.a_eq]).T)
     if not (np.isfinite(prob.c).all() and np.isfinite(a_t).all()
             and np.isfinite(prob.b_in).all() and np.isfinite(prob.b_eq).all()):
         raise ValueError("LP costs, matrices and right-hand sides must be finite")
     nonzero = a_t != 0.0
     cols, rows = np.nonzero(nonzero)
+    value = a_t[nonzero]
     n, m = a_t.shape
     # +-inf becomes +-kHighsInf, as in scipy's LP front end.
     lb = np.fmin(np.fmax(prob.lo, -_INF), _INF)
     ub = np.fmax(np.fmin(prob.hi, _INF), -_INF)
-    model = _highs.HighsLp()
-    model.num_col_ = n
-    model.num_row_ = m
-    model.col_cost_ = prob.c
-    model.col_lower_ = lb
-    model.col_upper_ = ub
-    model.row_lower_ = np.concatenate([np.full(prob.b_in.size, -_INF), prob.b_eq])
-    model.row_upper_ = np.concatenate([prob.b_in, prob.b_eq])
-    matrix = model.a_matrix_
-    matrix.format_ = _highs.MatrixFormat.kColwise
-    matrix.num_col_ = n
-    matrix.num_row_ = m
-    matrix.start_ = np.searchsorted(cols, np.arange(n + 1))
-    matrix.index_ = rows
-    matrix.value_ = a_t[nonzero]
-    return model, lb, ub
+    return (
+        n, m, value.size, _COLWISE, _MINIMIZE, 0.0, prob.c, lb, ub,
+        np.concatenate([np.full(prob.b_in.size, -_INF), prob.b_eq]),
+        np.concatenate([prob.b_in, prob.b_eq]),
+        np.searchsorted(cols, np.arange(n + 1)).astype(np.int32),
+        rows.astype(np.int32), value, np.zeros(n, dtype=np.int32),
+    )
 
 
 def solve_lp(prob: LpProblem) -> LpSolution:
@@ -178,10 +182,11 @@ def solve_lp(prob: LpProblem) -> LpSolution:
     A solution that misses its bounds or rows by more than scipy's post-solve
     check tolerance, or holds a NaN, is reported infeasible.
     """
-    model, lb, ub = _highs_model(prob)
+    model = _highs_model(prob)
+    lb, ub = model[7:9]   # the column bounds as HiGHS sees them
     highs = _highs._Highs()
     highs.passOptions(_HIGHS_OPTIONS)
-    if highs.passModel(model) == _ERROR:
+    if highs.passModel(*model) == _ERROR:
         return LpSolution(status="infeasible")
     ran = highs.run() != _ERROR
     model_status = highs.getModelStatus()

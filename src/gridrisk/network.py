@@ -259,8 +259,9 @@ class NetworkCase:
 
 @dataclass(frozen=True)
 class Topology:
-    """In-service branch set with its islands and flow factors; one shared,
-    read-only instance per set and case (see `build_topology`).
+    """In-service branch set with its islands and flow factors; one shared
+    instance per set and case (see `build_topology`), with read-only arrays
+    and a memo of the dispatch LPs solved on it.
 
     islands are tuples of bus positions; an island is energized when it
     contains at least one generator bus, and then carries a reference bus
@@ -278,6 +279,8 @@ class Topology:
     inv_map: np.ndarray = field(compare=False)      # injections (pu) -> angles
     flow_sens: np.ndarray = field(compare=False)    # d(flows, MW)/d([P_d; P_g], MW)
     live: np.ndarray = field(compare=False)  # in-service branches of energized islands
+    # dispatch-LP solutions on this topology, filled by `cascade`
+    lp_memo: dict = field(default_factory=dict, compare=False, repr=False)
 
 
 def build_topology(case: NetworkCase, removed: frozenset = frozenset()) -> Topology:

@@ -48,7 +48,14 @@ class SearchBudget:
     def check_exhaustive_size(self, n_elements: int) -> None:
         if self.policy != "exhaustive":
             return
-        if (n_elements + 1) ** self.depth > MAX_EXHAUSTIVE_NODES:
+        # (n+1)^depth multiplied out only until it passes the bound: a depth of
+        # millions would otherwise build a huge integer (n = 0 leaves it at 1)
+        labels = 1
+        for _ in range(self.depth if n_elements else 0):
+            labels *= n_elements + 1
+            if labels > MAX_EXHAUSTIVE_NODES:
+                break
+        if labels > MAX_EXHAUSTIVE_NODES:
             raise ValueError(
                 f"exhaustive search over {n_elements + 1}^{self.depth} labels "
                 f"exceeds the {MAX_EXHAUSTIVE_NODES} node bound"

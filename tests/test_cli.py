@@ -1,5 +1,6 @@
 import csv
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -167,6 +168,17 @@ class TestExitCodes:
                         "--out", str(tmp_path / "o")])
         assert code == 2
         assert "--outages takes integer branch ids, got 'x'" in capsys.readouterr().err
+
+    def test_huge_exhaustive_depth_exits_2_at_once(self, toy_case_file, tmp_path, capsys):
+        """The label-space bound stops counting once it is passed, instead of
+        building (n+1)^depth for a depth of 66,666,666."""
+        start = time.perf_counter()
+        code = run_cli(["assess", "--case", toy_case_file, "--outages", "3",
+                        "--policy", "exhaustive", "--t-max", "1e9",
+                        "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "^66666666 labels exceeds the 200000 node bound" in capsys.readouterr().err
+        assert time.perf_counter() - start < 10.0
 
     def test_delta_r_flag_names_bad_token(self, toy_case_file, tmp_path, capsys):
         code = run_cli(["irm", "--case", toy_case_file, "--outages", "3", "--delta-r", "1,x",

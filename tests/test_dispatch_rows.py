@@ -204,14 +204,16 @@ def assert_same_lp(new, ref):
 
 @pytest.fixture()
 def captured_lps(monkeypatch):
+    """Every dispatch LP built, whether or not its topology's memo holds it
+    (a memo hit hands nothing to `lp.solve_lp`)."""
     probs = []
-    solve = lp.solve_lp
+    solve = cascade._solve_dispatch_lp
 
-    def capture(prob):
+    def capture(topo, kind, prob):
         probs.append(prob)
-        return solve(prob)
+        return solve(topo, kind, prob)
 
-    monkeypatch.setattr(lp, "solve_lp", capture)
+    monkeypatch.setattr(cascade, "_solve_dispatch_lp", capture)
     return probs
 
 
@@ -219,9 +221,10 @@ def captured_lps(monkeypatch):
 def test_target_and_execute_lps_match_reference(name, outages, request, captured_lps):
     case = request.getfixturevalue(name)
     topo, x_prime = after_fast_process(case, outages)
+    start = len(captured_lps)   # after base_state's target LP
     tgt = cascade.dispatch_target(case, topo, x_prime)
     cascade.dispatch_execute(case, topo, x_prime, tgt.x_star, 15.0)
-    new_target, new_execute = captured_lps[-2:]
+    new_target, new_execute = captured_lps[start:]
     assert_same_lp(new_target, ref_target_lp(case, topo, x_prime))
     assert_same_lp(new_execute, ref_execute_lp(case, topo, x_prime, tgt.x_star, 15.0))
 

@@ -467,7 +467,7 @@ def test_recorded_rts96_lps_have_valid_bases():
     for prob in rts96_sampled_lps():
         highs = core._Highs()
         highs.passOptions(lp._HIGHS_OPTIONS)
-        highs.passModel(lp._highs_model(prob)[0])
+        highs.passModel(*lp._highs_model(prob))
         highs.run()
         if highs.getModelStatus() != core.HighsModelStatus.kOptimal:
             continue
@@ -671,6 +671,18 @@ def test_solve_order_does_not_matter():
     again = lp.solve_lp(a)
     assert_same_bits(again, first)
     assert_same_bits(first, linprog_solution(a))
+
+
+def test_solution_arrays_are_read_only():
+    """One solution may be shared by every caller of its LP (the dispatch-LP
+    memo), so no caller can write into it."""
+    sol = lp.solve_lp(split_abs_problem())
+    assert sol.optimal
+    with pytest.raises(ValueError, match="read-only"):
+        sol.x[0] = 1.0
+    for name in SOLUTION_ARRAYS + ("col_status", "row_status"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(sol, name)[...] = 0
 
 
 @pytest.mark.parametrize("field, shift, optimal", [

@@ -54,6 +54,12 @@ def commands() -> list:
             "validate-gradient", *TOY6, "--outages", "3", "--policy", "exhaustive",
             "--attempts", "300", "--fd-step", "0.25",
         ]),
+        # acceptance criterion 10's compressed run: compressed chain storage
+        ("ring120-gradient-compressed", [
+            "gradient", "--case", "ring120.json", "--outages", "1", "--tau-d", "15",
+            "--t-max", "60", "--policy", "probability-sampled", "--attempts", "80",
+            "--seed", "5", "--threshold", "1e-5",
+        ]),
     ]
     return cmds
 
@@ -84,7 +90,7 @@ def digests(src: str, emit=None) -> dict:
         work = Path(tmp)
         _run([sys.executable, "-c",
               "from gridrisk import cases, serialize_case\n"
-              "for name in ('toy6', 'rts96'):\n"
+              "for name in ('toy6', 'rts96', 'ring120'):\n"
               "    with open(name + '.json', 'w') as fh:\n"
               "        fh.write(serialize_case(getattr(cases, name)()))\n"], env, work)
         for label, cmd in commands():
