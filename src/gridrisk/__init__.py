@@ -27,7 +27,6 @@ from .cascade import (
     simulate_level,
 )
 from .gradient import (
-    CompressedMatrix,
     compress,
     control_gradient,
     convergence_indices,

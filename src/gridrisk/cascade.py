@@ -383,7 +383,8 @@ def dispatch_target(
 
     lo = np.concatenate([np.zeros(n_l), case.gen_min])
     hi = np.concatenate([np.maximum(x_prime.p_load, 0.0), case.gen_max])
-    params = {f"xp_d{i}": [(lp.KIND_HI, i, 1.0)] for i in range(n_l)}
+    # parameter i is P'_d[i], the upper bound of P*_d[i]
+    hi_at = len(b_in) + len(balance) + n_vars + np.arange(n_l)
 
     prob = lp.LpProblem(
         c=c,
@@ -393,7 +394,7 @@ def dispatch_target(
         b_in=b_in,
         lo=lo,
         hi=hi,
-        params=params,
+        params=(n_l, hi_at, np.arange(n_l), np.ones(n_l)),
     )
     sol = _solve_dispatch_lp(topo, "target", prob)
     if not sol.optimal:
@@ -409,7 +410,7 @@ def dispatch_target(
     if jacobians:
         sens_res = lp.solution_sensitivity(prob, sol)
         jac = np.zeros((case.n_x, case.n_x))
-        jac[:, :n_l] = sens_res.matrix[: case.n_x, :]  # columns ordered xp_d0..  (gen cols zero)
+        jac[:, :n_l] = sens_res.matrix[: case.n_x, :]  # d x*/d P'_g is zero
         degenerate = sens_res.degenerate
     return TargetResult(
         x_star=SystemState(sol.x[:n_l].copy(), sol.x[n_l:].copy()),
@@ -459,31 +460,34 @@ def dispatch_execute(
     c = np.concatenate([case.c_load, np.zeros(n_g), case.c_gen, case.c_gen])
     balance = _island_balance_rows(case, topo, n_vars)
     split, split_rhs = _move_split_rows(case, n_vars, x_star.p_gen)
-    params = {f"xs_g{j}": [(lp.KIND_EQ, len(balance) + j, 1.0)] for j in range(n_g)}
 
+    # ramp rows P_g <= P'_g + tau_D r_g, then -P_g <= -P'_g + tau_D r_g
+    j = np.arange(n_g)
     a_in = np.zeros((2 * n_g, n_vars))
-    b_in = np.zeros(2 * n_g)
+    a_in[j, n_l + j] = 1.0
+    a_in[n_g + j, n_l + j] = -1.0
     window = tau_d * case.gen_ramp
-    for j in range(n_g):
-        a_in[j, n_l + j] = 1.0
-        b_in[j] = x_prime.p_gen[j] + window[j]
-        a_in[n_g + j, n_l + j] = -1.0
-        b_in[n_g + j] = -x_prime.p_gen[j] + window[j]
-        params[f"xp_g{j}"] = [(lp.KIND_IN, j, 1.0), (lp.KIND_IN, n_g + j, -1.0)]
+    b_in = np.concatenate([x_prime.p_gen + window, -x_prime.p_gen + window])
 
     hi_d = np.maximum(x_prime.p_load, 0.0)
     lo_d = np.minimum(np.maximum(x_star.p_load, 0.0), hi_d)  # clip unreachable targets
     lo = np.concatenate([lo_d, case.gen_min, np.zeros(2 * n_g)])
     hi = np.concatenate([hi_d, case.gen_max, np.full(2 * n_g, np.inf)])
-    for i in range(n_l):
-        params[f"xs_d{i}"] = [(lp.KIND_LO, i, 1.0)]
-        params[f"xp_d{i}"] = [(lp.KIND_HI, i, 1.0)]
+
+    # Parameters [x*; x'] over the stacked [b_in; b_eq; lo; hi]: P*_d moves
+    # lo_d, P*_g the split rows, P'_d hi_d, and P'_g both ramp rows.
+    i = np.arange(n_l)
+    split_at = 2 * n_g + len(balance)   # first split row
+    lo_at = split_at + n_g              # first lower bound
+    at = np.concatenate([lo_at + i, split_at + j, lo_at + n_vars + i, j, n_g + j])
+    param = np.concatenate([np.arange(2 * n_x), n_x + n_l + j])
+    coeff = np.concatenate([np.ones(2 * n_x), -np.ones(n_g)])
 
     prob = lp.LpProblem(
         c=c,
         a_eq=np.vstack([balance, split]),
         b_eq=np.concatenate([np.zeros(len(balance)), split_rhs]),
-        a_in=a_in, b_in=b_in, lo=lo, hi=hi, params=params,
+        a_in=a_in, b_in=b_in, lo=lo, hi=hi, params=(2 * n_x, at, param, coeff),
     )
     sol = _solve_dispatch_lp(topo, "execute", prob)
     if not sol.optimal:
@@ -508,16 +512,9 @@ def dispatch_execute(
         )
 
     sens_res = lp.solution_sensitivity(prob, sol)
-    cols = {name: k for k, name in enumerate(sens_res.param_names)}
-    dx = sens_res.matrix[:n_x, :]
-    jac_star = np.zeros((n_x, n_x))
-    jac_prime = np.zeros((n_x, n_x))
-    for i in range(n_l):
-        jac_star[:, i] = dx[:, cols[f"xs_d{i}"]]
-        jac_prime[:, i] = dx[:, cols[f"xp_d{i}"]]
-    for j in range(n_g):
-        jac_star[:, n_l + j] = dx[:, cols[f"xs_g{j}"]]
-        jac_prime[:, n_l + j] = dx[:, cols[f"xp_g{j}"]]
+    # copies: a view would keep the whole sensitivity matrix alive in the level
+    jac_star = sens_res.matrix[:n_x, :n_x].copy()
+    jac_prime = sens_res.matrix[:n_x, n_x:].copy()
 
     sigma = np.sign(np.where(np.abs(move) <= 1e-9, 0.0, move))
     w = np.concatenate([-case.c_load, case.c_gen * sigma])  # dC_R/dx at fixed x'

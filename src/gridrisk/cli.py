@@ -163,20 +163,27 @@ def load_case_file(cfg: RunConfig) -> NetworkCase:
 
 
 def load_strategy(case: NetworkCase, path: str):
-    from .network import SystemState
+    """The case's state with each listed load and generator at its
+    `target_mw`. A malformed file raises an error naming the entity and key."""
+    from .network import CaseSemanticError, SystemState, _number
 
     with open(path) as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise CaseSemanticError("top-level JSON value must be an object", "strategy")
     p_load = np.array([l.p for l in case.loads])
     p_gen = np.array([g.p for g in case.generators])
     load_pos = {l.id: i for i, l in enumerate(case.loads)}
     gen_pos = {g.id: j for j, g in enumerate(case.generators)}
     for key, pos, values in (("loads", load_pos, p_load), ("generators", gen_pos, p_gen)):
-        for row in doc.get(key, []):
-            eid = int(row["id"])
+        rows = doc.get(key, [])
+        if not (isinstance(rows, list) and all(isinstance(row, dict) for row in rows)):
+            raise CaseSemanticError(f"'{key}' must be a list of objects", "strategy")
+        for k, row in enumerate(rows):
+            eid = _number(row, "id", f"strategy {key}[{k}]", kind=int)
             if eid not in pos:
                 raise ValueError(f"strategy names unknown {key[:-1]} id {eid}")
-            target = float(row["target_mw"])
+            target = _number(row, "target_mw", f"strategy {key[:-1]} id {eid}")
             if not math.isfinite(target):
                 raise ValueError(f"strategy target_mw of {key[:-1]} id {eid} must be finite")
             values[pos[eid]] = target

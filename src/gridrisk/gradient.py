@@ -6,8 +6,6 @@ thresholded compressed storage for the chain matrices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.sparse as sp
 
@@ -18,37 +16,19 @@ from .cascade import LevelRecord
 # Compressed storage
 # ---------------------------------------------------------------------------
 
-@dataclass
-class CompressedMatrix:
-    """Sparse storage keeping only entries with |value| >= threshold.
+def compress(matrix: np.ndarray, threshold: float) -> sp.csr_matrix:
+    """Sparse storage keeping only entries with |value| >= threshold (0 keeps
+    the matrix lossless).
 
     Chain sensitivity matrices are dominated by near-zero entries on large
     systems (typically well under 1% of entries exceed 1e-3 and under 10%
     exceed 1e-5 in magnitude), so thresholded storage cuts memory by an order
     of magnitude while leaving the projected gradient direction intact.
     """
-
-    data: sp.csr_matrix
-    threshold: float
-
-    @property
-    def nnz(self) -> int:
-        return int(self.data.nnz)
-
-    @property
-    def shape(self) -> tuple:
-        return self.data.shape
-
-    def to_dense(self) -> np.ndarray:
-        return self.data.toarray()
-
-
-def compress(matrix: np.ndarray, threshold: float) -> CompressedMatrix:
-    """Drop entries below the absolute threshold (0 keeps the matrix lossless)."""
     if not threshold >= 0:
         raise ValueError("threshold must be >= 0")
     kept = np.where(np.abs(matrix) >= threshold, matrix, 0.0) if threshold > 0 else matrix
-    return CompressedMatrix(data=sp.csr_matrix(kept), threshold=threshold)
+    return sp.csr_matrix(kept)
 
 
 def maybe_compress(matrix: np.ndarray, threshold: float | None):
@@ -56,7 +36,7 @@ def maybe_compress(matrix: np.ndarray, threshold: float | None):
 
 
 def to_dense(stored) -> np.ndarray:
-    return stored.to_dense() if isinstance(stored, CompressedMatrix) else stored
+    return stored.toarray() if sp.issparse(stored) else stored
 
 
 # ---------------------------------------------------------------------------

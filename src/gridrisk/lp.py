@@ -6,16 +6,17 @@ options and post-solve feasibility check as scipy's `highs-ds` LP method,
 without that method's per-call Python wrapping; the model goes to HiGHS as
 column-wise arrays in one `passModel` call. Solution arrays are read-only,
 so one solution can be shared by every caller of its LP. The derivative of the
-optimal point with respect to tagged right-hand-side/bound parameters holds
-HiGHS's optimal basis fixed: its n nonbasic rows and columns are the binding
-constraints. The basis is degenerate when more than n constraints are tight
-or a nonbasic multiplier is within `DUAL_TOL` of zero.
+optimal point with respect to parameters of the stacked right-hand sides and
+bounds [b_in; b_eq; lo; hi] holds HiGHS's optimal basis fixed: its n nonbasic
+rows and columns are the binding constraints. The basis is degenerate when
+more than n constraints are tight or a nonbasic multiplier is within
+`DUAL_TOL` of zero.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.optimize._highspy._core as _highs
@@ -58,19 +59,13 @@ class InternalError(RuntimeError):
     an unbalanced island after dispatch)."""
 
 
-# Parameter tag kinds: which RHS/bound vector the parameter perturbs.
-KIND_EQ = "eq"
-KIND_IN = "in"
-KIND_LO = "lo"
-KIND_HI = "hi"
-
-
 @dataclass
 class LpProblem:
     """min c'x  s.t.  A_eq x = b_eq,  A_in x <= b_in,  lo <= x <= hi.
 
-    `params` maps a parameter name to the RHS/bound coefficients it drives:
-    a list of (kind, index, coeff) meaning d(b_kind[index])/d(param) = coeff.
+    `params` is (count, at, param, coeff): `count` parameters drive the
+    stacked right-hand sides and bounds [b_in; b_eq; lo; hi], entry k
+    meaning d(stacked[at[k]])/d(parameter param[k]) = coeff[k].
     """
 
     c: np.ndarray
@@ -80,7 +75,7 @@ class LpProblem:
     b_in: np.ndarray | None = None
     lo: np.ndarray | None = None
     hi: np.ndarray | None = None
-    params: dict = field(default_factory=dict)
+    params: tuple = (0, (), (), ())
 
     def __post_init__(self):
         self.c = np.asarray(self.c, dtype=float)
@@ -107,6 +102,18 @@ class LpProblem:
             raise ValueError("LP bounds must not be NaN")
         if np.any(self.lo > self.hi + FEAS_TOL):
             raise ValueError("lower bound exceeds upper bound")
+        count, at, param, coeff = self.params
+        at, param = np.asarray(at, dtype=np.intp), np.asarray(param, dtype=np.intp)
+        coeff = np.asarray(coeff, dtype=float)
+        if not at.shape == param.shape == coeff.shape == (at.size,):
+            raise ValueError("parameter arrays must be 1-D and of equal length")
+        if at.size and (at.min() < 0 or at.max() >= self.b_in.size + self.b_eq.size + 2 * n):
+            raise ValueError("parameter position outside [b_in; b_eq; lo; hi]")
+        if param.size and (param.min() < 0 or param.max() >= count):
+            raise ValueError("parameter index outside the parameter count")
+        if not np.isfinite(coeff).all():
+            raise ValueError("parameter coefficients must be finite")
+        self.params = (int(count), at, param, coeff)
 
     @property
     def n(self) -> int:
@@ -239,16 +246,15 @@ def solve_lp(prob: LpProblem) -> LpSolution:
 
 @dataclass
 class SensitivityResult:
-    """d(optimal x)/d(param) columns in `prob.params` order."""
+    """d(optimal x)/d(param), one column per parameter of `prob.params`."""
 
-    matrix: np.ndarray          # (n, n_params)
-    param_names: list
+    matrix: np.ndarray          # (n, count)
     degenerate: bool
     param_degenerate: np.ndarray  # bool per param: tied to a tight non-binding constraint
 
 
 def solution_sensitivity(prob: LpProblem, sol: LpSolution) -> SensitivityResult:
-    """Frozen-basis derivative of the optimal primal w.r.t. tagged parameters.
+    """Frozen-basis derivative of the optimal primal w.r.t. `prob.params`.
 
     HiGHS's optimal basis names the n binding constraints: the nonbasic
     columns, each held at the bound it sits on, and the nonbasic rows R. A
@@ -265,11 +271,12 @@ def solution_sensitivity(prob: LpProblem, sol: LpSolution) -> SensitivityResult:
     if not sol.optimal:
         raise ValueError("sensitivity requires an optimal solution")
     n, m_in = prob.n, prob.b_in.size
-    names = list(prob.params.keys())
+    count, at, param, coeff = prob.params
     at_lo = sol.col_status == _AT_LOWER
     at_hi = sol.col_status == _AT_UPPER
     basic = sol.col_status == _BASIC
     row_binding = sol.row_status != _BASIC
+    m = row_binding.size   # rows of [A_in; A_eq]
     row_tight = np.concatenate([sol.active_in, np.ones(prob.b_eq.size, dtype=bool)])
     duals = np.concatenate([sol.in_duals, sol.eq_duals, sol.lo_duals + sol.hi_duals])
     degenerate = bool(
@@ -278,22 +285,16 @@ def solution_sensitivity(prob: LpProblem, sol: LpSolution) -> SensitivityResult:
         or (np.abs(duals) <= DUAL_TOL)[np.concatenate([row_binding, ~basic])].any()
     )
 
-    matrix = np.zeros((n, len(names)))   # set on nonbasic columns, then solved on B
-    row_rhs = np.zeros((row_binding.size, len(names)))   # rows of [A_in; A_eq]
-    param_deg = np.zeros(len(names), dtype=bool)
-    # (binding, tight, where its coefficient goes, index offset) per kind
-    targets = {KIND_LO: (at_lo, sol.active_lo, matrix, 0),
-               KIND_HI: (at_hi, sol.active_hi, matrix, 0),
-               KIND_IN: (row_binding, row_tight, row_rhs, 0),
-               KIND_EQ: (row_binding, row_tight, row_rhs, m_in)}
-    for p, name in enumerate(names):
-        for kind, idx, coeff in prob.params[name]:
-            binding, tight, out, offset = targets[kind]
-            k = offset + int(idx)
-            if binding[k]:
-                out[k, p] += coeff
-            elif tight[k]:
-                param_deg[p] = True
+    binding = np.concatenate([row_binding, at_lo, at_hi])[at]
+    tight = np.concatenate([row_tight, sol.active_lo, sol.active_hi])[at]
+    param_deg = np.zeros(count, dtype=bool)
+    param_deg[param[tight & ~binding]] = True
+    # Binding right-hand sides of [A_in; A_eq], then the columns: a column
+    # sits at no more than one bound, so its lo and hi entries share a row.
+    block = np.zeros((m + n, count))
+    pos = at[binding]
+    np.add.at(block, (np.where(pos < m + n, pos, pos - n), param[binding]), coeff[binding])
+    row_rhs, matrix = block[:m], block[m:]   # matrix: set on nonbasic columns, solved on B
 
     if basic.any():
         a_rows = np.concatenate([prob.a_in[row_binding[:m_in]], prob.a_eq[row_binding[m_in:]]])
@@ -301,7 +302,7 @@ def solution_sensitivity(prob: LpProblem, sol: LpSolution) -> SensitivityResult:
         if np.any(rhs):
             matrix[basic] = np.linalg.solve(a_rows[:, basic], rhs)
     return SensitivityResult(
-        matrix=matrix, param_names=names,
+        matrix=matrix,
         degenerate=degenerate or bool(param_deg.any()),
         param_degenerate=param_deg,
     )

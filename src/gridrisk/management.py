@@ -14,6 +14,8 @@ from .assess import Assessment, AssessmentConfig, control_cost_value, run_assess
 from .cascade import _flow_limit_rows, _island_balance_rows, _move_split_rows
 from .network import NetworkCase, SystemState, Topology
 
+MAX_REJECTIONS = 4   # rejected IRM rounds before the loop stops
+
 
 def build_rm(
     case: NetworkCase,
@@ -60,7 +62,6 @@ def build_rm(
         b_eq=np.concatenate([np.zeros(len(balance)), split_rhs]),
         a_in=np.vstack([risk_row, flow_rows]), b_in=np.concatenate([[risk_rhs], flow_rhs]),
         lo=lo, hi=hi,
-        params={"risk_row": [(lp.KIND_IN, 0, 1.0)]},
     )
 
 
@@ -144,7 +145,6 @@ class RmConfig:
     delta_r: object = None
     epsilon_stop: float | None = None
     max_iterations: int = 8
-    max_rejections: int = 4
     assessment: AssessmentConfig = field(default_factory=AssessmentConfig)
 
 
@@ -225,7 +225,7 @@ def irm(case: NetworkCase, initial_outages, config: RmConfig) -> IrmTrajectory:
             rejections += 1
             if adaptive:
                 delta_r = step.delta_r * 0.5
-            if rejections >= config.max_rejections or not adaptive:
+            if rejections >= MAX_REJECTIONS or not adaptive:
                 break
     return IrmTrajectory(rounds=rounds, final_target=target, final_assessment=current)
 

@@ -94,7 +94,7 @@ def test_04_lp_sensitivity_randomized():
         prob = lp.LpProblem(
             c=rng.normal(size=n), a_in=a_in, b_in=b_in,
             lo=x0 - rng.uniform(0.1, 2.0, n), hi=x0 + rng.uniform(0.1, 2.0, n),
-            params={f"b{i}": [(lp.KIND_IN, i, 1.0)] for i in range(m)},
+            params=(m, np.arange(m), np.arange(m), np.ones(m)),
         )
         sol = lp.solve_lp(prob)
         if not sol.optimal:

@@ -269,6 +269,16 @@ class TestDispatchExecute:
         np.testing.assert_allclose(exe.state.x, xp.x, atol=1e-9)
         assert exe.cost == pytest.approx(0.0, abs=1e-9)
 
+    def test_jacobians_own_their_memory(self, toy6):
+        # a view would keep the LP's whole sensitivity matrix alive in each level
+        topo = build_topology(toy6)
+        xp = SystemState([120.0, 90.0, 60.0], [100.0, 170.0, 0.0])
+        xs = SystemState([115.0, 90.0, 60.0], [95.0, 160.0, 10.0])
+        exe = dispatch_execute(toy6, topo, xp, xs, 15.0)
+        assert not exe.emergency
+        assert exe.jac_star.shape == exe.jac_prime.shape == (toy6.n_x, toy6.n_x)
+        assert exe.jac_star.base is None and exe.jac_prime.base is None
+
     def test_balance_invariant(self, toy6):
         topo = build_topology(toy6)
         t2, _ = apply_outage(toy6, topo, {5})

@@ -83,6 +83,23 @@ class TestExitCodes:
         assert code == 2
         assert f"unknown {kind[:-1]} id {eid}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("doc, message", [
+        ({"loads": [{"target_mw": 10.0}]}, "missing key 'id' [strategy loads[0]]"),
+        ({"generators": [{"id": 2}]}, "missing key 'target_mw' [strategy generator id 2]"),
+        ([{"id": 1, "target_mw": 10.0}], "top-level JSON value must be an object [strategy]"),
+        ({"loads": [1, {"id": 1, "target_mw": 10.0}]},
+         "'loads' must be a list of objects [strategy]"),
+        ({"generators": {"id": 1, "target_mw": 10.0}},
+         "'generators' must be a list of objects [strategy]"),
+    ], ids=["no-id", "no-target", "top-level-list", "row-not-object", "generators-object"])
+    def test_malformed_strategy(self, toy_case_file, tmp_path, capsys, doc, message):
+        strategy = tmp_path / "strategy.json"
+        strategy.write_text(json.dumps(doc))
+        code = run_cli(["assess", "--case", toy_case_file, "--outages", "3",
+                        "--strategy", str(strategy), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert message in capsys.readouterr().err
+
     @pytest.mark.parametrize("key, value", [
         ("attempts", "10"), ("tau_d", True), ("seed", 1.5), ("outages", "3"),
         ("epsilon_stop", "1"),

@@ -4,7 +4,9 @@ implementations.
 Each `ref_*` function builds its result row by row and branch by branch,
 testing membership in `topo.in_service` and in the island bus tuples. The
 shared row builders must give the same matrices, bounds and parameters, and
-the mask- and island-array code the same numbers, bit for bit.
+the mask- and island-array code the same numbers, bit for bit. The
+reference parameters are one list of (vector, index, coeff) per parameter,
+placed on the stacked [b_in; b_eq; lo; hi] only when compared.
 """
 
 import numpy as np
@@ -50,13 +52,13 @@ def ref_target_lp(case, topo, x_prime):
     b_in = np.concatenate([case.f_max[live], case.f_max[live]]) if live else None
     lo = np.concatenate([np.zeros(n_l), case.gen_min])
     hi = np.concatenate([np.maximum(x_prime.p_load, 0.0), case.gen_max])
-    params = {f"xp_d{i}": [(lp.KIND_HI, i, 1.0)] for i in range(n_l)}
+    params = [[("hi", i, 1.0)] for i in range(n_l)]   # P'_d
     return lp.LpProblem(
         c=c,
         a_eq=np.vstack(eq_rows) if eq_rows else None,
         b_eq=np.array(eq_rhs) if eq_rows else None,
-        a_in=a_in, b_in=b_in, lo=lo, hi=hi, params=params,
-    )
+        a_in=a_in, b_in=b_in, lo=lo, hi=hi,
+    ), params
 
 
 def ref_execute_lp(case, topo, x_prime, x_star, tau_d):
@@ -64,7 +66,7 @@ def ref_execute_lp(case, topo, x_prime, x_star, tau_d):
     n_vars = n_l + 3 * n_g
     c = np.concatenate([case.c_load, np.zeros(n_g), case.c_gen, case.c_gen])
     eq_rows, eq_rhs = ref_island_balance_rows(case, topo, n_vars)
-    params = {}
+    terms = {}
     for j in range(n_g):
         row = np.zeros(n_vars)
         row[n_l + j] = 1.0
@@ -72,7 +74,7 @@ def ref_execute_lp(case, topo, x_prime, x_star, tau_d):
         row[n_l + 2 * n_g + j] = 1.0
         eq_rows.append(row)
         eq_rhs.append(x_star.p_gen[j])
-        params[f"xs_g{j}"] = [(lp.KIND_EQ, len(eq_rhs) - 1, 1.0)]
+        terms[f"xs_g{j}"] = [("eq", len(eq_rhs) - 1, 1.0)]
     a_in = np.zeros((2 * n_g, n_vars))
     b_in = np.zeros(2 * n_g)
     window = tau_d * case.gen_ramp
@@ -81,18 +83,22 @@ def ref_execute_lp(case, topo, x_prime, x_star, tau_d):
         b_in[j] = x_prime.p_gen[j] + window[j]
         a_in[n_g + j, n_l + j] = -1.0
         b_in[n_g + j] = -x_prime.p_gen[j] + window[j]
-        params[f"xp_g{j}"] = [(lp.KIND_IN, j, 1.0), (lp.KIND_IN, n_g + j, -1.0)]
+        terms[f"xp_g{j}"] = [("in", j, 1.0), ("in", n_g + j, -1.0)]
     hi_d = np.maximum(x_prime.p_load, 0.0)
     lo_d = np.minimum(np.maximum(x_star.p_load, 0.0), hi_d)
     lo = np.concatenate([lo_d, case.gen_min, np.zeros(2 * n_g)])
     hi = np.concatenate([hi_d, case.gen_max, np.full(2 * n_g, np.inf)])
     for i in range(n_l):
-        params[f"xs_d{i}"] = [(lp.KIND_LO, i, 1.0)]
-        params[f"xp_d{i}"] = [(lp.KIND_HI, i, 1.0)]
+        terms[f"xs_d{i}"] = [("lo", i, 1.0)]
+        terms[f"xp_d{i}"] = [("hi", i, 1.0)]
+    # columns of d x/d x*, then of d x/d x', each in [P_d; P_g] order
+    order = ([f"xs_d{i}" for i in range(n_l)] + [f"xs_g{j}" for j in range(n_g)]
+             + [f"xp_d{i}" for i in range(n_l)] + [f"xp_g{j}" for j in range(n_g)])
+    params = [terms[name] for name in order]
     return lp.LpProblem(
         c=c, a_eq=np.vstack(eq_rows), b_eq=np.array(eq_rhs),
-        a_in=a_in, b_in=b_in, lo=lo, hi=hi, params=params,
-    )
+        a_in=a_in, b_in=b_in, lo=lo, hi=hi,
+    ), params
 
 
 def ref_rm_lp(case, topo, x_pre, x_star0, gamma, r_prime0, r_expected):
@@ -126,7 +132,6 @@ def ref_rm_lp(case, topo, x_pre, x_star0, gamma, r_prime0, r_expected):
     return lp.LpProblem(
         c=c, a_eq=np.vstack(eq_rows), b_eq=np.array(eq_rhs),
         a_in=np.vstack(rows), b_in=np.array(rhs), lo=lo, hi=hi,
-        params={"risk_row": [(lp.KIND_IN, 0, 1.0)]},
     ), len(live)
 
 
@@ -195,11 +200,21 @@ def after_fast_process(case, outages):
     return fast.final_topology, fast.final_state
 
 
-def assert_same_lp(new, ref):
+def ref_stacked_entries(prob, params):
+    """The sorted (at, param, coeff) entries of the reference parameters."""
+    m_in, m_eq = prob.b_in.size, prob.b_eq.size
+    offset = {"in": 0, "eq": m_in, "lo": m_in + m_eq, "hi": m_in + m_eq + prob.n}
+    return sorted((offset[vec] + idx, p, coeff)
+                  for p, terms in enumerate(params) for vec, idx, coeff in terms)
+
+
+def assert_same_lp(new, ref, ref_params=()):
     for name in ("c", "a_eq", "b_eq", "a_in", "b_in", "lo", "hi"):
         assert np.array_equal(getattr(new, name), getattr(ref, name)), name
-    assert new.params == ref.params
-    assert list(new.params) == list(ref.params)
+    count, at, param, coeff = new.params
+    assert count == len(ref_params)
+    assert sorted(zip(at.tolist(), param.tolist(), coeff.tolist())) == \
+        ref_stacked_entries(ref, ref_params)
 
 
 @pytest.fixture()
@@ -225,8 +240,8 @@ def test_target_and_execute_lps_match_reference(name, outages, request, captured
     tgt = cascade.dispatch_target(case, topo, x_prime)
     cascade.dispatch_execute(case, topo, x_prime, tgt.x_star, 15.0)
     new_target, new_execute = captured_lps[start:]
-    assert_same_lp(new_target, ref_target_lp(case, topo, x_prime))
-    assert_same_lp(new_execute, ref_execute_lp(case, topo, x_prime, tgt.x_star, 15.0))
+    assert_same_lp(new_target, *ref_target_lp(case, topo, x_prime))
+    assert_same_lp(new_execute, *ref_execute_lp(case, topo, x_prime, tgt.x_star, 15.0))
 
 
 @pytest.mark.parametrize("name,outages", SCENARIOS)

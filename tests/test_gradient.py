@@ -12,13 +12,13 @@ class TestCompression:
     def test_zero_threshold_lossless(self):
         m = np.array([[1e-6, 0.2], [0.5, 1e-9]])
         c = gradient.compress(m, 0.0)
-        np.testing.assert_array_equal(c.to_dense(), m)
+        np.testing.assert_array_equal(gradient.to_dense(c), m)
 
     def test_threshold_drops_small_entries(self):
         m = np.array([[1e-6, 0.2], [0.5, 1e-9]])
         c = gradient.compress(m, 1e-5)
         assert c.nnz == 2
-        dense = c.to_dense()
+        dense = gradient.to_dense(c)
         assert dense[0, 1] == 0.2 and dense[1, 0] == 0.5
         assert dense[0, 0] == 0.0 and dense[1, 1] == 0.0
 
@@ -26,7 +26,7 @@ class TestCompression:
         rng = np.random.default_rng(3)
         m = rng.normal(scale=1e-4, size=(30, 30))
         thr = 1e-4
-        diff = gradient.compress(m, thr).to_dense() - m
+        diff = gradient.to_dense(gradient.compress(m, thr)) - m
         assert np.abs(diff).max() < thr
         kept = np.abs(m) >= thr
         assert np.all(diff[kept] == 0.0)

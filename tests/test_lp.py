@@ -8,6 +8,11 @@ from hypothesis import strategies as st
 from gridrisk import lp
 
 
+def unit_params(at):
+    """One parameter per stacked position in `at`, each with coefficient 1."""
+    return (len(at), at, np.arange(len(at)), np.ones(len(at)))
+
+
 def split_abs_problem(cap=2.0, target=5.0):
     # min |x - target| with x <= cap, via x - u + v = target, min u+v
     return lp.LpProblem(
@@ -16,7 +21,7 @@ def split_abs_problem(cap=2.0, target=5.0):
         b_eq=[target],
         lo=[0.0, 0.0, 0.0],
         hi=[cap, np.inf, np.inf],
-        params={"target": [(lp.KIND_EQ, 0, 1.0)], "cap": [(lp.KIND_HI, 0, 1.0)]},
+        params=unit_params([0, 4]),   # the target (b_eq[0]) and the cap (hi[0])
     )
 
 
@@ -65,12 +70,27 @@ class TestSolve:
         with pytest.raises(ValueError):
             lp.LpProblem(c=[1.0], lo=[2.0], hi=[1.0])
 
+    @pytest.mark.parametrize("params, match", [
+        ((1, [7], [0], [1.0]), "parameter position"),   # 1 + 3 + 3 stacked entries
+        ((1, [-1], [0], [1.0]), "parameter position"),
+        ((1, [0], [1], [1.0]), "parameter index"),
+        ((2, [0], [-1], [1.0]), "parameter index"),
+        ((2, [0, 4], [0, 1], [1.0]), "equal length"),
+        ((2, [0, 4], [0], [1.0, 1.0]), "equal length"),
+        ((1, [0], [0], [np.nan]), "must be finite"),
+        ((1, [0], [0], [-np.inf]), "must be finite"),
+    ])
+    def test_param_validation(self, params, match):
+        with pytest.raises(ValueError, match=match):
+            lp.LpProblem(c=[0.0, 1.0, 1.0], a_eq=[[1.0, -1.0, 1.0]], b_eq=[5.0],
+                         lo=[0.0, 0.0, 0.0], hi=[2.0, np.inf, np.inf], params=params)
+
 
 class TestSensitivity:
     def test_binding_bound_moves_one_for_one(self):
         prob = lp.LpProblem(
             c=[-1.0], a_in=[[1.0]], b_in=[3.0], lo=[0.0], hi=[np.inf],
-            params={"b": [(lp.KIND_IN, 0, 1.0)]},
+            params=unit_params([0]),
         )
         sens = lp.solution_sensitivity(prob, lp.solve_lp(prob))
         assert sens.matrix[0, 0] == pytest.approx(1.0, abs=1e-12)
@@ -79,7 +99,7 @@ class TestSensitivity:
     def test_nonbinding_parameter_zero(self):
         prob = lp.LpProblem(
             c=[-1.0], a_in=[[1.0]], b_in=[3.0], lo=[0.0], hi=[10.0],
-            params={"hi": [(lp.KIND_HI, 0, 1.0)]},
+            params=unit_params([2]),
         )
         sens = lp.solution_sensitivity(prob, lp.solve_lp(prob))
         assert sens.matrix[0, 0] == 0.0
@@ -88,9 +108,8 @@ class TestSensitivity:
         prob = split_abs_problem()
         sol = lp.solve_lp(prob)
         sens = lp.solution_sensitivity(prob, sol)
-        cols = {n: k for k, n in enumerate(sens.param_names)}
-        assert sens.matrix[0, cols["target"]] == pytest.approx(0.0, abs=1e-12)
-        assert sens.matrix[0, cols["cap"]] == pytest.approx(1.0, abs=1e-12)
+        assert sens.matrix[0, 0] == pytest.approx(0.0, abs=1e-12)   # target
+        assert sens.matrix[0, 1] == pytest.approx(1.0, abs=1e-12)   # cap
 
     def test_duals_match_objective_slope(self):
         prob = split_abs_problem()
@@ -116,7 +135,7 @@ class TestSensitivity:
             b_eq=[2.0],
             lo=[1.0, 0.0],
             hi=[1.0, 5.0],
-            params={"lo0": [(lp.KIND_LO, 0, 1.0)]},
+            params=unit_params([1]),
         )
         sol = lp.solve_lp(prob)
         sens = lp.solution_sensitivity(prob, sol)
@@ -128,9 +147,9 @@ class TestSensitivity:
             return lp.LpProblem(c=[-1.0], a_in=[[1.0], [1.0]], b_in=[1.0, 1.0],
                                 lo=[0.0], hi=[5.0], params=params)
 
-        plain = prob({})
+        plain = prob((0, [], [], []))
         assert lp.solution_sensitivity(plain, lp.solve_lp(plain)).degenerate
-        tagged = prob({"b0": [(lp.KIND_IN, 0, 1.0)], "b1": [(lp.KIND_IN, 1, 1.0)]})
+        tagged = prob(unit_params([0, 1]))
         sens = lp.solution_sensitivity(tagged, lp.solve_lp(tagged))
         assert sens.param_degenerate.sum() == 1
         np.testing.assert_array_equal(sens.matrix[0], ~sens.param_degenerate)
@@ -139,7 +158,7 @@ class TestSensitivity:
         # x0 + x1 = b with x0 at its upper bound 1 leaves the basic x1 at 0:
         # b can rise (x1 follows one for one) but not fall
         prob = lp.LpProblem(c=[-1.0, 0.5], a_eq=[[1.0, 1.0]], b_eq=[1.0],
-                            lo=[0.0, 0.0], hi=[1.0, 5.0], params={"b": [(lp.KIND_EQ, 0, 1.0)]})
+                            lo=[0.0, 0.0], hi=[1.0, 5.0], params=unit_params([0]))
         sol = lp.solve_lp(prob)
         assert sol.col_status[1] == lp._BASIC and sol.x[1] == 0.0
         sens = lp.solution_sensitivity(prob, sol)
@@ -150,7 +169,7 @@ class TestSensitivity:
         # min x0 + x1 over x0 + x1 >= 1: HiGHS returns one end of an optimal
         # edge, and the nonbasic column there has a zero reduced cost
         prob = lp.LpProblem(c=[1.0, 1.0], a_in=[[-1.0, -1.0]], b_in=[-1.0],
-                            lo=[0.0, 0.0], hi=[5.0, 5.0], params={"b": [(lp.KIND_IN, 0, 1.0)]})
+                            lo=[0.0, 0.0], hi=[5.0, 5.0], params=unit_params([0]))
         sol = lp.solve_lp(prob)
         nonbasic = np.flatnonzero(sol.col_status != lp._BASIC)
         assert nonbasic.size == 1 and sol.lo_duals[nonbasic[0]] == 0.0
@@ -168,7 +187,7 @@ class TestSensitivity:
             prob = lp.LpProblem(
                 c=rng.normal(size=n), a_in=a_in, b_in=b_in,
                 lo=x0 - rng.uniform(0.1, 2.0, n), hi=x0 + rng.uniform(0.1, 2.0, n),
-                params={f"b{i}": [(lp.KIND_IN, i, 1.0)] for i in range(m)},
+                params=unit_params(np.arange(m)),
             )
             sol = lp.solve_lp(prob)
             if not sol.optimal:
@@ -200,15 +219,18 @@ REF_RANK_TOL = 1e-9
 
 
 def _hstack_candidates(prob, sol):
-    n = prob.n
-    eq = [((lp.KIND_EQ, i), prob.a_eq[i], True) for i in range(prob.b_eq.size)]
+    """(stacked position in [b_in; b_eq; lo; hi], row, strong) per tight
+    constraint: the equalities, then nonzero-multiplier rows and bounds, then
+    zero-multiplier ones."""
+    n, m_in = prob.n, prob.b_in.size
+    m = m_in + prob.b_eq.size
+    eq = [(m_in + i, prob.a_eq[i], True) for i in range(prob.b_eq.size)]
     strong, weak = [], []
-    for kind, active, duals in ((lp.KIND_IN, sol.active_in, sol.in_duals),
-                                (lp.KIND_LO, sol.active_lo, sol.lo_duals),
-                                (lp.KIND_HI, sol.active_hi, sol.hi_duals)):
+    for offset, rows, active, duals in ((0, prob.a_in, sol.active_in, sol.in_duals),
+                                        (m, np.eye(n), sol.active_lo, sol.lo_duals),
+                                        (m + n, np.eye(n), sol.active_hi, sol.hi_duals)):
         for i in np.flatnonzero(active):
-            row = prob.a_in[i] if kind == lp.KIND_IN else np.eye(n)[i]
-            entry = ((kind, int(i)), row, abs(duals[i]) > REF_DUAL_TOL)
+            entry = (offset + int(i), rows[i], abs(duals[i]) > REF_DUAL_TOL)
             (strong if entry[2] else weak).append(entry)
     return eq + strong + weak
 
@@ -220,9 +242,9 @@ def _hstack_sensitivity(prob, sol):
     and solves the n x n system of the picked rows. Where it reports no
     degeneracy its active set is the unique binding set, so any correct
     frozen-basis derivative agrees with it."""
-    n = prob.n
-    names = list(prob.params.keys())
-    n_par = len(names)
+    n, m_in = prob.n, prob.b_in.size
+    m = m_in + prob.b_eq.size
+    n_par, at, param, coeff = prob.params
     q = np.zeros((n, 0))
     basis_rows = []
     basis_keys = {}
@@ -241,7 +263,7 @@ def _hstack_sensitivity(prob, sol):
             basis_keys[key] = len(basis_rows)
             basis_rows.append(a)
             q = np.hstack([q, (r / nr)[:, None]])
-        elif strong and key[0] != lp.KIND_EQ:
+        elif strong and not m_in <= key < m:   # not an equality
             degenerate = True
     if len(basis_rows) < n:
         degenerate = True
@@ -258,18 +280,16 @@ def _hstack_sensitivity(prob, sol):
     a_basis = np.vstack(basis_rows) if basis_rows else np.zeros((0, n))
     rhs = np.zeros((n, n_par))
     param_deg = np.zeros(n_par, dtype=bool)
-    tight = {(lp.KIND_EQ, i) for i in range(prob.b_eq.size)}
-    tight |= {(lp.KIND_IN, int(i)) for i in np.flatnonzero(sol.active_in)}
-    tight |= {(lp.KIND_LO, int(j)) for j in np.flatnonzero(sol.active_lo)}
-    tight |= {(lp.KIND_HI, int(j)) for j in np.flatnonzero(sol.active_hi)}
-    for p, name in enumerate(names):
-        for kind, idx, coeff in prob.params[name]:
-            key = (kind, int(idx))
-            pos = basis_keys.get(key)
-            if pos is not None:
-                rhs[pos, p] += coeff
-            elif key in tight:
-                param_deg[p] = True
+    tight = set(range(m_in, m))
+    tight |= {int(i) for i in np.flatnonzero(sol.active_in)}
+    tight |= {m + int(j) for j in np.flatnonzero(sol.active_lo)}
+    tight |= {m + n + int(j) for j in np.flatnonzero(sol.active_hi)}
+    for key, p, c in zip(at.tolist(), param.tolist(), coeff.tolist()):
+        pos = basis_keys.get(key)
+        if pos is not None:
+            rhs[pos, p] += c
+        elif key in tight:
+            param_deg[p] = True
     if n_par and np.any(rhs):
         lu, piv = scipy.linalg.lu_factor(a_basis)
         matrix = scipy.linalg.lu_solve((lu, piv), rhs)
@@ -294,7 +314,6 @@ def _random_lps(seed, count, pinch):
         lo = x0 - rng.uniform(0.1, 2.0, n)
         hi = x0 + rng.uniform(0.1, 2.0, n)
         c = rng.normal(size=n)
-        params = {f"b{i}": [(lp.KIND_IN, i, 1.0)] for i in range(m)}
         a_eq = b_eq = None
         if pinch:
             pinched = rng.random(n) < 0.3
@@ -308,11 +327,13 @@ def _random_lps(seed, count, pinch):
             copies = np.vstack([a_eq, a_in[:1] + 1e-8 * rng.normal(size=(1, n))])
             a_in = np.vstack([a_in, copies])
             b_in = np.concatenate([b_in, copies @ x0])
-            params["eq0"] = [(lp.KIND_EQ, 0, 1.0)]
-            params.update({f"lo{j}": [(lp.KIND_LO, j, 1.0)] for j in range(n)})
-            params.update({f"hi{j}": [(lp.KIND_HI, j, 1.0)] for j in range(n)})
+        # the first m inequality rows, and with `pinch` the equality row and
+        # every bound
+        tagged = np.arange(m)
+        if pinch:
+            tagged = np.concatenate([tagged, b_in.size + np.arange(1 + 2 * n)])
         prob = lp.LpProblem(c=c, a_eq=a_eq, b_eq=b_eq, a_in=a_in, b_in=b_in,
-                            lo=lo, hi=hi, params=params)
+                            lo=lo, hi=hi, params=unit_params(tagged))
         sol = lp.solve_lp(prob)
         if sol.optimal:
             made += 1
@@ -320,20 +341,13 @@ def _random_lps(seed, count, pinch):
 
 
 def _param_shifts(prob):
-    """Per parameter, its (kind, index, coeff) spread over the HiGHS rows
-    [A_in; A_eq] and the columns' lower and upper bounds."""
-    m_in = prob.b_in.size
-    rows = np.zeros((m_in + prob.b_eq.size, len(prob.params)))
-    lo, hi = np.zeros((prob.n, len(prob.params))), np.zeros((prob.n, len(prob.params)))
-    for p, terms in enumerate(prob.params.values()):
-        for kind, idx, coeff in terms:
-            if kind == lp.KIND_LO:
-                lo[idx, p] += coeff
-            elif kind == lp.KIND_HI:
-                hi[idx, p] += coeff
-            else:
-                rows[idx + (m_in if kind == lp.KIND_EQ else 0), p] += coeff
-    return rows, lo, hi
+    """Per parameter, its entries spread over the HiGHS rows [A_in; A_eq]
+    and the columns' lower and upper bounds."""
+    count, at, param, coeff = prob.params
+    m = prob.b_in.size + prob.b_eq.size
+    shift = np.zeros((m + 2 * prob.n, count))
+    np.add.at(shift, (at, param), coeff)
+    return shift[:m], shift[m : m + prob.n], shift[m + prob.n :]
 
 
 def assert_frozen_system(prob, sol, sens):
@@ -377,7 +391,9 @@ def generated_lps(draw):
     """3-8 variables, boxed, pinched (lo == hi) or free zero-cost columns,
     inequality rows tight or slack at a feasible point x0, an optional
     equality row, and an optional exact or near (1e-8) copy of a row. Every
-    right-hand side and bound is a parameter."""
+    right-hand side and bound is a parameter; two more move two entries at
+    once: one +1 and another -1 (as P'_g moves both ramp rows of the
+    execution LP), and one row and one bound together."""
     n = draw(st.integers(3, 8))
     m = draw(st.integers(1, 5))
     a_in = np.array(draw(st.lists(GRID, min_size=m * n, max_size=m * n))).reshape(m, n)
@@ -403,11 +419,14 @@ def generated_lps(draw):
         row = draw(st.integers(0, m - 1))
         a_in = np.vstack([a_in, a_in[row] + copy * np.arange(1, n + 1)])
         b_in = np.append(b_in, a_in[-1] @ x0 + slack[row])
-    params = {f"b{i}": [(lp.KIND_IN, i, 1.0)] for i in range(b_in.size)}
-    if a_eq is not None:
-        params["eq0"] = [(lp.KIND_EQ, 0, 1.0)]
-    params.update({f"lo{j}": [(lp.KIND_LO, j, 1.0)] for j in range(n)})
-    params.update({f"hi{j}": [(lp.KIND_HI, j, 1.0)] for j in range(n)})
+    m_rows = b_in.size + (a_eq is not None)
+    size = m_rows + 2 * n   # the stacked [b_in; b_eq; lo; hi]
+    pair = draw(st.lists(st.integers(0, size - 1), min_size=2, max_size=2, unique=True))
+    row, bound = draw(st.integers(0, m_rows - 1)), draw(st.integers(m_rows, size - 1))
+    params = (size + 2,
+              np.concatenate([np.arange(size), pair, [row, bound]]),
+              np.concatenate([np.arange(size), [size, size, size + 1, size + 1]]),
+              np.concatenate([np.ones(size), [1.0, -1.0, 1.0, 1.0]]))
     return lp.LpProblem(c=c, a_eq=a_eq, b_eq=b_eq, a_in=a_in, b_in=b_in,
                         lo=lo, hi=hi, params=params)
 
@@ -449,7 +468,7 @@ def test_generated_lp_sensitivity(prob):
     event("degenerate" if sens.degenerate else "finite differences checked")
     if sens.degenerate:
         return
-    for p in range(len(sens.param_names)):
+    for p in range(prob.params[0]):
         h = _fd_step(prob, sol, p, sens.matrix[:, p])
         if h < 1e-9:
             event("step below 1e-9")
