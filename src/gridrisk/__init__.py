@@ -51,7 +51,7 @@ from .network import (
     parse_case,
     serialize_case,
 )
-from .tree import MarkovTree, SearchBudget, TreeNode, backward_risk_update, search
+from .tree import MarkovTree, TreeNode, backward_risk_update, search
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

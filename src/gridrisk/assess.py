@@ -18,10 +18,17 @@ class InfeasibleBaseCase(RuntimeError):
 
 AUTO_DENSE_BUS_LIMIT = 200   # dense chain storage below, compressed above
 AUTO_THRESHOLD = 1e-5
+POLICIES = ("best-first", "probability-sampled", "exhaustive")
+FD_REL_TOL = 0.05        # finite-difference check: largest relative error
+FD_GAMMA_FLOOR = 1e-3    # finite-difference check: smaller |gamma| is not checked
 
 
 @dataclass
 class AssessmentConfig:
+    """Assessment and tree-search settings. The tree has floor(t_max / tau_d)
+    levels. Policies: best-first (score-guided), probability-sampled and
+    exhaustive (depth-first, children in `exhaustive_order`)."""
+
     tau_d: float = 15.0
     t_max: float = 150.0
     attempts: int = 200
@@ -29,8 +36,11 @@ class AssessmentConfig:
     seed: int = 0
     gradients: bool = True
     threshold: object = "auto"              # None = dense, float = compressed
-    base_dispatch: str = "opf"              # "opf" | "case"
     exhaustive_order: str = "ascending"
+
+    def __post_init__(self):
+        if self.policy not in POLICIES:
+            raise ValueError(f"unknown policy '{self.policy}'")
 
     @property
     def depth(self) -> int:
@@ -44,20 +54,9 @@ class AssessmentConfig:
             return None if case.n_bus < AUTO_DENSE_BUS_LIMIT else AUTO_THRESHOLD
         return self.threshold
 
-    def budget(self) -> mtree.SearchBudget:
-        return mtree.SearchBudget(
-            attempts=self.attempts,
-            depth=self.depth,
-            seed=self.seed,
-            policy=self.policy,
-            exhaustive_order=self.exhaustive_order,
-        )
-
 
 @dataclass
 class Assessment:
-    case: NetworkCase
-    config: AssessmentConfig
     topo: Topology
     x_pre: SystemState            # pre-control state (after initial fast process)
     x_target: SystemState         # control target
@@ -98,36 +97,30 @@ class Assessment:
         return out
 
 
-def base_state(case: NetworkCase, base_dispatch: str = "opf") -> SystemState:
-    """Balanced pre-outage dispatch.
-
-    "opf": serve the full case load with the planning LP on the intact
-    network (flow-feasible by construction). "case": keep the case file's
-    generator setpoints, proportionally rebalanced to the load.
-    """
-    topo0 = build_topology(case)
+def base_state(case: NetworkCase) -> SystemState:
+    """Balanced pre-outage dispatch: the planning LP serving the full case
+    load on the intact network (flow-feasible by construction)."""
     full = case.base_state()
-    if base_dispatch == "opf":
-        tgt = cascade.dispatch_target(case, topo0, full, jacobians=False)
-        if tgt.fallback:
-            raise InfeasibleBaseCase("planning LP infeasible on the intact network")
-        served = tgt.x_star.total_load()
-        if served + 1e-6 < full.total_load():
-            raise InfeasibleBaseCase(
-                f"intact network can only serve {served:.3f} of "
-                f"{full.total_load():.3f} MW base load"
-            )
-        return tgt.x_star
-    if base_dispatch == "case":
-        state, _, cost, _ = cascade._rebalance(case, topo0, full, jacobians=False)
-        if cost > 0:
-            raise InfeasibleBaseCase("case dispatch cannot cover the base load")
-        if np.any(state.p_gen > case.gen_max + 1e-9) or np.any(
-            state.p_gen < case.gen_min - 1e-9
-        ):
-            raise InfeasibleBaseCase("case dispatch violates generator bounds")
-        return state
-    raise ValueError(f"unknown base_dispatch '{base_dispatch}'")
+    tgt = cascade.dispatch_target(case, build_topology(case), full, jacobians=False)
+    if tgt.fallback:
+        raise InfeasibleBaseCase("planning LP infeasible on the intact network")
+    served = tgt.x_star.total_load()
+    if served + 1e-6 < full.total_load():
+        raise InfeasibleBaseCase(
+            f"intact network can only serve {served:.3f} of "
+            f"{full.total_load():.3f} MW base load"
+        )
+    return tgt.x_star
+
+
+def pre_control(case: NetworkCase, initial_outages) -> cascade.ShortTimescaleTrace:
+    """The fast process the initial outages start from the base dispatch. It
+    ends in the pre-control state and does not depend on the control target."""
+    x_base = base_state(case)
+    topo1, _ = apply_outage(case, build_topology(case), initial_outages)
+    return cascade.short_timescale_process(
+        case, topo1, x_base, initial_trips=tuple(sorted(initial_outages)), jacobians=False
+    )
 
 
 def run_assessment(
@@ -135,19 +128,17 @@ def run_assessment(
     initial_outages,
     config: AssessmentConfig,
     control_target: SystemState | None = None,
+    fast: cascade.ShortTimescaleTrace | None = None,
 ) -> Assessment:
     """Assess subsequent cascading risk after the initial outages.
 
+    `fast` is `pre_control(case, initial_outages)`, computed when not given.
     The control target defaults to the conventional re-dispatch plan (the
     planning LP on the post-outage network); the tree is rooted at the state
     the execution LP reaches within one interval.
     """
-    x_base = base_state(case, config.base_dispatch)
-    topo0 = build_topology(case)
-    topo1, _ = apply_outage(case, topo0, initial_outages)
-    fast = cascade.short_timescale_process(
-        case, topo1, x_base, initial_trips=tuple(sorted(initial_outages)), jacobians=False
-    )
+    if fast is None:
+        fast = pre_control(case, initial_outages)
     x_pre = fast.final_state
     topo1 = fast.final_topology
 
@@ -167,10 +158,8 @@ def run_assessment(
         gradients=config.gradients,
         threshold=config.resolve_threshold(case),
     )
-    history = mtree.search(t, config.budget())
+    history = mtree.search(t, config)
     return Assessment(
-        case=case,
-        config=config,
         topo=topo1,
         x_pre=x_pre,
         x_target=control_target,
@@ -254,8 +243,6 @@ def validate_gradient(
     config: AssessmentConfig,
     control_target: SystemState | None = None,
     step: float = 0.25,
-    rel_tol: float = 0.05,
-    gamma_floor: float = 1e-3,
 ) -> GradientValidation:
     """Compare the accumulated gradient against central finite differences of
     the exhaustively assessed subsequent risk over each control component.
@@ -266,11 +253,13 @@ def validate_gradient(
     execution LP clips at the pre-control load (`P*_d > P'_d`): that clip is
     a kink no active set records. Requires an exhaustive budget so both sides
     see the identical tree. Passes only when at least one component was
-    checked and every checked component is within `rel_tol`.
+    checked and every checked component with |gamma| above `FD_GAMMA_FLOOR`
+    is within `FD_REL_TOL`.
     """
     if config.policy != "exhaustive":
         raise ValueError("gradient validation requires an exhaustive search budget")
-    center = run_assessment(case, initial_outages, config, control_target)
+    fast = pre_control(case, initial_outages)
+    center = run_assessment(case, initial_outages, config, control_target, fast)
     target = center.x_target
     sig0 = center.signature()
     clip0 = _clipped_loads(target, center.x_pre)
@@ -286,7 +275,7 @@ def validate_gradient(
         vals = []
         for sign in (+1.0, -1.0):
             perturbed = SystemState.from_x(target.x + sign * delta, case.n_load)
-            a = run_assessment(case, initial_outages, fd_config, perturbed)
+            a = run_assessment(case, initial_outages, fd_config, perturbed, fast)
             vals.append(a.r_prime)
             if a.signature() != sig0 or not np.array_equal(
                 _clipped_loads(perturbed, a.x_pre), clip0
@@ -298,12 +287,12 @@ def validate_gradient(
     passed = True
     checked = 0
     for i in range(n):
-        if abs(gamma[i]) <= gamma_floor:
+        if abs(gamma[i]) <= FD_GAMMA_FLOOR:
             continue
         rel_err[i] = abs(fd[i] - gamma[i]) / abs(gamma[i])
         if not flagged[i]:
             checked += 1
-            if rel_err[i] > rel_tol:
+            if rel_err[i] > FD_REL_TOL:
                 passed = False
     frac = 1.0 - flagged.mean()
     return GradientValidation(

@@ -232,7 +232,6 @@ def short_timescale_process(
     topo: Topology,
     state: SystemState,
     initial_trips: tuple = (),
-    max_events: int = MAX_FAST_EVENTS,
     jacobians: bool = True,
 ) -> ShortTimescaleTrace:
     """Instantaneous cascade between stochastic outages.
@@ -241,8 +240,8 @@ def short_timescale_process(
     until no branch trips. `initial_trips` names the already-removed branches
     whose outage starts the process, so the event list mirrors the full
     outage sequence. Each iteration with a trip strictly shrinks the
-    in-service set, so the loop terminates; `max_events` is a safety valve
-    that sheds all remaining load when exceeded.
+    in-service set, so the loop terminates; `MAX_FAST_EVENTS` is a safety
+    valve that sheds all remaining load when exceeded.
     """
     events: list[FastEvent] = []
     cur_topo = topo
@@ -253,7 +252,7 @@ def short_timescale_process(
     pending_trips: tuple = tuple(initial_trips)
     truncated = False
 
-    for _ in range(max_events):
+    for _ in range(MAX_FAST_EVENTS):
         new_state, jac_step, cost_step, dcost_step = _rebalance(
             case, cur_topo, cur_state, jacobians
         )
@@ -276,7 +275,7 @@ def short_timescale_process(
         cur_topo, _ = apply_outage(case, cur_topo, over)
         pending_trips = tuple(over)
     else:
-        # Did not settle within max_events: shed everything left and flag it.
+        # Did not settle within MAX_FAST_EVENTS: shed everything left and flag it.
         truncated = True
         cost_total += float(case.c_load @ cur_state.p_load)
         cur_state = SystemState(np.zeros(case.n_load), np.zeros(case.n_gen))

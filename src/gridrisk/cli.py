@@ -46,7 +46,6 @@ class RunConfig:
     delta_r: float | list | None = None     # None = adaptive schedule
     threshold: float | str | None = "auto"  # "auto", None = dense, float = compressed
     out: str = "out"
-    base_dispatch: str = "opf"
     failure_rate: dict = field(default_factory=dict)
     costs: dict = field(default_factory=dict)
     epsilon_stop: float | None = None
@@ -85,7 +84,6 @@ class RunConfig:
             seed=self.seed,
             gradients=gradients,
             threshold=self.threshold,
-            base_dispatch=self.base_dispatch,
         )
 
 

@@ -131,14 +131,3 @@ def convergence_indices(gammas: list, reference: np.ndarray):
         else:
             deltas_dir.append(None)
     return deltas, deltas_dir
-
-
-def first_stable_below(values: list, level: float) -> int | None:
-    """1-based index from which the sequence stays below `level` (None if never)."""
-    idx = None
-    for i, v in enumerate(values):
-        if v is None or v >= level:
-            idx = None
-        elif idx is None:
-            idx = i + 1
-    return idx

@@ -306,26 +306,3 @@ def solution_sensitivity(prob: LpProblem, sol: LpSolution) -> SensitivityResult:
         degenerate=degenerate or bool(param_deg.any()),
         param_degenerate=param_deg,
     )
-
-
-def kkt_residuals(prob: LpProblem, sol: LpSolution) -> dict:
-    """Primal feasibility, complementary slackness and stationarity residuals."""
-    x = sol.x
-    out = {
-        "eq": float(np.max(np.abs(prob.a_eq @ x - prob.b_eq))) if prob.b_eq.size else 0.0,
-        "in": float(np.max(prob.a_in @ x - prob.b_in)) if prob.b_in.size else 0.0,
-        "lo": float(np.max(np.where(np.isfinite(prob.lo), prob.lo - x, 0.0))),
-        "hi": float(np.max(np.where(np.isfinite(prob.hi), x - prob.hi, 0.0))),
-    }
-    comp = 0.0
-    if prob.b_in.size:
-        comp = float(np.max(np.abs(sol.in_duals * (prob.b_in - prob.a_in @ x))))
-    out["complementarity"] = comp
-    # scipy marginals are d objective / d RHS; recover multipliers from them.
-    grad = prob.c - (prob.a_eq.T @ sol.eq_duals if prob.b_eq.size else 0.0)
-    if prob.b_in.size:
-        grad = grad - prob.a_in.T @ sol.in_duals
-    grad = grad - sol.lo_duals - sol.hi_duals
-    out["stationarity"] = float(np.max(np.abs(grad)))
-    return out
-

@@ -10,11 +10,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import lp
-from .assess import Assessment, AssessmentConfig, control_cost_value, run_assessment
+from .assess import (
+    Assessment, AssessmentConfig, control_cost_value, pre_control, run_assessment,
+)
 from .cascade import _flow_limit_rows, _island_balance_rows, _move_split_rows
 from .network import NetworkCase, SystemState, Topology
 
 MAX_REJECTIONS = 4   # rejected IRM rounds before the loop stops
+MAX_HALVINGS = 10    # halvings of an infeasible RM risk decrease before giving up
 
 
 def build_rm(
@@ -85,12 +88,11 @@ def rm_step(
     gamma_assessed: np.ndarray,
     r_prime0: float,
     delta_r: float,
-    max_halvings: int = 10,
 ) -> RmStepResult:
     """One risk-management solve toward an expected risk decrease delta_r.
 
     The assessed gradient dR'/dx* is negated into the risk-row orientation;
-    an infeasible decrease is halved (at most `max_halvings` times); with
+    an infeasible decrease is halved (at most `MAX_HALVINGS` times); with
     delta_r = 0 the current target is returned untouched at zero cost.
     """
     if delta_r <= 0.0:
@@ -108,7 +110,7 @@ def rm_step(
         if sol.optimal:
             break
         halvings += 1
-        if halvings > max_halvings:
+        if halvings > MAX_HALVINGS:
             return RmStepResult(
                 x_star=x_star0, cost=0.0, predicted_r_prime=r_prime0,
                 delta_r=delta_r, feasible=False, halvings=halvings,
@@ -174,10 +176,12 @@ def irm(case: NetworkCase, initial_outages, config: RmConfig) -> IrmTrajectory:
     A round is accepted when the re-assessed subsequent risk drops by more
     than epsilon_stop; otherwise the step size is halved and the round is
     recorded as rejected. The loop stops on the rejection budget, the
-    iteration cap, or when no further decrease is expected.
+    iteration cap, or when no further decrease is expected. Every round
+    starts from the same pre-control state, computed once.
     """
     assess_cfg = config.assessment
-    current = run_assessment(case, initial_outages, assess_cfg)
+    fast = pre_control(case, initial_outages)
+    current = run_assessment(case, initial_outages, assess_cfg, fast=fast)
     r0 = current.r_prime
     eps = config.epsilon_stop
     if eps is None:
@@ -208,7 +212,7 @@ def irm(case: NetworkCase, initial_outages, config: RmConfig) -> IrmTrajectory:
         )
         if not step.feasible or not step.changed:
             break
-        trial = run_assessment(case, initial_outages, assess_cfg, step.x_star)
+        trial = run_assessment(case, initial_outages, assess_cfg, step.x_star, fast)
         improved = current.r_prime - trial.r_prime > eps
         rounds.append(
             IrmRound(

@@ -427,17 +427,26 @@ def flow_sensitivity(case: NetworkCase, topo: Topology) -> np.ndarray:
 _REQUIRED = object()
 
 
+def _integer(value, key: str, entity: str) -> int:
+    """`value` as an int; a boolean or a non-integral number is refused, not truncated."""
+    if isinstance(value, bool) or int(value) != float(value):
+        raise CaseSemanticError(f"'{key}' must be an integer, got {value!r}", entity)
+    return int(value)
+
+
 def _number(row: dict, key: str, entity: str, default=_REQUIRED, kind=float):
     """`kind(row[key])`, or `default` when the key is absent. A missing
-    required key, or a value `kind` cannot convert, names the entity and key."""
+    required key, a value `kind` cannot convert, or (for `int`) a boolean or
+    non-integral value names the entity and key."""
     if key not in row:
         if default is _REQUIRED:
             raise CaseSemanticError(f"missing key '{key}'", entity)
         return default
     try:
-        return kind(row[key])
+        number = kind(row[key])
     except (TypeError, ValueError, OverflowError):
         raise CaseSemanticError(f"'{key}' must be a number, got {row[key]!r}", entity) from None
+    return _integer(row[key], key, entity) if kind is int else number
 
 
 def _parameter_defaults(source: dict) -> tuple[dict, float, float, float]:
@@ -603,8 +612,9 @@ def _parse_matpower(text: str, defaults: dict | None = None) -> NetworkCase:
     for off, row in enumerate(bus_rows):
         if len(row) < 13:
             raise CaseSyntaxError("bus row needs 13 columns", bus_line + off, 1)
-        bid = int(row[0])
-        buses.append(Bus(id=bid, kind=int(row[1])))
+        where = f"bus row {off + 1}"
+        bid = _integer(row[0], "BUS_I", where)
+        buses.append(Bus(id=bid, kind=_integer(row[1], "BUS_TYPE", where)))
         if row[2] != 0.0:
             loads.append(
                 Load(id=len(loads) + 1, bus=bid, p=row[2], cost=shed_cost)
@@ -615,7 +625,8 @@ def _parse_matpower(text: str, defaults: dict | None = None) -> NetworkCase:
     for off, row in enumerate(gen_rows):
         if len(row) < 10:
             raise CaseSyntaxError("gen row needs 10 columns", gen_line + off, 1)
-        bus, pg, status, pmax, pmin = int(row[0]), row[1], row[7], row[8], row[9]
+        bus = _integer(row[0], "GEN_BUS", f"gen row {off + 1}")
+        pg, status, pmax, pmin = row[1], row[7], row[8], row[9]
         if status <= 0 or pmax <= 0:
             continue  # offline units and synchronous condensers
         if bus not in bus_ids:
@@ -632,7 +643,9 @@ def _parse_matpower(text: str, defaults: dict | None = None) -> NetworkCase:
     for off, row in enumerate(br_rows):
         if len(row) < 11:
             raise CaseSyntaxError("branch row needs 11 columns", br_line + off, 1)
-        f_bus, t_bus, x, rate_a, status = int(row[0]), int(row[1]), row[3], row[5], row[10]
+        f_bus = _integer(row[0], "F_BUS", f"branch row {off + 1}")
+        t_bus = _integer(row[1], "T_BUS", f"branch row {off + 1}")
+        x, rate_a, status = row[3], row[5], row[10]
         if status <= 0:
             continue
         bid = len(branches) + 1
@@ -697,14 +710,3 @@ def serialize_case(case: NetworkCase) -> str:
         ],
     }
     return json.dumps(doc, indent=1, sort_keys=True)
-
-
-def case_equal(a: NetworkCase, b: NetworkCase) -> bool:
-    """Structural equality of two cases (used by round-trip tests)."""
-    return (
-        a.base_mva == b.base_mva
-        and a.buses == b.buses
-        and a.branches == b.branches
-        and a.generators == b.generators
-        and a.loads == b.loads
-    )

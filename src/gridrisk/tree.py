@@ -21,48 +21,19 @@ from .network import NetworkCase, SystemState, Topology
 MAX_EXHAUSTIVE_NODES = 200_000
 
 
-@dataclass
-class SearchBudget:
-    """Tree-search configuration.
-
-    depth is the number of levels n = floor(T_max / tau_d); policies:
-    best-first (score-guided), probability-sampled, exhaustive (depth-first
-    enumeration, `exhaustive_order` picks the child visiting order).
-    Exhaustive search refuses label spaces larger than
-    `MAX_EXHAUSTIVE_NODES` (counted as (elements+1)^depth). A search stops
-    early once an exhaustive or best-first policy has visited everything.
-    """
-
-    attempts: int
-    depth: int
-    seed: int = 0
-    policy: str = "probability-sampled"
-    exhaustive_order: str = "ascending"
-
-    def __post_init__(self):
-        if self.depth < 1:
-            raise ValueError("depth must be >= 1")
-        if self.policy not in ("best-first", "probability-sampled", "exhaustive"):
-            raise ValueError(f"unknown policy '{self.policy}'")
-
-    def check_exhaustive_size(self, n_elements: int) -> None:
-        if self.policy != "exhaustive":
-            return
-        # (n+1)^depth multiplied out only until it passes the bound: a depth of
-        # millions would otherwise build a huge integer (n = 0 leaves it at 1)
-        labels = 1
-        for _ in range(self.depth if n_elements else 0):
-            labels *= n_elements + 1
-            if labels > MAX_EXHAUSTIVE_NODES:
-                break
+def check_exhaustive_size(depth: int, n_elements: int) -> None:
+    """Refuse an exhaustive search over more than `MAX_EXHAUSTIVE_NODES`
+    labels, counted as (elements+1)^depth."""
+    # (n+1)^depth multiplied out only until it passes the bound: a depth of
+    # millions would otherwise build a huge integer (n = 0 leaves it at 1)
+    labels = 1
+    for _ in range(depth if n_elements else 0):
+        labels *= n_elements + 1
         if labels > MAX_EXHAUSTIVE_NODES:
             raise ValueError(
-                f"exhaustive search over {n_elements + 1}^{self.depth} labels "
+                f"exhaustive search over {n_elements + 1}^{depth} labels "
                 f"exceeds the {MAX_EXHAUSTIVE_NODES} node bound"
             )
-
-    def rng(self) -> np.random.Generator:
-        return np.random.default_rng(self.seed)
 
 
 @dataclass
@@ -221,12 +192,6 @@ class MarkovTree:
         self.nodes[label] = child
         return child
 
-    def _descend(self, node: TreeNode, event_id: int, attempt: int) -> TreeNode:
-        child = node.children.get(event_id)
-        if child is None:
-            child = self._make_child(node, event_id, attempt)
-        return child
-
     # -- policies -----------------------------------------------------------
 
     def _pick_exhaustive(self, node: TreeNode, order: str) -> int | None:
@@ -270,8 +235,7 @@ class MarkovTree:
 
     # -- public operations ----------------------------------------------------
 
-    def expand_path(self, budget: SearchBudget, rng: np.random.Generator,
-                    attempt: int) -> list | None:
+    def expand_path(self, config, rng: np.random.Generator, attempt: int) -> list | None:
         """Simulate one root-to-termination path, creating missing nodes.
 
         Returns the visited nodes below the root (leaf last), or None when an
@@ -284,17 +248,15 @@ class MarkovTree:
         path: list[TreeNode] = []
         while not node.terminal:
             self._open_node(node)
-            if budget.policy == "exhaustive":
-                eid = self._pick_exhaustive(node, budget.exhaustive_order)
-                if eid is None:
-                    return path or None
-            elif budget.policy == "probability-sampled":
+            if config.policy == "probability-sampled":
                 eid = self._pick_sampled(node, rng)
+            elif config.policy == "exhaustive":
+                eid = self._pick_exhaustive(node, config.exhaustive_order)
             else:
                 eid = self._pick_best_first(node)
-                if eid is None:
-                    return path or None
-            node = self._descend(node, eid, attempt)
+            if eid is None:
+                return path or None
+            node = node.children.get(eid) or self._make_child(node, eid, attempt)
             path.append(node)
             if not node.visited:
                 node.visited = True
@@ -325,17 +287,19 @@ class ConvergenceHistory:
     gammas: list = field(default_factory=list)  # raw root gradient snapshots
 
 
-def search(tree: MarkovTree, budget: SearchBudget) -> ConvergenceHistory:
-    """Run forward expansion + backward updates `budget.attempts` times.
+def search(tree: MarkovTree, config) -> ConvergenceHistory:
+    """Run forward expansion + backward updates `config.attempts` times, as
+    `config` (an `assess.AssessmentConfig`) sets them.
 
     With `tree.gradients` the risk-gradient backward pass follows each risk
     update; per-attempt R' and the root gradient accumulator are recorded.
     """
-    budget.check_exhaustive_size(int(tree.root.topo.mask.sum()))
-    rng = budget.rng()
+    if config.policy == "exhaustive":
+        check_exhaustive_size(tree.depth, int(tree.root.topo.mask.sum()))
+    rng = np.random.default_rng(config.seed)
     history = ConvergenceHistory()
-    for attempt in range(1, budget.attempts + 1):
-        path = tree.expand_path(budget, rng, attempt)
+    for attempt in range(1, config.attempts + 1):
+        path = tree.expand_path(config, rng, attempt)
         if path is None:
             break
         if path:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridrisk import cases
+from gridrisk import cascade, cases
 from gridrisk.network import parse_case, serialize_case
 from gridrisk.cascade import (
     InternalError,
@@ -333,14 +333,32 @@ class TestTargetSensitivity:
 
 
 class TestTruncation:
-    def test_max_events_sheds_everything_and_flags(self):
+    def test_max_events_sheds_everything_and_flags(self, monkeypatch):
         case = _with_branch_limit(cases.triangle(), 3, 70.0)
         topo = build_topology(case)
         t2, _ = apply_outage(case, topo, {1})
         state = SystemState([100.0], [100.0])
-        trace = short_timescale_process(case, t2, state, initial_trips=(1,),
-                                        max_events=1)
+        monkeypatch.setattr(cascade, "MAX_FAST_EVENTS", 1)
+        trace = short_timescale_process(case, t2, state, initial_trips=(1,))
         assert trace.truncated
         assert trace.final_state.total_load() == 0.0
         assert trace.cost == pytest.approx(100.0 * 10000.0)
         assert np.all(trace.jac == 0.0)
+
+
+def test_rebalance_curtails_case_setpoints(rts96):
+    # the file setpoints exceed the load under the lossless model; rebalancing
+    # curtails each unit in proportion to its output above minimum
+    full = rts96.base_state()
+    surplus = full.p_gen - rts96.gen_min
+    assert full.p_gen.sum() > full.p_load.sum() >= rts96.gen_min.sum()
+    state, _, cost, _ = cascade._rebalance(rts96, build_topology(rts96), full,
+                                           jacobians=False)
+    assert cost == 0.0
+    np.testing.assert_array_equal(state.p_load, full.p_load)
+    assert state.p_gen.sum() == pytest.approx(state.p_load.sum(), abs=1e-6)
+    np.testing.assert_allclose(state.p_gen - rts96.gen_min,
+                               surplus * (state.p_gen.sum() - rts96.gen_min.sum())
+                               / surplus.sum(), rtol=1e-12, atol=1e-9)
+    assert (state.p_gen >= rts96.gen_min - 1e-9).all()
+    assert (state.p_gen <= rts96.gen_max + 1e-9).all()

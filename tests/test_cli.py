@@ -91,7 +91,12 @@ class TestExitCodes:
          "'loads' must be a list of objects [strategy]"),
         ({"generators": {"id": 1, "target_mw": 10.0}},
          "'generators' must be a list of objects [strategy]"),
-    ], ids=["no-id", "no-target", "top-level-list", "row-not-object", "generators-object"])
+        ({"loads": [{"id": 1.9, "target_mw": 10.0}]},
+         "'id' must be an integer, got 1.9 [strategy loads[0]]"),
+        ({"generators": [{"id": True, "target_mw": 10.0}]},
+         "'id' must be an integer, got True [strategy generators[0]]"),
+    ], ids=["no-id", "no-target", "top-level-list", "row-not-object", "generators-object",
+            "non-integral-id", "boolean-id"])
     def test_malformed_strategy(self, toy_case_file, tmp_path, capsys, doc, message):
         strategy = tmp_path / "strategy.json"
         strategy.write_text(json.dumps(doc))
@@ -169,6 +174,8 @@ class TestExitCodes:
         ("delta_r", [50000.0, float("-inf")], "config key 'delta_r' must be finite"),
         ("outages", ["3"], "config key 'outages' must be a list of integer branch ids"),
         ("outages", [3.0], "config key 'outages' must be a list of integer branch ids"),
+        ("policy", "x", "unknown policy 'x'"),
+        ("base_dispatch", "case", "unknown config key 'base_dispatch'"),
     ])
     def test_config_value_rejected(self, toy_case_file, tmp_path, capsys, key, value, message):
         cfg = tmp_path / "run.json"
@@ -221,6 +228,26 @@ class TestExitCodes:
         code = run_cli(["assess", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert code == 2
         assert message in capsys.readouterr().err
+
+    def test_non_integral_case_id(self, tmp_path, capsys):
+        doc = json.loads(serialize_case(cases.toy6()))
+        doc["buses"][0]["id"] = 1.5
+        f = tmp_path / "case.json"
+        f.write_text(json.dumps(doc))
+        code = run_cli(["assess", "--case", str(f), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "'id' must be an integer, got 1.5 [buses[0]]" in capsys.readouterr().err
+
+    def test_strategy_with_integral_float_id(self, toy_case_file, tmp_path):
+        strategy = tmp_path / "strategy.json"
+        strategy.write_text(json.dumps({"loads": [{"id": 1.0, "target_mw": 100.0}]}))
+        argv = ["assess", "--case", toy_case_file, "--outages", "3", "--t-max", "30",
+                "--attempts", "5", "--strategy"]
+        assert run_cli([*argv, str(strategy), "--out", str(tmp_path / "a")]) == 0
+        strategy.write_text(json.dumps({"loads": [{"id": 1, "target_mw": 100.0}]}))
+        assert run_cli([*argv, str(strategy), "--out", str(tmp_path / "b")]) == 0
+        assert ((tmp_path / "a" / "tree.csv").read_text()
+                == (tmp_path / "b" / "tree.csv").read_text())
 
     @pytest.mark.parametrize("kind, eid, text", [
         ("loads", 2, "NaN"), ("loads", 1, "Infinity"), ("generators", 3, "-Infinity"),

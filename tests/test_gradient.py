@@ -69,11 +69,6 @@ class TestConvergenceIndices:
         assert d[0] is None
         assert dd[0] is None
 
-    def test_first_stable_below(self):
-        vals = [0.5, 0.05, 0.2, 0.04, 0.03]
-        assert gradient.first_stable_below(vals, 0.1) == 4
-        assert gradient.first_stable_below([0.5, 0.4], 0.1) is None
-
 
 class TestForwardChain:
     def test_level_zero_identity_and_composition(self):
@@ -194,7 +189,7 @@ class TestControlGradient:
         case = toy6()
         cfg = AssessmentConfig(tau_d=15.0, t_max=30.0, attempts=400,
                                policy="exhaustive", seed=1)
-        val = validate_gradient(case, {1}, cfg, step=0.25, rel_tol=0.05)
+        val = validate_gradient(case, {1}, cfg, step=0.25)
         loads = slice(0, case.n_load)
         assert np.all(val.flagged[loads])
         assert np.all(np.abs(val.gamma[loads]) > 1.0)

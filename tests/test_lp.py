@@ -8,6 +8,28 @@ from hypothesis import strategies as st
 from gridrisk import lp
 
 
+def kkt_residuals(prob: lp.LpProblem, sol: lp.LpSolution) -> dict:
+    """Primal feasibility, complementary slackness and stationarity residuals."""
+    x = sol.x
+    out = {
+        "eq": float(np.max(np.abs(prob.a_eq @ x - prob.b_eq))) if prob.b_eq.size else 0.0,
+        "in": float(np.max(prob.a_in @ x - prob.b_in)) if prob.b_in.size else 0.0,
+        "lo": float(np.max(np.where(np.isfinite(prob.lo), prob.lo - x, 0.0))),
+        "hi": float(np.max(np.where(np.isfinite(prob.hi), x - prob.hi, 0.0))),
+    }
+    comp = 0.0
+    if prob.b_in.size:
+        comp = float(np.max(np.abs(sol.in_duals * (prob.b_in - prob.a_in @ x))))
+    out["complementarity"] = comp
+    # scipy marginals are d objective / d RHS; recover multipliers from them.
+    grad = prob.c - (prob.a_eq.T @ sol.eq_duals if prob.b_eq.size else 0.0)
+    if prob.b_in.size:
+        grad = grad - prob.a_in.T @ sol.in_duals
+    grad = grad - sol.lo_duals - sol.hi_duals
+    out["stationarity"] = float(np.max(np.abs(grad)))
+    return out
+
+
 def unit_params(at):
     """One parameter per stacked position in `at`, each with coefficient 1."""
     return (len(at), at, np.arange(len(at)), np.ones(len(at)))
@@ -63,7 +85,7 @@ class TestSolve:
             )
             sol = lp.solve_lp(prob)
             assert sol.optimal
-            res = lp.kkt_residuals(prob, sol)
+            res = kkt_residuals(prob, sol)
             assert max(res.values()) <= 1e-8
 
     def test_bound_validation(self):

@@ -76,7 +76,7 @@ def test_memo_matches_solving_every_lp(name, outages, config, monkeypatch):
 
 def test_each_lp_solved_once(monkeypatch):
     """A toy6 IRM run solves exactly its memo entries plus its RM LPs, and
-    the intact-network target LP of `base_state` only in the first round."""
+    runs `base_state`, with its intact-network target LP, once."""
     case = cases.toy6()
     solves, rm_builds, base_solves = [], [], []
     solve, build_rm, base_state = lp.solve_lp, management.build_rm, assess.base_state
@@ -102,7 +102,7 @@ def test_each_lp_solved_once(monkeypatch):
     assert len(trajectory.rounds) >= 2 and rm_builds
     entries = sum(len(topo.lp_memo) for topo in case._topo_cache.values())
     assert len(solves) == entries + len(rm_builds)
-    assert base_solves == [1] + [0] * (len(trajectory.rounds) - 1)
+    assert base_solves == [1]
 
 
 @pytest.mark.parametrize("name, outages, config", [

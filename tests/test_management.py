@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from gridrisk import lp
+from gridrisk import lp, management
 from gridrisk.assess import AssessmentConfig, control_cost_value, run_assessment
 from gridrisk.cases import toy6
 from gridrisk.management import (
@@ -78,12 +78,13 @@ class TestRmStep:
         assert res.cost == 0.0
         assert not res.changed
 
-    def test_infeasible_halves_then_gives_up(self, toy6, pre_state):
+    def test_infeasible_halves_then_gives_up(self, toy6, pre_state, monkeypatch):
         topo = build_topology(toy6)
         gamma = np.zeros(toy6.n_x)  # no control authority at all
         gamma[0] = 1e-9
+        monkeypatch.setattr(management, "MAX_HALVINGS", 3)
         res = rm_step(toy6, topo, pre_state, pre_state, gamma,
-                      r_prime0=1e6, delta_r=1e6, max_halvings=3)
+                      r_prime0=1e6, delta_r=1e6)
         assert not res.feasible
         assert res.halvings == 4
 

@@ -13,12 +13,23 @@ from gridrisk.network import (
     SystemState,
     apply_outage,
     build_topology,
-    case_equal,
     dc_power_flow,
     flow_sensitivity,
     parse_case,
     serialize_case,
 )
+
+
+def case_equal(a, b) -> bool:
+    """Structural equality of two cases."""
+    return (
+        a.base_mva == b.base_mva
+        and a.buses == b.buses
+        and a.branches == b.branches
+        and a.generators == b.generators
+        and a.loads == b.loads
+    )
+
 
 MINIMAL_2BUS = {
     "base_mva": 100.0,
@@ -129,6 +140,10 @@ class TestParsing:
         (("costs",), {"load_shed": "x"}, "costs", "'load_shed' must be a number, got 'x'"),
         (("failure_rate",), [1], None, "'failure_rate' must be an object"),
         (("base_mva",), "x", "case", "'base_mva' must be a number, got 'x'"),
+        (("buses", 0, "id"), 1.5, "buses[0]", "'id' must be an integer, got 1.5"),
+        (("buses", 1, "kind"), 1.9, "bus 2", "'kind' must be an integer, got 1.9"),
+        (("loads", 0, "id"), True, "loads[0]", "'id' must be an integer, got True"),
+        (("loads", 0, "bus"), 2.5, "load 1", "'bus' must be an integer, got 2.5"),
     ])
     def test_malformed_native_value_named(self, path, value, entity, message):
         doc = json.loads(json.dumps(MINIMAL_2BUS))
@@ -143,6 +158,35 @@ class TestParsing:
         with pytest.raises(CaseSemanticError, match=re.escape(message)) as err:
             parse_case(json.dumps(doc))
         assert err.value.entity == entity
+
+    def test_integral_ids_parse(self):
+        doc = json.loads(json.dumps(MINIMAL_2BUS))
+        doc["buses"][1]["id"] = 2.0
+        doc["branches"][0]["to"] = 2.0
+        doc["loads"][0]["bus"] = 2.0
+        case = parse_case(json.dumps(doc))
+        assert [b.id for b in case.buses] == [1, 2]
+        assert all(isinstance(b.id, int) for b in case.buses)
+        assert case.loads[0].bus == 2 and isinstance(case.loads[0].bus, int)
+
+    @pytest.mark.parametrize("old, new, entity, message", [
+        ("\t2\t1\t50\t", "\t2.5\t1\t50\t", "bus row 2", "'BUS_I' must be an integer, got 2.5"),
+        ("\t2\t1\t50\t", "\t2\t1.5\t50\t", "bus row 2", "'BUS_TYPE' must be an integer"),
+        ("\t1\t50\t0\t", "\t1.9\t50\t0\t", "gen row 1", "'GEN_BUS' must be an integer"),
+        ("\t1\t2\t0.01", "\t1.5\t2\t0.01", "branch row 1", "'F_BUS' must be an integer"),
+        ("\t1\t2\t0.01", "\t1\t2.5\t0.01", "branch row 1", "'T_BUS' must be an integer"),
+    ])
+    def test_matpower_non_integral_id_named(self, old, new, entity, message):
+        assert old in MATPOWER_OK
+        with pytest.raises(CaseSemanticError, match=re.escape(message)) as err:
+            parse_case(MATPOWER_OK.replace(old, new), "matpower-text")
+        assert err.value.entity == entity
+
+    def test_matpower_integral_ids_parse(self):
+        case = parse_case(MATPOWER_OK.replace("\t2\t1\t50\t", "\t2.0\t1\t50\t"),
+                          "matpower-text")
+        assert [b.id for b in case.buses] == [1, 2]
+        assert case.branches[0].to_bus == 2
 
     @pytest.mark.parametrize("defaults, entity, message", [
         ({"costs": {"load_shed": "x"}}, "costs", "'load_shed' must be a number, got 'x'"),
@@ -328,14 +372,3 @@ class TestFlowSensitivity:
             dx[k] = h
             fd = (flows_with(dx) - flows_with(-dx)) / (2 * h)
             np.testing.assert_allclose(fd, sens[:, k], atol=1e-6)
-
-
-def test_case_base_dispatch_rebalances(rts96):
-    # file setpoints exceed the load under the lossless model; the "case"
-    # mode curtails them proportionally above minimum output
-    from gridrisk.assess import base_state
-
-    st = base_state(rts96, "case")
-    assert st.p_gen.sum() == pytest.approx(st.p_load.sum(), abs=1e-6)
-    assert (st.p_gen >= rts96.gen_min - 1e-9).all()
-    assert (st.p_gen <= rts96.gen_max + 1e-9).all()

@@ -6,9 +6,9 @@ import pytest
 
 from gridrisk import gradient
 from gridrisk import tree as mtree
-from gridrisk.assess import AssessmentConfig, enumeration_risk, run_assessment
+from gridrisk.assess import AssessmentConfig, enumeration_risk, pre_control, run_assessment
 from gridrisk.cases import toy6
-from gridrisk.network import build_topology, parse_case
+from gridrisk.network import SystemState, build_topology, parse_case
 
 
 def chain3_case():
@@ -251,3 +251,29 @@ def test_cached_fully_explored_builds_the_same_tree(request, monkeypatch, name, 
             assert root.fully_explored()
             root.children.clear()
             assert root.fully_explored()   # cached, not walked again
+
+
+def test_unknown_policy_rejected():
+    with pytest.raises(ValueError, match="unknown policy 'x'"):
+        AssessmentConfig(policy="x")
+
+
+@pytest.mark.parametrize("outages", [{3}, {2, 5}, {1, 4}])
+def test_precomputed_pre_control_builds_the_same_tree(outages):
+    """A run handed `pre_control` builds the tree, node for node, that a run
+    computing it itself builds, also when the trace serves a second target."""
+    cfg = AssessmentConfig(tau_d=15.0, t_max=30.0, attempts=200, policy="exhaustive",
+                           seed=1)
+    ref_case, case = toy6(), toy6()
+    fast = pre_control(case, outages)
+    first = run_assessment(case, outages, cfg, fast=fast)
+    ref = run_assessment(ref_case, outages, cfg)
+    target = SystemState.from_x(first.x_target.x + 1.0, case.n_load)
+    again = run_assessment(case, outages, cfg, target, fast)
+    ref_again = run_assessment(ref_case, outages, cfg, target)
+    for got, want in ((first, ref), (again, ref_again)):
+        assert tree_rows(got) == tree_rows(want)
+        assert got.history.r_prime == want.history.r_prime
+        assert got.pre_control_cost == want.pre_control_cost
+        np.testing.assert_array_equal(got.x_pre.x, want.x_pre.x)
+        np.testing.assert_array_equal(got.gamma, want.gamma)

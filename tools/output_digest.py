@@ -45,6 +45,11 @@ def commands() -> list:
         ("rts96-assess", ["assess", *RTS96, "--attempts", "40"]),
         ("rts96-gradient", ["gradient", *RTS96, "--attempts", "30"]),
         ("rts96-irm", ["irm", *RTS96, "--attempts", "20"]),
+        # the one search policy no other command runs; its four rejected
+        # rounds also reach the MAX_REJECTIONS stop
+        ("rts96-irm-best-first", [
+            "irm", *RTS96, "--policy", "best-first", "--attempts", "30",
+        ]),
         # acceptance criterion 11's command
         ("toy6-gradient-3", [
             "gradient", *TOY6, "--outages", "3", "--policy", "probability-sampled",
