@@ -15,6 +15,7 @@ computed: those fields are None and `degenerate` stays False.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +34,8 @@ from .network import (
 BALANCE_TOL = 1e-9      # MW, island imbalance treated as balanced
 SHED_EPS = 1e-9         # MW, total load below this counts as fully shed
 TARGET_EPSILON = 1e-3   # weight of the generation-cost tie-break in the target LP
+TIE_BREAK = 1e-4        # relative size of the per-unit cost tie-break of every dispatch LP
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 MAX_FAST_EVENTS = 50
 
 
@@ -307,6 +310,22 @@ class TargetResult:
     signature: tuple
 
 
+def _tie_broken_costs(case: NetworkCase) -> tuple[np.ndarray, np.ndarray]:
+    """(c_D, c_G) as the dispatch LPs price them: unit k of [P_d; P_g] costs
+    c_k (1 + TIE_BREAK w_k), with w_k = frac(k * 0.618...).
+
+    With equal case costs (rts96: every load 10000, every generator 100 $/MW)
+    an LP has a whole optimal face, and which vertex HiGHS returns depends on
+    its path. The distinct, evenly spread weights pick one of them; two
+    costs whose ratio exceeds 1 + TIE_BREAK keep their order. The weights
+    only choose among optima: reported costs use the case's own
+    `c_load`/`c_gen`.
+    """
+    w = np.arange(case.n_x) * _GOLDEN % 1.0
+    c = np.concatenate([case.c_load, case.c_gen]) * (1.0 + TIE_BREAK * w)
+    return c[: case.n_load], c[case.n_load :]
+
+
 def _island_balance_rows(case: NetworkCase, topo: Topology, n_vars: int) -> np.ndarray:
     """One equality row, right-hand side 0, per energized island over the
     [P_d; P_g] slots: -1 for its loads, +1 for its generators."""
@@ -371,12 +390,14 @@ def dispatch_target(
 
     min c_D'(P'_d - P*_d) + eps c_G' P*_g  s.t. island balance, |flow| <= F_max,
     0 <= P*_d <= P'_d, P_min <= P*_g <= P_max. The generation term only breaks
-    ties toward cheap units. Infeasibility falls back to the shed-all target
-    (P*_d = 0, P*_g = P'_g), flagged.
+    ties toward cheap units, and c_D, c_G carry the per-unit tie-break of
+    `_tie_broken_costs`, so the optimum is unique. Infeasibility falls back
+    to the shed-all target (P*_d = 0, P*_g = P'_g), flagged.
     """
     n_l, n_g = case.n_load, case.n_gen
     n_vars = n_l + n_g
-    c = np.concatenate([-case.c_load, TARGET_EPSILON * case.c_gen])
+    c_load, c_gen = _tie_broken_costs(case)
+    c = np.concatenate([-c_load, TARGET_EPSILON * c_gen])
     balance = _island_balance_rows(case, topo, n_vars)
     a_in, b_in = _flow_limit_rows(case, topo, n_vars)
 
@@ -447,16 +468,18 @@ def dispatch_execute(
     """Move toward the target within one interval's ramp capability.
 
     min c_D'(P_d - P*_d) + c_G'|P_g - P*_g|  s.t. island balance,
-    |P_g - P'_g| <= tau_D r_g, P_min <= P_g <= P_max, P*_d <= P_d <= P'_d.
-    The realized cost C_R prices the executed adjustment against the
-    pre-dispatch state: c_D'(P'_d - P_d) + c_G'|P_g - P'_g|.
+    |P_g - P'_g| <= tau_D r_g, P_min <= P_g <= P_max, P*_d <= P_d <= P'_d,
+    with c_D, c_G tie-broken by `_tie_broken_costs`. The realized cost C_R
+    prices the executed adjustment against the pre-dispatch state at the
+    case's costs: c_D'(P'_d - P_d) + c_G'|P_g - P'_g|.
     """
     if tau_d <= 0:
         raise ValueError("tau_d must be > 0")
     n_l, n_g, n_x = case.n_load, case.n_gen, case.n_x
     n_vars = n_l + 3 * n_g  # P_d, P_g, u, v with P_g - u + v = P*_g
 
-    c = np.concatenate([case.c_load, np.zeros(n_g), case.c_gen, case.c_gen])
+    c_load, c_gen = _tie_broken_costs(case)
+    c = np.concatenate([c_load, np.zeros(n_g), c_gen, c_gen])
     balance = _island_balance_rows(case, topo, n_vars)
     split, split_rhs = _move_split_rows(case, n_vars, x_star.p_gen)
 

@@ -2,9 +2,12 @@
 
 Solving is delegated to HiGHS dual simplex through the bindings scipy ships
 (`scipy.optimize._highspy`). Each LP gets a fresh solver and the same model,
-options and post-solve feasibility check as scipy's `highs-ds` LP method,
-without that method's per-call Python wrapping; the model goes to HiGHS as
-column-wise arrays in one `passModel` call. Solution arrays are read-only,
+options and post-solve feasibility check as scipy's `highs-ds` LP method with
+`presolve=False`, without that method's per-call Python wrapping; the model
+goes to HiGHS as column-wise arrays in one `passModel` call. Presolve is off:
+the dispatch LPs carry a cost tie-break that makes their optima unique, so
+presolve would not change the optimum, and on these LPs it costs more than
+the simplex solve it shortens. Solution arrays are read-only,
 so one solution can be shared by every caller of its LP. The derivative of the
 optimal point with respect to parameters of the stacked right-hand sides and
 bounds [b_in; b_eq; lo; hi] holds HiGHS's optimal basis fixed: its n nonbasic
@@ -27,9 +30,10 @@ DUAL_TOL = 1e-9          # multipliers at most this far from zero are weak
 
 
 def _highs_options() -> _highs.HighsOptions:
-    """The options scipy's `highs-ds` method passes for our tolerances."""
+    """The options scipy's `highs-ds` method passes for our tolerances and
+    `presolve=False`."""
     opts = _highs.HighsOptions()
-    opts.presolve = "on"
+    opts.presolve = "off"
     opts.solver = "simplex"
     opts.simplex_strategy = _highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
     opts.primal_feasibility_tolerance = 1e-10

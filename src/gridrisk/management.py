@@ -13,7 +13,9 @@ from . import lp
 from .assess import (
     Assessment, AssessmentConfig, control_cost_value, pre_control, run_assessment,
 )
-from .cascade import _flow_limit_rows, _island_balance_rows, _move_split_rows
+from .cascade import (
+    _flow_limit_rows, _island_balance_rows, _move_split_rows, _tie_broken_costs,
+)
 from .network import NetworkCase, SystemState, Topology
 
 MAX_REJECTIONS = 4   # rejected IRM rounds before the loop stops
@@ -35,8 +37,10 @@ def build_rm(
     -gamma . (x* - x*_0) <= R_E - R'_0, i.e. gamma . dx* >= R'_0 - R_E, with
     `gamma` in the risk-decrease orientation expected by that form. Network
     constraints: per-island balance, |target flows| <= F_max, generator
-    bounds, 0 <= P*_d <= P_d(pre). The risk row is inequality row 0; the
-    flow-limit rows follow it.
+    bounds, 0 <= P*_d <= P_d(pre). The costs carry the dispatch LPs' per-unit
+    tie-break (`cascade._tie_broken_costs`), so the optimum is unique; the
+    step's reported cost uses the case's own costs. The risk row is
+    inequality row 0; the flow-limit rows follow it.
     """
     n_l, n_g = case.n_load, case.n_gen
     n_vars = n_l + 3 * n_g
@@ -44,7 +48,8 @@ def build_rm(
     if gamma.size != case.n_x:
         raise ValueError("gamma must cover the control variables [P*_d; P*_g]")
 
-    c = np.concatenate([-case.c_load, np.zeros(n_g), case.c_gen, case.c_gen])
+    c_load, c_gen = _tie_broken_costs(case)
+    c = np.concatenate([-c_load, np.zeros(n_g), c_gen, c_gen])
 
     balance = _island_balance_rows(case, topo, n_vars)
     split, split_rhs = _move_split_rows(case, n_vars, x_pre.p_gen)

@@ -19,6 +19,7 @@ from .gradient import backward_gradient_update, chain_step, maybe_compress, to_d
 from .network import NetworkCase, SystemState, Topology
 
 MAX_EXHAUSTIVE_NODES = 200_000
+BEST_FIRST_RTOL = 1e-9   # best-first scores this close (relative) are a tie
 
 
 def check_exhaustive_size(depth: int, n_elements: int) -> None:
@@ -217,7 +218,9 @@ class MarkovTree:
 
     def _pick_best_first(self, node: TreeNode) -> int | None:
         """Unexplored children score Pr * running-average leaf cost; explored
-        ones score Pr * their current equivalent cost."""
+        ones score Pr * their current equivalent cost. Scores within
+        `BEST_FIRST_RTOL` of the best so far are a tie, which the first child
+        in order wins, so last-bit roundoff does not pick the child."""
         best_eid, best_score = None, -1.0
         for k, eid in enumerate(list(node.child_events) + [0]):
             child = node.children.get(eid)
@@ -229,7 +232,7 @@ class MarkovTree:
                 else max(self.avg_leaf_cost, 1.0)
             )
             score = pr * estimate
-            if score > best_score + 1e-15:
+            if score > best_score + BEST_FIRST_RTOL * abs(best_score):
                 best_eid, best_score = eid, score
         return best_eid
 

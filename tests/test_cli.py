@@ -95,8 +95,10 @@ class TestExitCodes:
          "'id' must be an integer, got 1.9 [strategy loads[0]]"),
         ({"generators": [{"id": True, "target_mw": 10.0}]},
          "'id' must be an integer, got True [strategy generators[0]]"),
+        ({"loads": [{"id": 1, "target_mw": True}]},
+         "'target_mw' must be a number, got True [strategy load id 1]"),
     ], ids=["no-id", "no-target", "top-level-list", "row-not-object", "generators-object",
-            "non-integral-id", "boolean-id"])
+            "non-integral-id", "boolean-id", "boolean-target"])
     def test_malformed_strategy(self, toy_case_file, tmp_path, capsys, doc, message):
         strategy = tmp_path / "strategy.json"
         strategy.write_text(json.dumps(doc))
@@ -237,6 +239,19 @@ class TestExitCodes:
         code = run_cli(["assess", "--case", str(f), "--out", str(tmp_path / "o")])
         assert code == 2
         assert "'id' must be an integer, got 1.5 [buses[0]]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section, key, message", [
+        ("branches", "f_max", "'f_max' must be a number, got True [branch 1]"),
+        ("loads", "p", "'p' must be a number, got True [load 1]"),
+    ])
+    def test_boolean_case_number(self, tmp_path, capsys, section, key, message):
+        doc = json.loads(serialize_case(cases.toy6()))
+        doc[section][0][key] = True
+        f = tmp_path / "case.json"
+        f.write_text(json.dumps(doc))
+        code = run_cli(["assess", "--case", str(f), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert message in capsys.readouterr().err
 
     def test_strategy_with_integral_float_id(self, toy_case_file, tmp_path):
         strategy = tmp_path / "strategy.json"

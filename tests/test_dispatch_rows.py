@@ -9,11 +9,13 @@ reference parameters are one list of (vector, index, coeff) per parameter,
 placed on the stacked [b_in; b_eq; lo; hi] only when compared.
 """
 
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
 
-from gridrisk import cascade, lp
+from gridrisk import cascade, cases, lp
 from gridrisk.assess import AssessmentConfig, base_state, run_assessment
 from gridrisk.cascade import TARGET_EPSILON
 from gridrisk.management import build_rm
@@ -21,6 +23,15 @@ from gridrisk.network import apply_outage, build_topology, dc_power_flow, flow_s
 
 
 # -- reference copies ---------------------------------------------------------
+
+def ref_costs(case):
+    """(c_D, c_G) with the dispatch LPs' tie-break, unit by unit: unit k of
+    [P_d; P_g] costs c_k (1 + 1e-4 frac(k (sqrt(5) - 1) / 2))."""
+    golden = (math.sqrt(5.0) - 1.0) / 2.0
+    costs = [c * (1.0 + 1e-4 * (k * golden % 1.0))
+             for k, c in enumerate([*case.c_load, *case.c_gen])]
+    return np.array(costs[: case.n_load]), np.array(costs[case.n_load :])
+
 
 def ref_island_balance_rows(case, topo, n_vars):
     rows, rhs = [], []
@@ -43,7 +54,8 @@ def ref_island_balance_rows(case, topo, n_vars):
 def ref_target_lp(case, topo, x_prime):
     n_l, n_g = case.n_load, case.n_gen
     n_vars = n_l + n_g
-    c = np.concatenate([-case.c_load, TARGET_EPSILON * case.c_gen])
+    c_load, c_gen = ref_costs(case)
+    c = np.concatenate([-c_load, TARGET_EPSILON * c_gen])
     eq_rows, eq_rhs = ref_island_balance_rows(case, topo, n_vars)
     sens = flow_sensitivity(case, topo)
     live = [i for i, br in enumerate(case.branches)
@@ -64,7 +76,8 @@ def ref_target_lp(case, topo, x_prime):
 def ref_execute_lp(case, topo, x_prime, x_star, tau_d):
     n_l, n_g = case.n_load, case.n_gen
     n_vars = n_l + 3 * n_g
-    c = np.concatenate([case.c_load, np.zeros(n_g), case.c_gen, case.c_gen])
+    c_load, c_gen = ref_costs(case)
+    c = np.concatenate([c_load, np.zeros(n_g), c_gen, c_gen])
     eq_rows, eq_rhs = ref_island_balance_rows(case, topo, n_vars)
     terms = {}
     for j in range(n_g):
@@ -105,7 +118,8 @@ def ref_rm_lp(case, topo, x_pre, x_star0, gamma, r_prime0, r_expected):
     """Flow rows interleaved (+i, -i) after the risk row."""
     n_l, n_g = case.n_load, case.n_gen
     n_vars = n_l + 3 * n_g
-    c = np.concatenate([-case.c_load, np.zeros(n_g), case.c_gen, case.c_gen])
+    c_load, c_gen = ref_costs(case)
+    c = np.concatenate([-c_load, np.zeros(n_g), c_gen, c_gen])
     eq_rows, eq_rhs = ref_island_balance_rows(case, topo, n_vars)
     for j in range(n_g):
         row = np.zeros(n_vars)
@@ -184,6 +198,20 @@ def ref_dc_flows(case, topo, state):
             if topo.energized[island_of[case.branch_from[i]]]:
                 flows_pu[i] = br.y * (angles[case.branch_from[i]] - angles[case.branch_to[i]])
     return flows_pu * case.base_mva
+
+
+@pytest.mark.parametrize("name", ["toy6", "rts96", "ring120"])
+def test_tie_broken_costs_keep_order_and_differ(name):
+    """The tie-break keeps every strict order of the case's costs (loads and
+    generators together) and gives no two units the same cost."""
+    case = getattr(cases, name)()
+    base = np.concatenate([case.c_load, case.c_gen])
+    tied = np.concatenate(cascade._tie_broken_costs(case))
+    assert np.array_equal(tied, np.concatenate(ref_costs(case)))
+    below = base[:, None] < base[None, :]
+    assert below.any()
+    assert (tied[:, None] < tied[None, :])[below].all()
+    assert np.unique(tied).size == tied.size
 
 
 # -- scenarios ------------------------------------------------------------------

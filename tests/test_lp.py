@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -178,8 +180,9 @@ class TestSensitivity:
 
     def test_degenerate_flag_on_basic_column_at_bound(self):
         # x0 + x1 = b with x0 at its upper bound 1 leaves the basic x1 at 0:
-        # b can rise (x1 follows one for one) but not fall
-        prob = lp.LpProblem(c=[-1.0, 0.5], a_eq=[[1.0, 1.0]], b_eq=[1.0],
+        # b can rise (x1 follows one for one) but not fall. x1's cost below
+        # zero is what leaves it basic in the basis HiGHS returns.
+        prob = lp.LpProblem(c=[-1.0, -0.5], a_eq=[[1.0, 1.0]], b_eq=[1.0],
                             lo=[0.0, 0.0], hi=[1.0, 5.0], params=unit_params([0]))
         sol = lp.solve_lp(prob)
         assert sol.col_status[1] == lp._BASIC and sol.x[1] == 0.0
@@ -501,11 +504,11 @@ def test_generated_lp_sensitivity(prob):
                                    atol=1e-5 * max(1.0, np.abs(fd).max()))
 
 
-def test_recorded_rts96_lps_have_valid_bases():
+def test_recorded_rts96_lps_have_valid_bases(recorded):
     """HiGHS hands back a valid basis with exactly n nonbasic entries for
     every optimal LP of a recorded RTS-96 run, and `solve_lp` keeps it."""
     optimal = 0
-    for prob in rts96_sampled_lps():
+    for prob in recorded(rts96_sampled_lps):
         highs = core._Highs()
         highs.passOptions(lp._HIGHS_OPTIONS)
         highs.passModel(*lp._highs_model(prob))
@@ -549,7 +552,7 @@ def test_optimal_without_basis_raises(monkeypatch, valid, drop):
 # reproduce it bit for bit.
 
 LINPROG_OPTIONS = {
-    "presolve": True,
+    "presolve": False,
     "primal_feasibility_tolerance": 1e-10,
     "dual_feasibility_tolerance": 1e-10,
 }
@@ -617,6 +620,13 @@ def recorded_lps(run):
     return seen
 
 
+@pytest.fixture(scope="module")
+def recorded():
+    """`recorded(record)` is `record()`, made once for this module; no test
+    writes into the recorded LPs."""
+    return functools.cache(lambda record: record())
+
+
 def toy6_irm_lps():
     from gridrisk.assess import AssessmentConfig
     from gridrisk.cases import toy6
@@ -628,22 +638,67 @@ def toy6_irm_lps():
 
 
 def rts96_sampled_lps():
+    """A sampled RTS-96 run long enough to reach infeasible target and
+    execution LPs: 80 optimal and 10 infeasible distinct LPs."""
     from gridrisk.assess import AssessmentConfig, run_assessment
     from gridrisk.cases import rts96
 
-    cfg = AssessmentConfig(tau_d=15.0, t_max=150.0, attempts=10,
-                           policy="probability-sampled", seed=1, gradients=False)
+    cfg = AssessmentConfig(tau_d=15.0, t_max=150.0, attempts=40,
+                           policy="probability-sampled", seed=8, gradients=False)
     return recorded_lps(lambda: run_assessment(rts96(), {22, 23, 24}, cfg))
 
 
+def rts96_irm_lps():
+    """The dispatch and risk-management LPs of an RTS-96 IRM run."""
+    from gridrisk.assess import AssessmentConfig
+    from gridrisk.cases import rts96
+    from gridrisk.management import RmConfig, irm
+
+    cfg = RmConfig(assessment=AssessmentConfig(
+        tau_d=15.0, t_max=150.0, attempts=20, policy="probability-sampled", seed=1))
+    return recorded_lps(lambda: irm(rts96(), {22, 23, 24}, cfg))
+
+
 @pytest.mark.parametrize("record", [toy6_irm_lps, rts96_sampled_lps])
-def test_recorded_lps_match_linprog(record):
-    probs = record()
+def test_recorded_lps_match_linprog(record, recorded):
+    probs = recorded(record)
     refs = [linprog_solution(p) for p in probs]
     for prob, ref in zip(probs, refs):
         assert_same_bits(lp.solve_lp(prob), ref)
     statuses = [r.status for r in refs]
     assert statuses.count("optimal") >= 20 and statuses.count("infeasible") >= 5
+
+
+def _options(**changes):
+    opts = lp._highs_options()
+    for name, value in changes.items():
+        setattr(opts, name, value)
+    return opts
+
+
+SOLVER_VARIANTS = {
+    "presolve": _options(presolve="on"),
+    "primal": _options(
+        simplex_strategy=core.simplex_constants.SimplexStrategy.kSimplexStrategyPrimal),
+}
+
+
+@pytest.mark.parametrize("record", [toy6_irm_lps, rts96_sampled_lps, rts96_irm_lps])
+def test_recorded_lp_optima_are_unique(record, recorded, monkeypatch):
+    """The cost tie-break leaves one optimum per dispatch and RM LP: HiGHS
+    without presolve, with presolve and with primal simplex, each on its own
+    path, agree on the status and on x within 1e-9."""
+    probs = recorded(record)
+    base = [lp.solve_lp(prob) for prob in probs]
+    for variant, opts in SOLVER_VARIANTS.items():
+        monkeypatch.setattr(lp, "_HIGHS_OPTIONS", opts)
+        for k, (prob, ref) in enumerate(zip(probs, base)):
+            sol = lp.solve_lp(prob)
+            assert sol.status == ref.status, (variant, k)
+            if ref.optimal:
+                np.testing.assert_allclose(sol.x, ref.x, rtol=0, atol=1e-9,
+                                           err_msg=f"{variant} LP {k}")
+    assert sum(sol.optimal for sol in base) >= 20
 
 
 def hand_built_lps():

@@ -5,6 +5,7 @@ import pytest
 
 from gridrisk import lp, management
 from gridrisk.assess import AssessmentConfig, control_cost_value, run_assessment
+from gridrisk.cascade import _tie_broken_costs
 from gridrisk.cases import toy6
 from gridrisk.management import (
     RmConfig,
@@ -43,7 +44,8 @@ class TestBuildRm:
                         r_prime0=100.0, r_expected=100.0)
         sol = lp.solve_lp(prob)
         assert sol.optimal
-        assert sol.objective == pytest.approx(-toy6.c_load @ pre_state.p_load, rel=1e-12)
+        c_load, _ = _tie_broken_costs(toy6)   # the costs the RM LP prices with
+        assert sol.objective == pytest.approx(-c_load @ pre_state.p_load, rel=1e-12)
         np.testing.assert_allclose(sol.x[: toy6.n_load], pre_state.p_load, atol=1e-8)
 
     def test_single_control_hand_solution(self, toy6, pre_state):

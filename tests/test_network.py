@@ -144,6 +144,10 @@ class TestParsing:
         (("buses", 1, "kind"), 1.9, "bus 2", "'kind' must be an integer, got 1.9"),
         (("loads", 0, "id"), True, "loads[0]", "'id' must be an integer, got True"),
         (("loads", 0, "bus"), 2.5, "load 1", "'bus' must be an integer, got 2.5"),
+        (("branches", 0, "f_max"), True, "branch 1", "'f_max' must be a number, got True"),
+        (("loads", 0, "p"), True, "load 1", "'p' must be a number, got True"),
+        (("generators", 0, "cost"), False, "gen 1", "'cost' must be a number, got False"),
+        (("costs",), {"load_shed": True}, "costs", "'load_shed' must be a number, got True"),
     ])
     def test_malformed_native_value_named(self, path, value, entity, message):
         doc = json.loads(json.dumps(MINIMAL_2BUS))

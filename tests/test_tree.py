@@ -85,6 +85,24 @@ class TestExpansion:
         a = run_assessment(case, {3}, cfg)
         assert len(a.tree.nodes) > 1
 
+    @pytest.mark.parametrize("order", [(1, 2), (2, 1)])
+    def test_best_first_near_tie_goes_to_first_child(self, order):
+        # scores of about 180 that differ in the last bit: the first child
+        # in order wins, whichever of the two is one ulp more likely
+        case = chain3_case()
+        topo = build_topology(case)
+        t = mtree.MarkovTree(case, topo, case.base_state(), tau_d=15.0, depth=2,
+                             gradients=False)
+        t.avg_leaf_cost = 9876.5
+        pr = 0.0182557968369987
+        probs = {1: pr, 2: np.nextafter(pr, 1.0)}
+        node = t.root
+        node.child_events = list(order)
+        node.child_probs = np.array([probs[e] for e in order])
+        node.prob_no_outage = 1e-3
+        assert node.child_probs[0] != node.child_probs[1]
+        assert t._pick_best_first(node) == order[0]
+
 
 class TestBackwardUpdate:
     def test_single_level_hand_value(self):

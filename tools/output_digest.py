@@ -65,6 +65,13 @@ def commands() -> list:
             "--t-max", "60", "--policy", "probability-sampled", "--attempts", "80",
             "--seed", "5", "--threshold", "1e-5",
         ]),
+        # best-first on a meshed case: after outage 11, two children score
+        # within last-bit roundoff of each other, so the tie rule of
+        # `tree._pick_best_first` decides the tree
+        ("ring120-gradient-best-first", [
+            "gradient", "--case", "ring120.json", "--outages", "11", "--tau-d", "15",
+            "--t-max", "60", "--policy", "best-first", "--attempts", "80",
+        ]),
     ]
     return cmds
 
