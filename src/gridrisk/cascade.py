@@ -337,18 +337,17 @@ def _island_balance_rows(case: NetworkCase, topo: Topology, n_vars: int) -> np.n
 
 
 def _flow_limit_rows(case: NetworkCase, topo: Topology, n_vars: int):
-    """|flow| <= F_max over the [P_d; P_g] slots: the +sens rows of every
-    branch with a nonzero flow-sensitivity row, then the -sens rows.
+    """-F_max <= flow <= F_max over the [P_d; P_g] slots: (rows, F_max), one
+    ranged row per branch with a nonzero flow-sensitivity row.
 
     Out-of-service branches and branches in de-energized islands have zero
     sensitivity rows, so they drop out.
     """
     sens = flow_sensitivity(case, topo)
     live = np.flatnonzero(np.any(sens, axis=1))
-    rows = np.zeros((2 * live.size, n_vars))
-    rows[: live.size, : case.n_x] = sens[live]
-    rows[live.size :, : case.n_x] = -sens[live]
-    return rows, np.concatenate([case.f_max[live], case.f_max[live]])
+    rows = np.zeros((live.size, n_vars))
+    rows[:, : case.n_x] = sens[live]
+    return rows, case.f_max[live]
 
 
 def _move_split_rows(case: NetworkCase, n_vars: int, p_ref: np.ndarray):
@@ -366,11 +365,12 @@ def _move_split_rows(case: NetworkCase, n_vars: int, p_ref: np.ndarray):
 def _solve_dispatch_lp(topo: Topology, kind: str, prob: lp.LpProblem) -> lp.LpSolution:
     """`lp.solve_lp(prob)`, solved once per distinct LP on `topo`.
 
-    The costs and the matrices a_eq, a_in of the target and execution LPs
-    depend only on the case, the topology and the LP `kind` ("target" or
-    "execute"); the state enters through b_eq, b_in, lo and hi alone. So
-    `kind` and the bytes of those four vectors name the LP in `topo.lp_memo`,
-    and a hit returns the (read-only) solution HiGHS gave the same LP before.
+    The costs, the matrices a_eq, a_in and the row lower bounds lb_in of the
+    target and execution LPs depend only on the case, the topology and the
+    LP `kind` ("target" or "execute"); the state enters through b_eq, b_in,
+    lo and hi alone. So `kind` and the bytes of those four vectors name the
+    LP in `topo.lp_memo`, and a hit returns the (read-only) solution HiGHS
+    gave the same LP before.
     """
     key = (kind, prob.b_eq.tobytes(), prob.b_in.tobytes(), prob.lo.tobytes(),
            prob.hi.tobytes())
@@ -399,19 +399,20 @@ def dispatch_target(
     c_load, c_gen = _tie_broken_costs(case)
     c = np.concatenate([-c_load, TARGET_EPSILON * c_gen])
     balance = _island_balance_rows(case, topo, n_vars)
-    a_in, b_in = _flow_limit_rows(case, topo, n_vars)
+    a_in, f_max = _flow_limit_rows(case, topo, n_vars)
 
     lo = np.concatenate([np.zeros(n_l), case.gen_min])
     hi = np.concatenate([np.maximum(x_prime.p_load, 0.0), case.gen_max])
     # parameter i is P'_d[i], the upper bound of P*_d[i]
-    hi_at = len(b_in) + len(balance) + n_vars + np.arange(n_l)
+    hi_at = len(f_max) + len(balance) + n_vars + np.arange(n_l)
 
     prob = lp.LpProblem(
         c=c,
         a_eq=balance,
         b_eq=np.zeros(len(balance)),
         a_in=a_in,
-        b_in=b_in,
+        lb_in=-f_max,
+        b_in=f_max,
         lo=lo,
         hi=hi,
         params=(n_l, hi_at, np.arange(n_l), np.ones(n_l)),

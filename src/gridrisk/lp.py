@@ -1,19 +1,23 @@
 """Linear programs with frozen-basis solution sensitivities.
 
 Solving is delegated to HiGHS dual simplex through the bindings scipy ships
-(`scipy.optimize._highspy`). Each LP gets a fresh solver and the same model,
-options and post-solve feasibility check as scipy's `highs-ds` LP method with
-`presolve=False`, without that method's per-call Python wrapping; the model
-goes to HiGHS as column-wise arrays in one `passModel` call. Presolve is off:
+(`scipy.optimize._highspy`). Each LP gets a fresh solver and the same options
+and post-solve feasibility check as scipy's `highs-ds` LP method with
+`presolve=False`, without that method's per-call Python wrapping. Inequality
+rows may be ranged, `lb_in <= A_in x <= b_in`, so a two-sided limit such as
+|flow| <= F_max is one row; HiGHS takes ranged rows natively. The model goes
+to HiGHS as row-wise arrays of [A_in; A_eq] in one `passModel` call, read
+straight from the stacked matrix without a transposed copy. Presolve is off:
 the dispatch LPs carry a cost tie-break that makes their optima unique, so
 presolve would not change the optimum, and on these LPs it costs more than
 the simplex solve it shortens. Solution arrays are read-only,
 so one solution can be shared by every caller of its LP. The derivative of the
 optimal point with respect to parameters of the stacked right-hand sides and
 bounds [b_in; b_eq; lo; hi] holds HiGHS's optimal basis fixed: its n nonbasic
-rows and columns are the binding constraints. The basis is degenerate when
-more than n constraints are tight or a nonbasic multiplier is within
-`DUAL_TOL` of zero.
+rows and columns are the binding constraints, each held at the side it sits
+on. Row lower bounds `lb_in` are constants, not parameter positions. The
+basis is degenerate when more than n constraints are tight (a ranged row
+counts as two) or a nonbasic multiplier is within `DUAL_TOL` of zero.
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ def _highs_options() -> _highs.HighsOptions:
 
 _HIGHS_OPTIONS = _highs_options()
 _INF = _highs.kHighsInf
-_COLWISE = int(_highs.MatrixFormat.kColwise)
+_ROWWISE = int(_highs.MatrixFormat.kRowwise)
 _MINIMIZE = int(_highs.ObjSense.kMinimize)
 _ERROR = _highs.HighsStatus.kError
 _OPTIMAL = _highs.HighsModelStatus.kOptimal
@@ -65,11 +69,14 @@ class InternalError(RuntimeError):
 
 @dataclass
 class LpProblem:
-    """min c'x  s.t.  A_eq x = b_eq,  A_in x <= b_in,  lo <= x <= hi.
+    """min c'x  s.t.  A_eq x = b_eq,  lb_in <= A_in x <= b_in,  lo <= x <= hi.
 
+    `lb_in` defaults to -inf, leaving one-sided rows A_in x <= b_in; a finite
+    entry makes its row ranged, one row for a two-sided limit.
     `params` is (count, at, param, coeff): `count` parameters drive the
     stacked right-hand sides and bounds [b_in; b_eq; lo; hi], entry k
-    meaning d(stacked[at[k]])/d(parameter param[k]) = coeff[k].
+    meaning d(stacked[at[k]])/d(parameter param[k]) = coeff[k]. The row
+    lower bounds `lb_in` are fixed: no parameter moves them.
     """
 
     c: np.ndarray
@@ -80,6 +87,7 @@ class LpProblem:
     lo: np.ndarray | None = None
     hi: np.ndarray | None = None
     params: tuple = (0, (), (), ())
+    lb_in: np.ndarray | None = None
 
     def __post_init__(self):
         self.c = np.asarray(self.c, dtype=float)
@@ -96,6 +104,16 @@ class LpProblem:
         else:
             self.a_in = np.atleast_2d(np.asarray(self.a_in, dtype=float))
             self.b_in = np.atleast_1d(np.asarray(self.b_in, dtype=float))
+        if self.lb_in is None:
+            self.lb_in = np.full(self.b_in.size, -np.inf)
+        else:
+            self.lb_in = np.atleast_1d(np.asarray(self.lb_in, dtype=float))
+            if self.lb_in.shape != self.b_in.shape:
+                raise ValueError("row lower bounds must match the inequality rows")
+            if np.isnan(self.lb_in).any():
+                raise ValueError("row lower bounds must not be NaN")
+            if np.any(self.lb_in > self.b_in + FEAS_TOL):
+                raise ValueError("row lower bound exceeds its right-hand side")
         self.lo = np.full(n, -np.inf) if self.lo is None else np.asarray(self.lo, dtype=float)
         self.hi = np.full(n, np.inf) if self.hi is None else np.asarray(self.hi, dtype=float)
         if self.a_eq.shape != (self.b_eq.size, n) or self.a_in.shape != (self.b_in.size, n):
@@ -165,25 +183,35 @@ class LpSolution:
 def _highs_model(prob: LpProblem) -> tuple:
     """The arguments of HiGHS's array `passModel` for rows [A_in; A_eq]:
     (n, m, nnz, format, sense, offset, c, col_lower, col_upper, row_lower,
-    row_upper, start, index, value, integrality), column-wise, minimized."""
-    a_t = np.ascontiguousarray(np.vstack([prob.a_in, prob.a_eq]).T)
-    if not (np.isfinite(prob.c).all() and np.isfinite(a_t).all()
+    row_upper, start, index, value, integrality), row-wise, minimized."""
+    a = np.vstack([prob.a_in, prob.a_eq])
+    if not (np.isfinite(prob.c).all() and np.isfinite(a).all()
             and np.isfinite(prob.b_in).all() and np.isfinite(prob.b_eq).all()):
         raise ValueError("LP costs, matrices and right-hand sides must be finite")
-    nonzero = a_t != 0.0
-    cols, rows = np.nonzero(nonzero)
-    value = a_t[nonzero]
-    n, m = a_t.shape
+    nonzero = a != 0.0
+    rows, cols = np.nonzero(nonzero)
+    value = a[nonzero]
+    m, n = a.shape
     # +-inf becomes +-kHighsInf, as in scipy's LP front end.
     lb = np.fmin(np.fmax(prob.lo, -_INF), _INF)
     ub = np.fmax(np.fmin(prob.hi, _INF), -_INF)
     return (
-        n, m, value.size, _COLWISE, _MINIMIZE, 0.0, prob.c, lb, ub,
-        np.concatenate([np.full(prob.b_in.size, -_INF), prob.b_eq]),
+        n, m, value.size, _ROWWISE, _MINIMIZE, 0.0, prob.c, lb, ub,
+        np.concatenate([np.fmax(prob.lb_in, -_INF), prob.b_eq]),
         np.concatenate([prob.b_in, prob.b_eq]),
-        np.searchsorted(cols, np.arange(n + 1)).astype(np.int32),
-        rows.astype(np.int32), value, np.zeros(n, dtype=np.int32),
+        np.searchsorted(rows, np.arange(m + 1)).astype(np.int32),
+        cols.astype(np.int32), value, np.zeros(n, dtype=np.int32),
     )
+
+
+def _tight_sides(prob: LpProblem, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per inequality row, whether A_in x sits within `TIGHT_TOL` of b_in,
+    and whether it sits within it of a finite lb_in."""
+    act = prob.a_in @ x
+    upper = prob.b_in - act <= TIGHT_TOL * (1.0 + np.abs(prob.b_in))
+    # inf <= inf: an infinite lb_in would read as tight without the mask
+    lower = np.isfinite(prob.lb_in) & (act - prob.lb_in <= TIGHT_TOL * (1.0 + np.abs(prob.lb_in)))
+    return upper, lower
 
 
 def solve_lp(prob: LpProblem) -> LpSolution:
@@ -224,12 +252,14 @@ def solve_lp(prob: LpProblem) -> LpSolution:
     if (math.isnan(objective) or np.isnan(x).any() or np.isnan(slack).any()
             or np.isnan(con).any()
             or not np.all((x >= lb - _CHECK_TOL) & (x <= ub + _CHECK_TOL))
-            or (slack < -_CHECK_TOL).any() or (np.abs(con) > _CHECK_TOL).any()):
+            or (slack < -_CHECK_TOL).any() or (np.abs(con) > _CHECK_TOL).any()
+            or (row_value[:m_in] < prob.lb_in - _CHECK_TOL).any()):
         return LpSolution(status="infeasible")
 
     row_dual = np.array(solution.row_dual)
     col_dual = np.array(solution.col_dual)
-    active_in = prob.b_in - prob.a_in @ x <= TIGHT_TOL * (1.0 + np.abs(prob.b_in))
+    upper, lower = _tight_sides(prob, x)
+    active_in = upper | lower
     active_lo = np.isfinite(prob.lo) & (x - prob.lo <= TIGHT_TOL * (1.0 + np.abs(prob.lo)))
     active_hi = np.isfinite(prob.hi) & (prob.hi - x <= TIGHT_TOL * (1.0 + np.abs(prob.hi)))
     return LpSolution(
@@ -261,16 +291,20 @@ def solution_sensitivity(prob: LpProblem, sol: LpSolution) -> SensitivityResult:
     """Frozen-basis derivative of the optimal primal w.r.t. `prob.params`.
 
     HiGHS's optimal basis names the n binding constraints: the nonbasic
-    columns, each held at the bound it sits on, and the nonbasic rows R. A
-    nonbasic column moves by its bound's coefficient; the basic columns B
-    follow from A[R, B] dx_B = d rhs_R - A[R, N] dx_N, where |R| = |B|.
-    Parameters of constraints that are not binding get zero columns.
+    columns, each held at the bound it sits on, and the nonbasic rows R, each
+    held at the side it sits on. A nonbasic column moves by its bound's
+    coefficient; the basic columns B follow from A[R, B] dx_B = d rhs_R -
+    A[R, N] dx_N, where |R| = |B|. An inequality row moves with its b_in
+    only when it sits at that upper side; at its lower side it moves with
+    lb_in, which is constant. Parameters of constraints that are not binding
+    get zero columns.
 
     The basis is degenerate when more than n constraints are tight (a basic
-    row or column sits at a bound, or a nonbasic column at both) or when a
-    nonbasic row or column has a multiplier within `DUAL_TOL` of zero.
-    `param_degenerate` marks parameters of tight constraints outside the
-    binding set. The derivative of HiGHS's basis is returned regardless.
+    row or column sits at a bound, or a nonbasic row or column at both of its
+    sides) or when a nonbasic row or column has a multiplier within
+    `DUAL_TOL` of zero. `param_degenerate` marks parameters of tight
+    constraints outside the binding set. The derivative of HiGHS's basis is
+    returned regardless.
     """
     if not sol.optimal:
         raise ValueError("sensitivity requires an optimal solution")
@@ -281,16 +315,20 @@ def solution_sensitivity(prob: LpProblem, sol: LpSolution) -> SensitivityResult:
     basic = sol.col_status == _BASIC
     row_binding = sol.row_status != _BASIC
     m = row_binding.size   # rows of [A_in; A_eq]
-    row_tight = np.concatenate([sol.active_in, np.ones(prob.b_eq.size, dtype=bool)])
+    in_upper = sol.row_status[:m_in] == _AT_UPPER
+    tight_upper, tight_lower = _tight_sides(prob, sol.x)
     duals = np.concatenate([sol.in_duals, sol.eq_duals, sol.lo_duals + sol.hi_duals])
     degenerate = bool(
         (sol.active_lo & ~at_lo).any() or (sol.active_hi & ~at_hi).any()
-        or (row_tight & ~row_binding).any()
+        or (tight_upper & ~in_upper).any()
+        or (tight_lower & (sol.row_status[:m_in] != _AT_LOWER)).any()
+        or not row_binding[m_in:].all()
         or (np.abs(duals) <= DUAL_TOL)[np.concatenate([row_binding, ~basic])].any()
     )
 
-    binding = np.concatenate([row_binding, at_lo, at_hi])[at]
-    tight = np.concatenate([row_tight, sol.active_lo, sol.active_hi])[at]
+    binding = np.concatenate([in_upper, row_binding[m_in:], at_lo, at_hi])[at]
+    tight = np.concatenate([tight_upper, np.ones(prob.b_eq.size, dtype=bool),
+                            sol.active_lo, sol.active_hi])[at]
     param_deg = np.zeros(count, dtype=bool)
     param_deg[param[tight & ~binding]] = True
     # Binding right-hand sides of [A_in; A_eq], then the columns: a column

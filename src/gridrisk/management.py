@@ -39,8 +39,9 @@ def build_rm(
     constraints: per-island balance, |target flows| <= F_max, generator
     bounds, 0 <= P*_d <= P_d(pre). The costs carry the dispatch LPs' per-unit
     tie-break (`cascade._tie_broken_costs`), so the optimum is unique; the
-    step's reported cost uses the case's own costs. The risk row is
-    inequality row 0; the flow-limit rows follow it.
+    step's reported cost uses the case's own costs. The one-sided risk row
+    is inequality row 0; the ranged flow-limit rows, one per live branch,
+    follow it.
     """
     n_l, n_g = case.n_load, case.n_gen
     n_vars = n_l + 3 * n_g
@@ -58,7 +59,7 @@ def build_rm(
     risk_row = np.zeros(n_vars)
     risk_row[: case.n_x] = -gamma
     risk_rhs = r_expected - r_prime0 - float(gamma @ x_star0.x)
-    flow_rows, flow_rhs = _flow_limit_rows(case, topo, n_vars)
+    flow_rows, f_max = _flow_limit_rows(case, topo, n_vars)
 
     lo = np.concatenate([np.zeros(n_l), case.gen_min, np.zeros(2 * n_g)])
     hi = np.concatenate(
@@ -68,7 +69,8 @@ def build_rm(
         c=c,
         a_eq=np.vstack([balance, split]),
         b_eq=np.concatenate([np.zeros(len(balance)), split_rhs]),
-        a_in=np.vstack([risk_row, flow_rows]), b_in=np.concatenate([[risk_rhs], flow_rhs]),
+        a_in=np.vstack([risk_row, flow_rows]),
+        lb_in=np.concatenate([[-np.inf], -f_max]), b_in=np.concatenate([[risk_rhs], f_max]),
         lo=lo, hi=hi,
     )
 

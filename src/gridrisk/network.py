@@ -436,13 +436,14 @@ def _integer(value, key: str, entity: str) -> int:
 
 def _number(row: dict, key: str, entity: str, default=_REQUIRED, kind=float):
     """`kind(row[key])`, or `default` when the key is absent. A missing
-    required key, a boolean, a value `kind` cannot convert, or (for `int`) a
-    non-integral value names the entity and key."""
+    required key, a string (even a numeric one), a boolean, a value `kind`
+    cannot convert, or (for `int`) a non-integral value names the entity and
+    key."""
     if key not in row:
         if default is _REQUIRED:
             raise CaseSemanticError(f"missing key '{key}'", entity)
         return default
-    if kind is float and isinstance(row[key], bool):
+    if isinstance(row[key], str) or (kind is float and isinstance(row[key], bool)):
         raise CaseSemanticError(f"'{key}' must be a number, got {row[key]!r}", entity)
     try:
         number = kind(row[key])

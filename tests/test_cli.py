@@ -97,8 +97,12 @@ class TestExitCodes:
          "'id' must be an integer, got True [strategy generators[0]]"),
         ({"loads": [{"id": 1, "target_mw": True}]},
          "'target_mw' must be a number, got True [strategy load id 1]"),
+        ({"loads": [{"id": 1, "target_mw": "5"}]},
+         "'target_mw' must be a number, got '5' [strategy load id 1]"),
+        ({"generators": [{"id": "3", "target_mw": 5.0}]},
+         "'id' must be a number, got '3' [strategy generators[0]]"),
     ], ids=["no-id", "no-target", "top-level-list", "row-not-object", "generators-object",
-            "non-integral-id", "boolean-id", "boolean-target"])
+            "non-integral-id", "boolean-id", "boolean-target", "string-target", "string-id"])
     def test_malformed_strategy(self, toy_case_file, tmp_path, capsys, doc, message):
         strategy = tmp_path / "strategy.json"
         strategy.write_text(json.dumps(doc))
@@ -216,6 +220,7 @@ class TestExitCodes:
         ("native-json", {}, "missing key 'ramp' [gen 1]"),
         ("matpower-text", {"load_shed": "x"}, "'load_shed' must be a number, got 'x' [costs]"),
         ("matpower-text", {"load_shed": None}, "'load_shed' must be a number, got None [costs]"),
+        ("matpower-text", {"load_shed": "100"}, "'load_shed' must be a number, got '100' [costs]"),
     ])
     def test_malformed_case_input(self, tmp_path, capsys, fmt, costs, message):
         case = tmp_path / "case"
@@ -247,6 +252,21 @@ class TestExitCodes:
     def test_boolean_case_number(self, tmp_path, capsys, section, key, message):
         doc = json.loads(serialize_case(cases.toy6()))
         doc[section][0][key] = True
+        f = tmp_path / "case.json"
+        f.write_text(json.dumps(doc))
+        code = run_cli(["assess", "--case", str(f), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section, key, value, message", [
+        ("branches", "f_max", "100", "'f_max' must be a number, got '100' [branch 1]"),
+        ("loads", "p", " 50 ", "'p' must be a number, got ' 50 ' [load 1]"),
+        ("buses", "id", "3", "'id' must be a number, got '3' [buses[0]]"),
+    ])
+    def test_string_case_number(self, tmp_path, capsys, section, key, value, message):
+        """A numeric JSON string is refused, not read as its number."""
+        doc = json.loads(serialize_case(cases.toy6()))
+        doc[section][0][key] = value
         f = tmp_path / "case.json"
         f.write_text(json.dumps(doc))
         code = run_cli(["assess", "--case", str(f), "--out", str(tmp_path / "o")])

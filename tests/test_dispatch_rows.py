@@ -58,10 +58,12 @@ def ref_target_lp(case, topo, x_prime):
     c = np.concatenate([-c_load, TARGET_EPSILON * c_gen])
     eq_rows, eq_rhs = ref_island_balance_rows(case, topo, n_vars)
     sens = flow_sensitivity(case, topo)
-    live = [i for i, br in enumerate(case.branches)
-            if br.id in topo.in_service and np.any(sens[i])]
-    a_in = np.vstack([sens[live], -sens[live]]) if live else None
-    b_in = np.concatenate([case.f_max[live], case.f_max[live]]) if live else None
+    rows, lower, upper = [], [], []   # one ranged row per live branch
+    for i, br in enumerate(case.branches):
+        if br.id in topo.in_service and np.any(sens[i]):
+            rows.append(sens[i])
+            lower.append(-case.f_max[i])
+            upper.append(case.f_max[i])
     lo = np.concatenate([np.zeros(n_l), case.gen_min])
     hi = np.concatenate([np.maximum(x_prime.p_load, 0.0), case.gen_max])
     params = [[("hi", i, 1.0)] for i in range(n_l)]   # P'_d
@@ -69,7 +71,10 @@ def ref_target_lp(case, topo, x_prime):
         c=c,
         a_eq=np.vstack(eq_rows) if eq_rows else None,
         b_eq=np.array(eq_rhs) if eq_rows else None,
-        a_in=a_in, b_in=b_in, lo=lo, hi=hi,
+        a_in=np.vstack(rows) if rows else None,
+        lb_in=np.array(lower) if rows else None,
+        b_in=np.array(upper) if rows else None,
+        lo=lo, hi=hi,
     ), params
 
 
@@ -115,7 +120,7 @@ def ref_execute_lp(case, topo, x_prime, x_star, tau_d):
 
 
 def ref_rm_lp(case, topo, x_pre, x_star0, gamma, r_prime0, r_expected):
-    """Flow rows interleaved (+i, -i) after the risk row."""
+    """The one-sided risk row, then one ranged flow row per live branch."""
     n_l, n_g = case.n_load, case.n_gen
     n_vars = n_l + 3 * n_g
     c_load, c_gen = ref_costs(case)
@@ -133,19 +138,19 @@ def ref_rm_lp(case, topo, x_pre, x_star0, gamma, r_prime0, r_expected):
             if br.id in topo.in_service and np.any(sens[i])]
     rows = [np.zeros(n_vars)]
     rows[0][: case.n_x] = -gamma
+    lower = [-np.inf]
     rhs = [r_expected - r_prime0 - float(gamma @ x_star0.x)]
     for i in live:
         row = np.zeros(n_vars)
         row[: case.n_x] = sens[i]
         rows.append(row)
-        rhs.append(case.f_max[i])
-        rows.append(-row)
+        lower.append(-case.f_max[i])
         rhs.append(case.f_max[i])
     lo = np.concatenate([np.zeros(n_l), case.gen_min, np.zeros(2 * n_g)])
     hi = np.concatenate([np.maximum(x_pre.p_load, 0.0), case.gen_max, np.full(2 * n_g, np.inf)])
     return lp.LpProblem(
         c=c, a_eq=np.vstack(eq_rows), b_eq=np.array(eq_rhs),
-        a_in=np.vstack(rows), b_in=np.array(rhs), lo=lo, hi=hi,
+        a_in=np.vstack(rows), lb_in=np.array(lower), b_in=np.array(rhs), lo=lo, hi=hi,
     ), len(live)
 
 
@@ -237,7 +242,7 @@ def ref_stacked_entries(prob, params):
 
 
 def assert_same_lp(new, ref, ref_params=()):
-    for name in ("c", "a_eq", "b_eq", "a_in", "b_in", "lo", "hi"):
+    for name in ("c", "a_eq", "b_eq", "a_in", "lb_in", "b_in", "lo", "hi"):
         assert np.array_equal(getattr(new, name), getattr(ref, name)), name
     count, at, param, coeff = new.params
     assert count == len(ref_params)
@@ -269,6 +274,8 @@ def test_target_and_execute_lps_match_reference(name, outages, request, captured
     cascade.dispatch_execute(case, topo, x_prime, tgt.x_star, 15.0)
     new_target, new_execute = captured_lps[start:]
     assert_same_lp(new_target, *ref_target_lp(case, topo, x_prime))
+    if name == "rts96":
+        assert new_target.b_in.size == topo.live.size   # one row per live branch
     assert_same_lp(new_execute, *ref_execute_lp(case, topo, x_prime, tgt.x_star, 15.0))
 
 
@@ -282,14 +289,10 @@ def test_rm_lp_matches_reference_in_stacked_order(name, outages, request):
     new = build_rm(case, topo, x_pre, x_star0, gamma, r_prime0, 0.5 * r_prime0)
     ref, n_live = ref_rm_lp(case, topo, x_pre, x_star0, gamma, r_prime0, 0.5 * r_prime0)
     assert n_live > 0
-    # the interleaved rows solve to the same point as the stacked ones
     sol_new, sol_ref = lp.solve_lp(new), lp.solve_lp(ref)
     assert sol_new.optimal and sol_ref.optimal
     assert np.array_equal(sol_new.x, sol_ref.x)
     assert sol_new.in_duals[0] == sol_ref.in_duals[0]
-    # risk row, then the interleaved +rows (odd positions), then the -rows (even)
-    order = np.concatenate([[0], 1 + 2 * np.arange(n_live), 2 + 2 * np.arange(n_live)])
-    ref.a_in, ref.b_in = ref.a_in[order], ref.b_in[order]
     assert_same_lp(new, ref)
 
 

@@ -109,6 +109,16 @@ class TestSolve:
             lp.LpProblem(c=[0.0, 1.0, 1.0], a_eq=[[1.0, -1.0, 1.0]], b_eq=[5.0],
                          lo=[0.0, 0.0, 0.0], hi=[2.0, np.inf, np.inf], params=params)
 
+    @pytest.mark.parametrize("lb_in, match", [
+        ([0.0, 0.0], "must match the inequality rows"),
+        ([np.nan], "must not be NaN"),
+        ([3.0 + 2 * lp.FEAS_TOL], "exceeds its right-hand side"),
+    ])
+    def test_row_lower_bound_validation(self, lb_in, match):
+        with pytest.raises(ValueError, match=match):
+            lp.LpProblem(c=[1.0, 1.0], a_in=[[1.0, 1.0]], b_in=[3.0], lb_in=lb_in,
+                         lo=[0.0, 0.0], hi=[5.0, 5.0])
+
 
 class TestSensitivity:
     def test_binding_bound_moves_one_for_one(self):
@@ -198,6 +208,35 @@ class TestSensitivity:
         sol = lp.solve_lp(prob)
         nonbasic = np.flatnonzero(sol.col_status != lp._BASIC)
         assert nonbasic.size == 1 and sol.lo_duals[nonbasic[0]] == 0.0
+        assert lp.solution_sensitivity(prob, sol).degenerate
+
+    @pytest.mark.parametrize("side, c, x, column", [
+        ("lower", [1.0, 2.0], [1.0, 0.0], [0.0, 0.0]),
+        ("upper", [-1.0, -2.0], [0.0, 3.0], [0.0, 2.0]),
+    ])
+    def test_ranged_row_binding_side(self, side, c, x, column):
+        """1 <= x0 + x1 <= 3 as one row: at its lower side the row moves with
+        the constant lb_in, so its b_in parameter (coefficient 2) gets a zero
+        column; at its upper side the column carries the coefficient."""
+        prob = lp.LpProblem(c=c, a_in=[[1.0, 1.0]], lb_in=[1.0], b_in=[3.0],
+                            lo=[0.0, 0.0], hi=[5.0, 5.0], params=(1, [0], [0], [2.0]))
+        sol = lp.solve_lp(prob)
+        assert sol.optimal and sol.active_in[0]
+        np.testing.assert_allclose(sol.x, x, rtol=0, atol=1e-12)
+        status = core.HighsBasisStatus.kLower if side == "lower" else core.HighsBasisStatus.kUpper
+        assert sol.row_status[0] == int(status)
+        sens = lp.solution_sensitivity(prob, sol)
+        assert not sens.degenerate
+        np.testing.assert_array_equal(sens.matrix[:, 0], column)
+
+    def test_degenerate_flag_on_basic_row_at_lower_side(self):
+        # x0 >= 1 and x1 >= 0 bind, and 1 <= x0 + x1 <= 3 sits at its lower
+        # side as a basic row: three tight constraints for two columns
+        prob = lp.LpProblem(c=[1.0, 1.0], a_in=[[1.0, 1.0]], lb_in=[1.0], b_in=[3.0],
+                            lo=[1.0, 0.0], hi=[5.0, 5.0], params=unit_params([0]))
+        sol = lp.solve_lp(prob)
+        assert sol.row_status[0] == lp._BASIC and sol.active_in[0]
+        assert (sol.col_status == lp._AT_LOWER).all()
         assert lp.solution_sensitivity(prob, sol).degenerate
 
     def test_randomized_fd_agreement(self):
@@ -377,8 +416,9 @@ def _param_shifts(prob):
 
 def assert_frozen_system(prob, sol, sens):
     """The matrix solves the system of HiGHS's binding set: each nonbasic
-    row moves its activity by its right-hand side's coefficient, and each
-    nonbasic column moves by the coefficient of the bound it sits on."""
+    row moves its activity by its right-hand side's coefficient (zero at the
+    lower side of a ranged row), and each nonbasic column moves by the
+    coefficient of the bound it sits on."""
     rows, lo, hi = _param_shifts(prob)
     dx = sens.matrix
     at_lo = sol.col_status == int(core.HighsBasisStatus.kLower)
@@ -388,6 +428,8 @@ def assert_frozen_system(prob, sol, sens):
     np.testing.assert_allclose(dx[nonbasic_col], want[nonbasic_col], rtol=0, atol=1e-12)
     a = np.vstack([prob.a_in, prob.a_eq])
     binding = sol.row_status != int(core.HighsBasisStatus.kBasic)
+    at_lower_in = sol.row_status[: prob.b_in.size] == int(core.HighsBasisStatus.kLower)
+    rows[: prob.b_in.size][at_lower_in] = 0.0   # held at the constant lb_in
     scale = 1.0 + np.abs(a[binding]) @ np.abs(dx)
     assert np.all(np.abs(a[binding] @ dx - rows[binding]) <= 1e-9 * scale)
 
@@ -414,11 +456,13 @@ GRID = st.integers(-8, 8).map(lambda k: k / 4.0)  # exact ties, no near-ties
 @st.composite
 def generated_lps(draw):
     """3-8 variables, boxed, pinched (lo == hi) or free zero-cost columns,
-    inequality rows tight or slack at a feasible point x0, an optional
+    inequality rows tight or slack at a feasible point x0, each one-sided or
+    ranged with a finite lower side 0.5 or 1 below x0, an optional
     equality row, and an optional exact or near (1e-8) copy of a row. Every
-    right-hand side and bound is a parameter; two more move two entries at
-    once: one +1 and another -1 (as P'_g moves both ramp rows of the
-    execution LP), and one row and one bound together."""
+    right-hand side and bound is a parameter (a row's lower side is not);
+    two more move two entries at once: one +1 and another -1 (as P'_g moves
+    both ramp rows of the execution LP), and one row and one bound
+    together."""
     n = draw(st.integers(3, 8))
     m = draw(st.integers(1, 5))
     a_in = np.array(draw(st.lists(GRID, min_size=m * n, max_size=m * n))).reshape(m, n)
@@ -435,6 +479,9 @@ def generated_lps(draw):
             lo[j], hi[j], c[j] = -np.inf, np.inf, 0.0
     slack = np.array(draw(st.lists(st.sampled_from([0.0, 0.0, 0.5]), min_size=m, max_size=m)))
     b_in = a_in @ x0 + slack
+    below = np.array(draw(st.lists(st.sampled_from([np.inf, np.inf, 0.5, 1.0]),
+                                   min_size=m, max_size=m)))
+    lb_in = a_in @ x0 - below
     a_eq = b_eq = None
     if draw(st.booleans()):
         a_eq = np.array([draw(st.lists(GRID, min_size=n, max_size=n))])
@@ -444,6 +491,7 @@ def generated_lps(draw):
         row = draw(st.integers(0, m - 1))
         a_in = np.vstack([a_in, a_in[row] + copy * np.arange(1, n + 1)])
         b_in = np.append(b_in, a_in[-1] @ x0 + slack[row])
+        lb_in = np.append(lb_in, a_in[-1] @ x0 - below[row])
     m_rows = b_in.size + (a_eq is not None)
     size = m_rows + 2 * n   # the stacked [b_in; b_eq; lo; hi]
     pair = draw(st.lists(st.integers(0, size - 1), min_size=2, max_size=2, unique=True))
@@ -452,7 +500,7 @@ def generated_lps(draw):
               np.concatenate([np.arange(size), pair, [row, bound]]),
               np.concatenate([np.arange(size), [size, size, size + 1, size + 1]]),
               np.concatenate([np.ones(size), [1.0, -1.0, 1.0, 1.0]]))
-    return lp.LpProblem(c=c, a_eq=a_eq, b_eq=b_eq, a_in=a_in, b_in=b_in,
+    return lp.LpProblem(c=c, a_eq=a_eq, b_eq=b_eq, a_in=a_in, lb_in=lb_in, b_in=b_in,
                         lo=lo, hi=hi, params=params)
 
 
@@ -461,24 +509,28 @@ def _shifted(prob, p, h):
     rows, lo, hi = _param_shifts(prob)
     m_in = prob.b_in.size
     return lp.LpProblem(c=prob.c, a_eq=prob.a_eq, b_eq=prob.b_eq + h * rows[m_in:, p],
-                        a_in=prob.a_in, b_in=prob.b_in + h * rows[:m_in, p],
+                        a_in=prob.a_in, lb_in=prob.lb_in, b_in=prob.b_in + h * rows[:m_in, p],
                         lo=prob.lo + h * lo[:, p], hi=prob.hi + h * hi[:, p])
 
 
 def _fd_step(prob, sol, p, dx):
-    """The largest step <= 1e-6 in parameter `p` that moves no basic column
-    or inequality row more than halfway to a bound along `dx`. A right-hand
-    side step leaves the multipliers alone, so below it a non-degenerate
-    basis stays the unique optimum and central differences see its
-    derivative, even where a near-duplicate row sits 1e-7 away."""
+    """The largest step <= 1e-6 in parameter `p` that moves no basic column,
+    and no inequality row on a side it is not held at, more than halfway to
+    a bound along `dx`. A right-hand side step leaves the multipliers alone,
+    so below it a non-degenerate basis stays the unique optimum and central
+    differences see its derivative, even where a near-duplicate row sits
+    1e-7 away."""
     rows, lo, hi = _param_shifts(prob)
     basic = sol.col_status == int(core.HighsBasisStatus.kBasic)
     m_in = prob.b_in.size
-    basic_in = sol.row_status[:m_in] == int(core.HighsBasisStatus.kBasic)
+    in_status = sol.row_status[:m_in]
+    free_up = in_status != int(core.HighsBasisStatus.kUpper)
+    free_lo = np.isfinite(prob.lb_in) & (in_status != int(core.HighsBasisStatus.kLower))
+    act, d_act = prob.a_in @ sol.x, prob.a_in @ dx
     slack = np.concatenate([(sol.x - prob.lo)[basic], (prob.hi - sol.x)[basic],
-                            (prob.b_in - prob.a_in @ sol.x)[basic_in]])
+                            (prob.b_in - act)[free_up], (act - prob.lb_in)[free_lo]])
     rate = np.abs(np.concatenate([(dx - lo[:, p])[basic], (hi[:, p] - dx)[basic],
-                                  (rows[:m_in, p] - prob.a_in @ dx)[basic_in]]))
+                                  (rows[:m_in, p] - d_act)[free_up], d_act[free_lo]]))
     moving = rate > 0
     return min([1e-6, *(0.5 * slack[moving] / rate[moving])])
 
@@ -491,6 +543,9 @@ def test_generated_lp_sensitivity(prob):
     sens = lp.solution_sensitivity(prob, sol)
     assert_frozen_system(prob, sol, sens)
     event("degenerate" if sens.degenerate else "finite differences checked")
+    if (sol.row_status[: prob.b_in.size] == int(core.HighsBasisStatus.kLower)).any():
+        event("row held at its lower side"
+              + ("" if sens.degenerate else ", finite differences checked"))
     if sens.degenerate:
         return
     for p in range(prob.params[0]):
@@ -659,13 +714,45 @@ def rts96_irm_lps():
     return recorded_lps(lambda: irm(rts96(), {22, 23, 24}, cfg))
 
 
+def expanded_linprog_solution(prob):
+    """`linprog_solution` of `prob` with each ranged row k written as two
+    one-sided rows, [A; -A] <= [b; -lb], over the rows with a finite lb;
+    ranged row k is active when either of its two rows is."""
+    ranged = np.flatnonzero(np.isfinite(prob.lb_in))
+    ref = linprog_solution(lp.LpProblem(
+        c=prob.c, a_eq=prob.a_eq, b_eq=prob.b_eq,
+        a_in=np.vstack([prob.a_in, -prob.a_in[ranged]]),
+        b_in=np.concatenate([prob.b_in, -prob.lb_in[ranged]]), lo=prob.lo, hi=prob.hi))
+    if ref.optimal:
+        m_in = prob.b_in.size
+        active_in = ref.active_in[:m_in].copy()
+        active_in[ranged] |= ref.active_in[m_in:]
+        ref = lp.LpSolution(status=ref.status, x=ref.x, active_in=active_in)
+    return ref
+
+
 @pytest.mark.parametrize("record", [toy6_irm_lps, rts96_sampled_lps])
 def test_recorded_lps_match_linprog(record, recorded):
+    """LPs with one-sided rows only match linprog bit for bit. An LP with
+    ranged rows matches linprog on its two-row expansion in status, in x
+    within 1e-9 and in its active rows."""
     probs = recorded(record)
-    refs = [linprog_solution(p) for p in probs]
-    for prob, ref in zip(probs, refs):
-        assert_same_bits(lp.solve_lp(prob), ref)
-    statuses = [r.status for r in refs]
+    statuses = []
+    ranged = 0
+    for prob in probs:
+        sol = lp.solve_lp(prob)
+        if not np.isfinite(prob.lb_in).any():
+            ref = linprog_solution(prob)
+            assert_same_bits(sol, ref)
+        else:
+            ranged += 1
+            ref = expanded_linprog_solution(prob)
+            assert sol.status == ref.status
+            if ref.optimal:
+                np.testing.assert_allclose(sol.x, ref.x, rtol=0, atol=1e-9)
+                assert np.array_equal(sol.active_in, ref.active_in)
+        statuses.append(ref.status)
+    assert ranged > 0 and ranged < len(probs)
     assert statuses.count("optimal") >= 20 and statuses.count("infeasible") >= 5
 
 
@@ -806,6 +893,24 @@ def test_post_solve_check(monkeypatch, field, shift, optimal):
     sol = lp.solve_lp(prob)
     assert sol.optimal == optimal
     assert_same_bits(sol, linprog_solution(prob))
+
+
+@pytest.mark.parametrize("shift, optimal", [(-1e-5, True), (-1e-3, False)])
+def test_post_solve_check_row_lower_side(monkeypatch, shift, optimal):
+    """A row value below a ranged row's lb_in by more than the check
+    tolerance is reported infeasible."""
+
+    class Shifted(core._Highs):
+        def getSolution(self):
+            solution = super().getSolution()
+            solution.row_value = [v + shift for v in solution.row_value]
+            return solution
+
+    prob = lp.LpProblem(c=[1.0, 2.0], a_in=[[1.0, 1.0]], lb_in=[1.0], b_in=[3.0],
+                        lo=[0.0, 0.0], hi=[5.0, 5.0])
+    assert lp.solve_lp(prob).optimal
+    monkeypatch.setattr(core, "_Highs", Shifted)
+    assert lp.solve_lp(prob).optimal == optimal
 
 
 @pytest.mark.parametrize("field", ["c", "a_in", "b_in", "a_eq", "b_eq"])

@@ -148,6 +148,12 @@ class TestParsing:
         (("loads", 0, "p"), True, "load 1", "'p' must be a number, got True"),
         (("generators", 0, "cost"), False, "gen 1", "'cost' must be a number, got False"),
         (("costs",), {"load_shed": True}, "costs", "'load_shed' must be a number, got True"),
+        # numeric strings are refused, not converted
+        (("branches", 0, "f_max"), "100", "branch 1", "'f_max' must be a number, got '100'"),
+        (("loads", 0, "p"), " 50 ", "load 1", "'p' must be a number, got ' 50 '"),
+        (("buses", 1, "id"), "3", "buses[1]", "'id' must be a number, got '3'"),
+        (("costs",), {"load_shed": "100"}, "costs", "'load_shed' must be a number, got '100'"),
+        (("failure_rate",), {"knee": "0.9"}, "branch 1", "'knee' must be a number, got '0.9'"),
     ])
     def test_malformed_native_value_named(self, path, value, entity, message):
         doc = json.loads(json.dumps(MINIMAL_2BUS))
@@ -198,6 +204,9 @@ class TestParsing:
         ({"costs": 5}, None, "'costs' must be an object"),
         ({"failure_rate": {"knee": "x"}}, "branch 1", "'knee' must be a number, got 'x'"),
         ({"ramp_fraction": "x"}, "defaults", "'ramp_fraction' must be a number"),
+        ({"costs": {"gen_adjust": "100"}}, "costs", "'gen_adjust' must be a number, got '100'"),
+        ({"failure_rate": {"lambda_0": "1e-4"}}, "branch 1", "'lambda_0' must be a number"),
+        ({"branch_limit": "500"}, "defaults", "'branch_limit' must be a number, got '500'"),
     ])
     def test_malformed_matpower_defaults_named(self, defaults, entity, message):
         with pytest.raises(CaseSemanticError, match=re.escape(message)) as err:
