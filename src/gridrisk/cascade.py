@@ -16,6 +16,7 @@ computed: those fields are None and `degenerate` stays False.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -362,22 +363,53 @@ def _move_split_rows(case: NetworkCase, n_vars: int, p_ref: np.ndarray):
     return rows, np.asarray(p_ref, dtype=float)
 
 
-def _solve_dispatch_lp(topo: Topology, kind: str, prob: lp.LpProblem) -> lp.LpSolution:
-    """`lp.solve_lp(prob)`, solved once per distinct LP on `topo`.
+@dataclass(slots=True)
+class _MemoEntry:
+    """A dispatch LP's solution, and weak references to the read-only
+    jacobians its sensitivity gave (none until a caller asks for them)."""
+
+    sol: lp.LpSolution
+    jacobians: tuple = ()   # weakref.ref per array
+    degenerate: bool = False
+
+
+def _solve_dispatch_lp(topo: Topology, key: tuple, build, derive=None):
+    """(solution, jacobians, degenerate) of the dispatch LP that `key` names
+    on `topo`, solved once per distinct LP.
 
     The costs, the matrices a_eq, a_in and the row lower bounds lb_in of the
     target and execution LPs depend only on the case, the topology and the
-    LP `kind` ("target" or "execute"); the state enters through b_eq, b_in,
-    lo and hi alone. So `kind` and the bytes of those four vectors name the
-    LP in `topo.lp_memo`, and a hit returns the (read-only) solution HiGHS
-    gave the same LP before.
+    LP kind; the state enters through their right-hand sides and bounds. So
+    the kind and the bytes of the state-driven vectors name the LP in
+    `topo.lp_memo`, and the caller computes only those before the lookup.
+    `build()` makes the `LpProblem`; it runs on a miss, and again when the
+    jacobians are asked for but no longer held. `derive(matrix)` turns the
+    sensitivity matrix into the jacobian arrays; without it (no gradients)
+    no sensitivity is computed and (solution, None, False) comes back, as it
+    does for an LP that is not optimal.
+
+    A hit returns the read-only solution, and the same read-only jacobian
+    arrays, that the first call got. The memo holds the arrays weakly: the
+    `LevelRecord`s that carry them own them, so they live as long as some
+    tree does, and once every owner is gone the next call rebuilds the LP
+    and recomputes them, with the same bytes.
     """
-    key = (kind, prob.b_eq.tobytes(), prob.b_in.tobytes(), prob.lo.tobytes(),
-           prob.hi.tobytes())
-    sol = topo.lp_memo.get(key)
-    if sol is None:
-        sol = topo.lp_memo[key] = lp.solve_lp(prob)
-    return sol
+    entry = topo.lp_memo.get(key)
+    prob = None
+    if entry is None:
+        prob = build()
+        entry = topo.lp_memo[key] = _MemoEntry(lp.solve_lp(prob))
+    if derive is None or not entry.sol.optimal:
+        return entry.sol, None, False
+    arrays = tuple(ref() for ref in entry.jacobians)
+    if not arrays or any(a is None for a in arrays):
+        sens = lp.solution_sensitivity(prob if prob is not None else build(), entry.sol)
+        arrays = derive(sens.matrix)
+        for a in arrays:
+            a.flags.writeable = False
+        entry.jacobians = tuple(weakref.ref(a) for a in arrays)
+        entry.degenerate = sens.degenerate
+    return entry.sol, arrays, entry.degenerate
 
 
 def dispatch_target(
@@ -394,48 +426,48 @@ def dispatch_target(
     `_tie_broken_costs`, so the optimum is unique. Infeasibility falls back
     to the shed-all target (P*_d = 0, P*_g = P'_g), flagged.
     """
-    n_l, n_g = case.n_load, case.n_gen
-    n_vars = n_l + n_g
-    c_load, c_gen = _tie_broken_costs(case)
-    c = np.concatenate([-c_load, TARGET_EPSILON * c_gen])
-    balance = _island_balance_rows(case, topo, n_vars)
-    a_in, f_max = _flow_limit_rows(case, topo, n_vars)
-
+    n_l, n_g, n_x = case.n_load, case.n_gen, case.n_x
     lo = np.concatenate([np.zeros(n_l), case.gen_min])
     hi = np.concatenate([np.maximum(x_prime.p_load, 0.0), case.gen_max])
-    # parameter i is P'_d[i], the upper bound of P*_d[i]
-    hi_at = len(f_max) + len(balance) + n_vars + np.arange(n_l)
 
-    prob = lp.LpProblem(
-        c=c,
-        a_eq=balance,
-        b_eq=np.zeros(len(balance)),
-        a_in=a_in,
-        lb_in=-f_max,
-        b_in=f_max,
-        lo=lo,
-        hi=hi,
-        params=(n_l, hi_at, np.arange(n_l), np.ones(n_l)),
+    def build():
+        c_load, c_gen = _tie_broken_costs(case)
+        balance = _island_balance_rows(case, topo, n_x)
+        a_in, f_max = _flow_limit_rows(case, topo, n_x)
+        # parameter i is P'_d[i], the upper bound of P*_d[i]
+        hi_at = len(f_max) + len(balance) + n_x + np.arange(n_l)
+        return lp.LpProblem(
+            c=np.concatenate([-c_load, TARGET_EPSILON * c_gen]),
+            a_eq=balance,
+            b_eq=np.zeros(len(balance)),
+            a_in=a_in,
+            lb_in=-f_max,
+            b_in=f_max,
+            lo=lo,
+            hi=hi,
+            params=(n_l, hi_at, np.arange(n_l), np.ones(n_l)),
+        )
+
+    def derive(matrix):
+        jac = np.zeros((n_x, n_x))
+        jac[:, :n_l] = matrix[:n_x, :]  # d x*/d P'_g is zero
+        return (jac,)
+
+    sol, derived, degenerate = _solve_dispatch_lp(
+        topo, ("target", lo.tobytes(), hi.tobytes()), build, derive if jacobians else None
     )
-    sol = _solve_dispatch_lp(topo, "target", prob)
     if not sol.optimal:
         jac = None
         if jacobians:
-            jac = np.zeros((case.n_x, case.n_x))
+            jac = np.zeros((n_x, n_x))
             jac[n_l:, n_l:] = np.eye(n_g)
         return TargetResult(
             x_star=SystemState(np.zeros(n_l), x_prime.p_gen.copy()),
             jac=jac, fallback=True, degenerate=False, signature=(sol.status,),
         )
-    jac, degenerate = None, False
-    if jacobians:
-        sens_res = lp.solution_sensitivity(prob, sol)
-        jac = np.zeros((case.n_x, case.n_x))
-        jac[:, :n_l] = sens_res.matrix[: case.n_x, :]  # d x*/d P'_g is zero
-        degenerate = sens_res.degenerate
     return TargetResult(
         x_star=SystemState(sol.x[:n_l].copy(), sol.x[n_l:].copy()),
-        jac=jac,
+        jac=derived[0] if jacobians else None,
         fallback=False,
         degenerate=degenerate,
         signature=sol.active_signature(),
@@ -479,40 +511,46 @@ def dispatch_execute(
     n_l, n_g, n_x = case.n_load, case.n_gen, case.n_x
     n_vars = n_l + 3 * n_g  # P_d, P_g, u, v with P_g - u + v = P*_g
 
-    c_load, c_gen = _tie_broken_costs(case)
-    c = np.concatenate([c_load, np.zeros(n_g), c_gen, c_gen])
-    balance = _island_balance_rows(case, topo, n_vars)
-    split, split_rhs = _move_split_rows(case, n_vars, x_star.p_gen)
-
+    split_rhs = np.asarray(x_star.p_gen, dtype=float)
     # ramp rows P_g <= P'_g + tau_D r_g, then -P_g <= -P'_g + tau_D r_g
-    j = np.arange(n_g)
-    a_in = np.zeros((2 * n_g, n_vars))
-    a_in[j, n_l + j] = 1.0
-    a_in[n_g + j, n_l + j] = -1.0
     window = tau_d * case.gen_ramp
     b_in = np.concatenate([x_prime.p_gen + window, -x_prime.p_gen + window])
-
     hi_d = np.maximum(x_prime.p_load, 0.0)
     lo_d = np.minimum(np.maximum(x_star.p_load, 0.0), hi_d)  # clip unreachable targets
     lo = np.concatenate([lo_d, case.gen_min, np.zeros(2 * n_g)])
     hi = np.concatenate([hi_d, case.gen_max, np.full(2 * n_g, np.inf)])
 
-    # Parameters [x*; x'] over the stacked [b_in; b_eq; lo; hi]: P*_d moves
-    # lo_d, P*_g the split rows, P'_d hi_d, and P'_g both ramp rows.
-    i = np.arange(n_l)
-    split_at = 2 * n_g + len(balance)   # first split row
-    lo_at = split_at + n_g              # first lower bound
-    at = np.concatenate([lo_at + i, split_at + j, lo_at + n_vars + i, j, n_g + j])
-    param = np.concatenate([np.arange(2 * n_x), n_x + n_l + j])
-    coeff = np.concatenate([np.ones(2 * n_x), -np.ones(n_g)])
+    def build():
+        c_load, c_gen = _tie_broken_costs(case)
+        balance = _island_balance_rows(case, topo, n_vars)
+        split, _ = _move_split_rows(case, n_vars, split_rhs)
+        j = np.arange(n_g)
+        a_in = np.zeros((2 * n_g, n_vars))
+        a_in[j, n_l + j] = 1.0
+        a_in[n_g + j, n_l + j] = -1.0
+        # Parameters [x*; x'] over the stacked [b_in; b_eq; lo; hi]: P*_d
+        # moves lo_d, P*_g the split rows, P'_d hi_d, and P'_g both ramp rows.
+        i = np.arange(n_l)
+        split_at = 2 * n_g + len(balance)   # first split row
+        lo_at = split_at + n_g              # first lower bound
+        at = np.concatenate([lo_at + i, split_at + j, lo_at + n_vars + i, j, n_g + j])
+        param = np.concatenate([np.arange(2 * n_x), n_x + n_l + j])
+        coeff = np.concatenate([np.ones(2 * n_x), -np.ones(n_g)])
+        return lp.LpProblem(
+            c=np.concatenate([c_load, np.zeros(n_g), c_gen, c_gen]),
+            a_eq=np.vstack([balance, split]),
+            b_eq=np.concatenate([np.zeros(len(balance)), split_rhs]),
+            a_in=a_in, b_in=b_in, lo=lo, hi=hi, params=(2 * n_x, at, param, coeff),
+        )
 
-    prob = lp.LpProblem(
-        c=c,
-        a_eq=np.vstack([balance, split]),
-        b_eq=np.concatenate([np.zeros(len(balance)), split_rhs]),
-        a_in=a_in, b_in=b_in, lo=lo, hi=hi, params=(2 * n_x, at, param, coeff),
+    def derive(matrix):
+        # copies: a view would keep the whole sensitivity matrix alive
+        return matrix[:n_x, :n_x].copy(), matrix[:n_x, n_x:].copy()
+
+    key = ("execute", split_rhs.tobytes(), b_in.tobytes(), lo.tobytes(), hi.tobytes())
+    sol, derived, degenerate = _solve_dispatch_lp(
+        topo, key, build, derive if jacobians else None
     )
-    sol = _solve_dispatch_lp(topo, "execute", prob)
     if not sol.optimal:
         # Ramp window cannot restore balance: emergency proportional shedding.
         state, jac, cost, dcost = _rebalance(case, topo, x_prime, jacobians)
@@ -534,11 +572,7 @@ def dispatch_execute(
             emergency=False, degenerate=False, signature=sol.active_signature(),
         )
 
-    sens_res = lp.solution_sensitivity(prob, sol)
-    # copies: a view would keep the whole sensitivity matrix alive in the level
-    jac_star = sens_res.matrix[:n_x, :n_x].copy()
-    jac_prime = sens_res.matrix[:n_x, n_x:].copy()
-
+    jac_star, jac_prime = derived
     sigma = np.sign(np.where(np.abs(move) <= 1e-9, 0.0, move))
     w = np.concatenate([-case.c_load, case.c_gen * sigma])  # dC_R/dx at fixed x'
     direct = np.concatenate([case.c_load, -case.c_gen * sigma])
@@ -548,7 +582,7 @@ def dispatch_execute(
         state=state, cost=cost,
         jac_prime=jac_prime, jac_star=jac_star,
         dcost_dxprime=dcost_dxprime, dcost_dxstar=dcost_dxstar,
-        emergency=False, degenerate=sens_res.degenerate,
+        emergency=False, degenerate=degenerate,
         signature=sol.active_signature(),
     )
 

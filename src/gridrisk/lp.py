@@ -1,9 +1,15 @@
 """Linear programs with frozen-basis solution sensitivities.
 
 Solving is delegated to HiGHS dual simplex through the bindings scipy ships
-(`scipy.optimize._highspy`). Each LP gets a fresh solver and the same options
-and post-solve feasibility check as scipy's `highs-ds` LP method with
-`presolve=False`, without that method's per-call Python wrapping. Inequality
+(`scipy.optimize._highspy`), with the same options and post-solve
+feasibility check as scipy's `highs-ds` LP method with `presolve=False`,
+without that method's per-call Python wrapping. Small models share one
+module-level solver: `passModel` replaces its model and basis, so no state
+carries from one solve to the next, and setting one up costs more than a
+small LP's simplex solve. After a model with more than `REUSE_NNZ`
+nonzeros the solver is dropped, so a large model's workspace is freed as
+soon as its solve ends. The program runs no threads, so one
+shared solver is never in use twice at once. Inequality
 rows may be ranged, `lb_in <= A_in x <= b_in`, so a two-sided limit such as
 |flow| <= F_max is one row; HiGHS takes ranged rows natively. The model goes
 to HiGHS as row-wise arrays of [A_in; A_eq] in one `passModel` call, read
@@ -31,6 +37,7 @@ import scipy.optimize._highspy._core as _highs
 FEAS_TOL = 1e-8          # KKT / constraint residual tolerance
 TIGHT_TOL = 1e-7         # activity detection
 DUAL_TOL = 1e-9          # multipliers at most this far from zero are weak
+REUSE_NNZ = 10_000       # models with more nonzeros do not keep the shared solver
 
 
 def _highs_options() -> _highs.HighsOptions:
@@ -60,6 +67,8 @@ _AT_UPPER = int(_highs.HighsBasisStatus.kUpper)
 _BASIC = int(_highs.HighsBasisStatus.kBasic)
 # scipy's post-solve check tolerance: sqrt(tol) * 10 with its default 1e-9.
 _CHECK_TOL = math.sqrt(1e-9) * 10
+# (solver, the solver class, the options passed to it), kept for small models
+_reused: tuple | None = None
 
 
 class InternalError(RuntimeError):
@@ -214,6 +223,21 @@ def _tight_sides(prob: LpProblem, x: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return upper, lower
 
 
+def _solver(nnz: int):
+    """A HiGHS solver with `_HIGHS_OPTIONS` passed, kept for the next solve
+    when the model it gets has at most `REUSE_NNZ` nonzeros. The kept solver
+    is rebuilt whenever `_highs._Highs` or `_HIGHS_OPTIONS` is no longer the
+    object it was made from."""
+    global _reused
+    if _reused is not None and _reused[1] is _highs._Highs and _reused[2] is _HIGHS_OPTIONS:
+        highs = _reused[0]
+    else:
+        highs = _highs._Highs()
+        highs.passOptions(_HIGHS_OPTIONS)
+    _reused = (highs, _highs._Highs, _HIGHS_OPTIONS) if nnz <= REUSE_NNZ else None
+    return highs
+
+
 def solve_lp(prob: LpProblem) -> LpSolution:
     """Solve with HiGHS dual simplex; statuses are reported, never raised.
 
@@ -223,8 +247,7 @@ def solve_lp(prob: LpProblem) -> LpSolution:
     """
     model = _highs_model(prob)
     lb, ub = model[7:9]   # the column bounds as HiGHS sees them
-    highs = _highs._Highs()
-    highs.passOptions(_HIGHS_OPTIONS)
+    highs = _solver(model[2])
     if highs.passModel(*model) == _ERROR:
         return LpSolution(status="infeasible")
     ran = highs.run() != _ERROR

@@ -279,7 +279,8 @@ class Topology:
     inv_map: np.ndarray = field(compare=False)      # injections (pu) -> angles
     flow_sens: np.ndarray = field(compare=False)    # d(flows, MW)/d([P_d; P_g], MW)
     live: np.ndarray = field(compare=False)  # in-service branches of energized islands
-    # dispatch-LP solutions on this topology, filled by `cascade`
+    # dispatch-LP solutions on this topology, with weak references to their
+    # jacobians, filled by `cascade._solve_dispatch_lp`
     lp_memo: dict = field(default_factory=dict, compare=False, repr=False)
 
 

@@ -252,14 +252,14 @@ def assert_same_lp(new, ref, ref_params=()):
 
 @pytest.fixture()
 def captured_lps(monkeypatch):
-    """Every dispatch LP built, whether or not its topology's memo holds it
-    (a memo hit hands nothing to `lp.solve_lp`)."""
+    """Every dispatch LP asked for, built here whether or not its topology's
+    memo holds it (a memo hit builds no LP)."""
     probs = []
     solve = cascade._solve_dispatch_lp
 
-    def capture(topo, kind, prob):
-        probs.append(prob)
-        return solve(topo, kind, prob)
+    def capture(topo, key, build, derive=None):
+        probs.append(build())
+        return solve(topo, key, build, derive)
 
     monkeypatch.setattr(cascade, "_solve_dispatch_lp", capture)
     return probs

@@ -559,6 +559,62 @@ def test_generated_lp_sensitivity(prob):
                                    atol=1e-5 * max(1.0, np.abs(fd).max()))
 
 
+def continuous_lps(seed, count):
+    """`count` feasible boxed LPs of 3-8 variables and 1-5 inequality rows,
+    each one-sided or ranged, and an optional equality row, with every
+    cost, coefficient, right-hand side and bound drawn from a continuous
+    distribution: no ties, so almost every optimum is a nondegenerate
+    vertex. Every right-hand side and bound is a parameter, and two more
+    move two entries at once, as in `generated_lps`."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n, m = int(rng.integers(3, 9)), int(rng.integers(1, 6))
+        x0 = rng.uniform(-1.0, 1.0, n)
+        a_in = rng.normal(size=(m, n))
+        act = a_in @ x0
+        b_in = act + rng.uniform(0.0, 1.0, m)
+        lb_in = np.where(rng.random(m) < 0.5, -np.inf, act - rng.uniform(0.0, 1.0, m))
+        a_eq = b_eq = None
+        if rng.random() < 0.5:
+            a_eq = rng.normal(size=(1, n))
+            b_eq = a_eq @ x0
+        m_rows = m + (a_eq is not None)
+        size = m_rows + 2 * n
+        pair = rng.choice(size, 2, replace=False)
+        row, bound = rng.integers(0, m_rows), rng.integers(m_rows, size)
+        params = (size + 2,
+                  np.concatenate([np.arange(size), pair, [row, bound]]),
+                  np.concatenate([np.arange(size), [size, size, size + 1, size + 1]]),
+                  np.concatenate([np.ones(size), [1.0, -1.0, 1.0, 1.0]]))
+        yield lp.LpProblem(c=rng.normal(size=n), a_eq=a_eq, b_eq=b_eq, a_in=a_in,
+                           lb_in=lb_in, b_in=b_in, lo=x0 - rng.uniform(0.1, 2.0, n),
+                           hi=x0 + rng.uniform(0.1, 2.0, n), params=params)
+
+
+def test_continuous_lp_sensitivity():
+    """`test_generated_lp_sensitivity`'s data are built from exact ties, so
+    most of its bases are degenerate and few reach the finite-difference
+    check. On tie-free data at least 80 % of the LPs are nondegenerate, and
+    every nondegenerate one matches central differences in every parameter."""
+    checked = 0
+    for prob in continuous_lps(2024, 200):
+        sol = lp.solve_lp(prob)
+        assert sol.optimal
+        sens = lp.solution_sensitivity(prob, sol)
+        assert_frozen_system(prob, sol, sens)
+        if sens.degenerate:
+            continue
+        checked += 1
+        for p in range(prob.params[0]):
+            h = _fd_step(prob, sol, p, sens.matrix[:, p])
+            assert h >= 1e-9
+            up, dn = lp.solve_lp(_shifted(prob, p, h)), lp.solve_lp(_shifted(prob, p, -h))
+            fd = (up.x - dn.x) / (2 * h)
+            np.testing.assert_allclose(sens.matrix[:, p], fd, rtol=0,
+                                       atol=1e-5 * max(1.0, np.abs(fd).max()))
+    assert checked >= 160
+
+
 def test_recorded_rts96_lps_have_valid_bases(recorded):
     """HiGHS hands back a valid basis with exactly n nonbasic entries for
     every optimal LP of a recorded RTS-96 run, and `solve_lp` keeps it."""
@@ -775,16 +831,28 @@ def test_recorded_lp_optima_are_unique(record, recorded, monkeypatch):
     """The cost tie-break leaves one optimum per dispatch and RM LP: HiGHS
     without presolve, with presolve and with primal simplex, each on its own
     path, agree on the status and on x within 1e-9."""
+    passed = []
+
+    class Recording(core._Highs):
+        def passOptions(self, options):
+            passed.append(options)
+            return super().passOptions(options)
+
+    monkeypatch.setattr(core, "_Highs", Recording)
     probs = recorded(record)
     base = [lp.solve_lp(prob) for prob in probs]
+    assert passed and all(opts is lp._HIGHS_OPTIONS for opts in passed)
     for variant, opts in SOLVER_VARIANTS.items():
         monkeypatch.setattr(lp, "_HIGHS_OPTIONS", opts)
+        passed.clear()
         for k, (prob, ref) in enumerate(zip(probs, base)):
             sol = lp.solve_lp(prob)
             assert sol.status == ref.status, (variant, k)
             if ref.optimal:
                 np.testing.assert_allclose(sol.x, ref.x, rtol=0, atol=1e-9,
                                            err_msg=f"{variant} LP {k}")
+        # each variant reached HiGHS with its own options, not a kept solver's
+        assert passed and all(o is opts for o in passed), variant
     assert sum(sol.optimal for sol in base) >= 20
 
 
@@ -842,9 +910,10 @@ def test_highs_options_match_linprog(monkeypatch):
 
 
 def test_solve_order_does_not_matter():
-    """A fresh solver per LP: no basis carries from one solve to the next.
-    Every point of `a` is optimal, so a basis kept from `b` (whose optimum
-    is x2 = 3) would move its answer away from x0 = 3."""
+    """A reused solver keeps no basis: `passModel` replaces the model and
+    its basis, so nothing carries from one solve to the next. Every point
+    of `a` is optimal, so a basis kept from `b` (whose optimum is x2 = 3)
+    would move its answer away from x0 = 3."""
     a = lp.LpProblem(c=[0.0, 0.0, 0.0], a_eq=[[1.0, 1.0, 1.0]], b_eq=[3.0],
                      lo=[0.0, 0.0, 0.0], hi=[3.0, 3.0, 3.0])
     b = lp.LpProblem(c=[1.0, 1.0, -1.0], a_eq=[[1.0, 1.0, 1.0]], b_eq=[3.0],
@@ -854,6 +923,42 @@ def test_solve_order_does_not_matter():
     again = lp.solve_lp(a)
     assert_same_bits(again, first)
     assert_same_bits(first, linprog_solution(a))
+
+
+def _nnz(prob):
+    return np.count_nonzero(prob.a_in) + np.count_nonzero(prob.a_eq)
+
+
+def test_small_lps_share_one_solver(monkeypatch):
+    """A toy6 IRM run sets HiGHS up once for all of its LPs, every one of
+    them below `lp.REUSE_NNZ` nonzeros."""
+    made = []
+
+    class Counting(core._Highs):
+        def __init__(self):
+            super().__init__()
+            made.append(1)
+
+    monkeypatch.setattr(core, "_Highs", Counting)
+    probs = toy6_irm_lps()
+    assert len(probs) > 50 and max(map(_nnz, probs)) <= lp.REUSE_NNZ
+    assert len(made) == 1
+
+
+def test_large_model_drops_the_solver(recorded):
+    """A model above `lp.REUSE_NNZ` nonzeros (a target LP of the recorded
+    RTS-96 {22,23,24} run) leaves no solver behind; the next small model
+    sets one up and keeps it."""
+    small = split_abs_problem()
+    lp.solve_lp(small)
+    kept = lp._reused[0]
+    lp.solve_lp(small)
+    assert lp._reused[0] is kept
+    large = next(p for p in recorded(rts96_sampled_lps)[1:] if _nnz(p) > lp.REUSE_NNZ)
+    assert lp.solve_lp(large).optimal
+    assert lp._reused is None
+    lp.solve_lp(small)
+    assert lp._reused is not None and lp._reused[0] is not kept
 
 
 def test_solution_arrays_are_read_only():

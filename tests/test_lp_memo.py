@@ -1,10 +1,13 @@
 """The per-topology memo of the dispatch LPs (`cascade._solve_dispatch_lp`).
 
 A memo hit must be indistinguishable from solving the LP again: runs with
-the memo match runs that solve every LP node for node, each distinct LP is
-solved once, and two LPs the memo treats as one are the same LP.
+the memo match runs that solve every LP and recompute every jacobian node
+for node, each distinct LP is solved once, two LPs the memo treats as one
+are the same LP, and the jacobians the memo shares are read-only and held
+only as long as a caller holds them.
 """
 
+import gc
 import itertools
 
 import numpy as np
@@ -19,8 +22,15 @@ RTS96_SAMPLED = AssessmentConfig(attempts=40, seed=1, gradients=False)
 TOY6_OUTAGES = [set(o) for k in (1, 2) for o in itertools.combinations(range(1, 7), k)]
 
 
-def always_solve(topo, kind, prob):
-    return lp.solve_lp(prob)
+def always_solve(topo, key, build, derive=None):
+    """`cascade._solve_dispatch_lp` without the memo: every call builds and
+    solves its LP and, when jacobians are asked for, recomputes them."""
+    prob = build()
+    sol = lp.solve_lp(prob)
+    if derive is None or not sol.optimal:
+        return sol, None, False
+    sens = lp.solution_sensitivity(prob, sol)
+    return sol, derive(sens.matrix), sens.degenerate
 
 
 def assessments_of(run, monkeypatch):
@@ -111,14 +121,15 @@ def test_each_lp_solved_once(monkeypatch):
 ])
 def test_one_memo_entry_is_one_lp(name, outages, config, monkeypatch):
     """LPs the memo answers with one solution have equal costs and matrices,
-    the parts its key leaves out, and equal keyed vectors."""
+    the parts its key leaves out, and equal keyed vectors. The LP is built
+    here on every call, hit or miss, to compare it."""
     calls = []
     memoized = cascade._solve_dispatch_lp
 
-    def record(topo, kind, prob):
-        sol = memoized(topo, kind, prob)
-        calls.append((prob, sol))
-        return sol
+    def record(topo, key, build, derive=None):
+        result = memoized(topo, key, build, derive)
+        calls.append((build(), result[0]))
+        return result
 
     monkeypatch.setattr(cascade, "_solve_dispatch_lp", record)
     case = getattr(cases, name)()
@@ -133,5 +144,57 @@ def test_one_memo_entry_is_one_lp(name, outages, config, monkeypatch):
     for probs in groups.values():
         first = probs[0]
         for prob in probs[1:]:
-            for field in ("c", "a_eq", "a_in", "b_eq", "b_in", "lo", "hi"):
+            for field in ("c", "a_eq", "a_in", "lb_in", "b_eq", "b_in", "lo", "hi"):
                 assert np.array_equal(getattr(prob, field), getattr(first, field)), field
+
+
+def test_hit_returns_the_same_read_only_jacobians():
+    """A memo hit hands back the jacobian arrays of the first call, which no
+    caller can write into; once nothing holds them, the next call computes
+    new arrays with the same bytes."""
+    case = cases.toy6()
+    fast = assess.pre_control(case, {1})
+    topo, x = fast.final_topology, fast.final_state
+    tgt = cascade.dispatch_target(case, topo, x)
+    exe = cascade.dispatch_execute(case, topo, x, tgt.x_star, 15.0)
+    assert not tgt.fallback and not exe.emergency
+    tgt_again = cascade.dispatch_target(case, topo, x)
+    exe_again = cascade.dispatch_execute(case, topo, x, tgt.x_star, 15.0)
+    assert tgt_again.jac is tgt.jac
+    assert exe_again.jac_star is exe.jac_star and exe_again.jac_prime is exe.jac_prime
+    for array in (tgt.jac, exe.jac_star, exe.jac_prime):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0] = 1.0
+    saved = [a.tobytes() for a in (tgt.jac, exe.jac_star, exe.jac_prime)]
+    del tgt, exe, tgt_again, exe_again
+    gc.collect()
+    tgt = cascade.dispatch_target(case, topo, x)
+    exe = cascade.dispatch_execute(case, topo, x, tgt.x_star, 15.0)
+    assert [a.tobytes() for a in (tgt.jac, exe.jac_star, exe.jac_prime)] == saved
+
+
+def test_dropped_runs_leave_no_jacobians(monkeypatch):
+    """The memo outlives the assessments on its case but keeps none of their
+    jacobians: after five gradient runs, each dropped, no memo entry holds a
+    live array, and a sixth run, whose LPs all hit the memo, recomputes the
+    first run's gradient byte for byte."""
+    case = cases.rts96()
+
+    def gamma(seed):
+        return run_assessment(case, {22, 23, 24}, AssessmentConfig(attempts=6, seed=seed)).gamma
+
+    first = gamma(1).tobytes()
+    for seed in range(2, 6):
+        gamma(seed)
+    gc.collect()
+    entries = [e for topo in case._topo_cache.values() for e in topo.lp_memo.values()]
+    assert sum(bool(e.jacobians) for e in entries) > 20
+    assert all(ref() is None for e in entries for ref in e.jacobians)
+
+    solves, sensitivities = [], []
+    solve, sensitivity = lp.solve_lp, lp.solution_sensitivity
+    monkeypatch.setattr(lp, "solve_lp", lambda prob: solves.append(prob) or solve(prob))
+    monkeypatch.setattr(lp, "solution_sensitivity",
+                        lambda prob, sol: sensitivities.append(prob) or sensitivity(prob, sol))
+    assert gamma(1).tobytes() == first
+    assert not solves and sensitivities
