@@ -8,9 +8,9 @@ trip sequence, island partition and LP active sets are held fixed, so every
 returned Jacobian is the sub-derivative of the piecewise-smooth map actually
 taken.
 
-With `jacobians=False` the same states, costs, flags and active-set
-signatures are produced, but no Jacobian, cost row or LP sensitivity is
-computed: those fields are None and `degenerate` stays False.
+With `jacobians=False` the same states, costs, flags and LP solutions are
+produced, but no Jacobian, cost row or LP sensitivity is computed: those
+fields are None and `degenerate` stays False.
 """
 
 from __future__ import annotations
@@ -178,6 +178,11 @@ def _rebalance(case: NetworkCase, topo: Topology, state: SystemState,
     jac = np.eye(n_x) if jacobians else None
     cost = 0.0
     dcost = np.zeros(n_x) if jacobians else None
+    # The loop below skips every balanced island. Half its tolerance here
+    # keeps summation-order roundoff from changing that decision.
+    d, g = _island_totals(topo, state)
+    if np.all(np.abs(g - d) <= BALANCE_TOL / 2):
+        return SystemState(p_d, p_g), jac, cost, dcost
 
     for k in range(len(topo.islands)):
         li = np.flatnonzero(topo.load_island == k)
@@ -308,7 +313,7 @@ class TargetResult:
     jac: np.ndarray | None      # d x* / d x' (None without jacobians)
     fallback: bool              # infeasible OPF -> shed-all target
     degenerate: bool            # computed only with jacobians
-    signature: tuple
+    sol: lp.LpSolution          # the memoized target-LP solution
 
 
 def _tie_broken_costs(case: NetworkCase) -> tuple[np.ndarray, np.ndarray]:
@@ -463,14 +468,14 @@ def dispatch_target(
             jac[n_l:, n_l:] = np.eye(n_g)
         return TargetResult(
             x_star=SystemState(np.zeros(n_l), x_prime.p_gen.copy()),
-            jac=jac, fallback=True, degenerate=False, signature=(sol.status,),
+            jac=jac, fallback=True, degenerate=False, sol=sol,
         )
     return TargetResult(
         x_star=SystemState(sol.x[:n_l].copy(), sol.x[n_l:].copy()),
         jac=derived[0] if jacobians else None,
         fallback=False,
         degenerate=degenerate,
-        signature=sol.active_signature(),
+        sol=sol,
     )
 
 
@@ -481,13 +486,13 @@ class ExecuteResult:
 
     state: SystemState
     cost: float                   # realized adjustment cost C_R, $
-    jac_prime: np.ndarray | None  # d x / d x'
-    jac_star: np.ndarray | None   # d x / d x*
-    dcost_dxprime: np.ndarray | None  # row
-    dcost_dxstar: np.ndarray | None   # row
     emergency: bool
-    degenerate: bool              # computed only with jacobians
-    signature: tuple
+    sol: lp.LpSolution            # the memoized execution-LP solution
+    degenerate: bool = False      # computed only with jacobians
+    jac_prime: np.ndarray | None = None  # d x / d x'
+    jac_star: np.ndarray | None = None   # d x / d x*
+    dcost_dxprime: np.ndarray | None = None  # row
+    dcost_dxstar: np.ndarray | None = None   # row
 
 
 def dispatch_execute(
@@ -555,10 +560,9 @@ def dispatch_execute(
         # Ramp window cannot restore balance: emergency proportional shedding.
         state, jac, cost, dcost = _rebalance(case, topo, x_prime, jacobians)
         return ExecuteResult(
-            state=state, cost=cost,
+            state=state, cost=cost, emergency=True, sol=sol,
             jac_prime=jac, jac_star=np.zeros((n_x, n_x)) if jacobians else None,
             dcost_dxprime=dcost, dcost_dxstar=np.zeros(n_x) if jacobians else None,
-            emergency=True, degenerate=False, signature=(sol.status,),
         )
 
     state = SystemState(sol.x[:n_l].copy(), sol.x[n_l : n_l + n_g].copy())
@@ -566,11 +570,7 @@ def dispatch_execute(
     move = state.p_gen - x_prime.p_gen
     cost = float(case.c_load @ (x_prime.p_load - state.p_load) + case.c_gen @ np.abs(move))
     if not jacobians:
-        return ExecuteResult(
-            state=state, cost=cost,
-            jac_prime=None, jac_star=None, dcost_dxprime=None, dcost_dxstar=None,
-            emergency=False, degenerate=False, signature=sol.active_signature(),
-        )
+        return ExecuteResult(state=state, cost=cost, emergency=False, sol=sol)
 
     jac_star, jac_prime = derived
     sigma = np.sign(np.where(np.abs(move) <= 1e-9, 0.0, move))
@@ -579,19 +579,22 @@ def dispatch_execute(
     dcost_dxstar = w @ jac_star
     dcost_dxprime = w @ jac_prime + direct
     return ExecuteResult(
-        state=state, cost=cost,
+        state=state, cost=cost, emergency=False, sol=sol, degenerate=degenerate,
         jac_prime=jac_prime, jac_star=jac_star,
         dcost_dxprime=dcost_dxprime, dcost_dxstar=dcost_dxstar,
-        emergency=False, degenerate=degenerate,
-        signature=sol.active_signature(),
     )
+
+
+def _island_totals(topo: Topology, state: SystemState):
+    """(load, generation) per island, MW."""
+    n_isl = len(topo.islands)
+    return (np.bincount(topo.load_island, weights=state.p_load, minlength=n_isl),
+            np.bincount(topo.gen_island, weights=state.p_gen, minlength=n_isl))
 
 
 def _assert_balanced(case: NetworkCase, topo: Topology, state: SystemState) -> None:
     """Hard post-condition: per-island |sum P_g - sum P_d| <= 1e-6 MW."""
-    n_isl = len(topo.islands)
-    d = np.bincount(topo.load_island, weights=state.p_load, minlength=n_isl)
-    g = np.bincount(topo.gen_island, weights=state.p_gen, minlength=n_isl)
+    d, g = _island_totals(topo, state)
     bad = np.flatnonzero(np.abs(g - d) > 1e-6)
     if bad.size:
         k = bad[0]
@@ -606,38 +609,43 @@ def _assert_balanced(case: NetworkCase, topo: Topology, state: SystemState) -> N
 
 @dataclass
 class LevelRecord:
-    """Everything one Markov-tree level produces, local sensitivities included.
+    """Everything one Markov-tree level produces: the fast process (x -> x'),
+    the target LP (x' -> x*) and the execution LP ((x', x*) -> x), each with
+    its local sensitivities.
 
-    The Jacobian and cost-row fields are None, and `degenerate` is False, for
-    a level simulated without jacobians. The conditional probability of the
-    sampled event and its gradient row live in the parent's distribution, so
-    the tree layer keeps them on the node.
+    The conditional probability of the sampled event and its gradient row
+    live in the parent's distribution, so the tree layer keeps them on the
+    node.
     """
 
-    event_id: int                      # 0 = no outage this level
-    topo: Topology                     # after the fast process
-    x_prime: SystemState
-    x_star: SystemState
-    x_next: SystemState
-    cost_fast: float                   # C_F
-    cost_redispatch: float             # C_R
-    jac_prime: np.ndarray | None       # d x'/d x
-    jac_star: np.ndarray | None        # d x*/d x'
-    jac_exec_prime: np.ndarray | None  # d x/d x'
-    jac_exec_star: np.ndarray | None   # d x/d x*
-    dcf_dx: np.ndarray | None          # row, d C_F/d x
-    dcr_dxprime: np.ndarray | None     # row
-    dcr_dxstar: np.ndarray | None      # row
-    fast_events: int = 0
-    truncated: bool = False
-    target_fallback: bool = False
-    emergency: bool = False
-    degenerate: bool = False
-    signature: tuple = ()
+    event_id: int                   # 0 = no outage this level
+    fast: ShortTimescaleTrace
+    target: TargetResult
+    execute: ExecuteResult
+
+    @property
+    def topo(self) -> Topology:
+        """The topology after the fast process."""
+        return self.fast.final_topology
+
+    @property
+    def x_next(self) -> SystemState:
+        return self.execute.state
 
     @property
     def cost(self) -> float:
-        return self.cost_fast + self.cost_redispatch
+        """C_F + C_R."""
+        return self.fast.cost + self.execute.cost
+
+    @property
+    def signature(self) -> tuple:
+        """Hashable fingerprint of the trip set and both LPs' active sets,
+        computed on each call."""
+        return (
+            tuple(sorted(self.topo.in_service)),
+            self.target.sol.active_signature(),
+            self.execute.sol.active_signature(),
+        )
 
 
 def simulate_level(
@@ -662,32 +670,7 @@ def simulate_level(
     exe = dispatch_execute(
         case, trace.final_topology, trace.final_state, tgt.x_star, tau_d, jacobians
     )
-    return LevelRecord(
-        event_id=event_id,
-        topo=trace.final_topology,
-        x_prime=trace.final_state,
-        x_star=tgt.x_star,
-        x_next=exe.state,
-        cost_fast=trace.cost,
-        cost_redispatch=exe.cost,
-        jac_prime=trace.jac,
-        jac_star=tgt.jac,
-        jac_exec_prime=exe.jac_prime,
-        jac_exec_star=exe.jac_star,
-        dcf_dx=trace.dcost_dx,
-        dcr_dxprime=exe.dcost_dxprime,
-        dcr_dxstar=exe.dcost_dxstar,
-        fast_events=trace.n_events,
-        truncated=trace.truncated,
-        target_fallback=tgt.fallback,
-        emergency=exe.emergency,
-        degenerate=tgt.degenerate or exe.degenerate,
-        signature=(
-            tuple(sorted(trace.final_topology.in_service)),
-            tgt.signature,
-            exe.signature,
-        ),
-    )
+    return LevelRecord(event_id, trace, tgt, exe)
 
 
 def is_fully_shed(state: SystemState) -> bool:

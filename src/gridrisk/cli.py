@@ -70,6 +70,9 @@ class RunConfig:
         if not (self.threshold is None or self.threshold == "auto"
                 or _is_number(self.threshold)):
             raise ValueError("config key 'threshold' must be \"auto\", null or a number")
+        for key in ("epsilon_stop", "max_iterations", "threshold"):
+            if _is_number(getattr(self, key)) and getattr(self, key) < 0:
+                raise ValueError(f"config key '{key}' must be >= 0")
         if isinstance(self.delta_r, list) and not all(map(_is_number, self.delta_r)):
             raise ValueError("config key 'delta_r' must be a number or a list of numbers")
         if self.fd_step <= 0:

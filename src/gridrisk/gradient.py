@@ -52,14 +52,15 @@ def chain_step(rec: LevelRecord, x_parent: np.ndarray):
     cost rows (at this level's post-outage and target states).
     """
     n = x_parent.shape[0]
-    if rec.jac_prime is None:
+    fast, exe = rec.fast, rec.execute
+    if fast.jac is None:
         raise ValueError("level record was simulated without jacobians")
-    if rec.jac_prime.shape != (n, n):
+    if fast.jac.shape != (n, n):
         raise ValueError("level record dimensions do not match the chain")
-    x_prime = rec.jac_prime @ x_parent
-    x_star = rec.jac_star @ x_prime
-    x_next = rec.jac_exec_star @ x_star + rec.jac_exec_prime @ x_prime
-    dcost = rec.dcf_dx @ x_parent + rec.dcr_dxprime @ x_prime + rec.dcr_dxstar @ x_star
+    x_prime = fast.jac @ x_parent
+    x_star = rec.target.jac @ x_prime
+    x_next = exe.jac_star @ x_star + exe.jac_prime @ x_prime
+    dcost = fast.dcost_dx @ x_parent + exe.dcost_dxprime @ x_prime + exe.dcost_dxstar @ x_star
     return x_prime, x_star, x_next, dcost
 
 

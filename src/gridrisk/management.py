@@ -195,8 +195,6 @@ def irm(case: NetworkCase, initial_outages, config: RmConfig) -> IrmTrajectory:
         eps = max(1.0, 1e-3 * r0)
 
     schedule = config.delta_r
-    if isinstance(schedule, (int, float)):
-        schedule = [float(schedule)] * config.max_iterations
     adaptive = schedule is None
     delta_r = 0.8 * r0 if adaptive else None
 
@@ -209,7 +207,9 @@ def irm(case: NetworkCase, initial_outages, config: RmConfig) -> IrmTrajectory:
     for it in range(1, config.max_iterations + 1):
         if current.r_prime <= eps:
             break
-        if not adaptive:
+        if isinstance(schedule, (int, float)):
+            delta_r = float(schedule)
+        elif not adaptive:
             if it - 1 >= len(schedule):
                 break
             delta_r = schedule[it - 1]

@@ -41,7 +41,6 @@ def check_exhaustive_size(depth: int, n_elements: int) -> None:
 class TreeNode:
     label: tuple
     level: int
-    event_id: int
     prob: float                     # conditional probability from the parent
     cost: float                     # C
     state: SystemState
@@ -57,11 +56,12 @@ class TreeNode:
     dcost_dx0: np.ndarray | None = None
     dprob_dx0: np.ndarray | None = None
     s_accum: np.ndarray | None = None
-    # children distribution, filled on first expansion past this node
-    child_events: list | None = None
+    # children distribution, filled on first expansion past this node: the
+    # outage events then the no-outage event 0, with their probabilities and
+    # d Pr / d x0 rows in the same order
+    child_ids: list | None = None
     child_probs: np.ndarray | None = None
-    prob_no_outage: float | None = None
-    dpr_dx0: np.ndarray | None = None   # rows: events then no-outage
+    dpr_dx0: np.ndarray | None = None
     # cached True result of fully_explored()
     _explored: bool = field(default=False, init=False, repr=False)
 
@@ -79,10 +79,10 @@ class TreeNode:
             return True
         if self.terminal:
             self._explored = self.visited
-        elif self.child_events is not None:
+        elif self.child_ids is not None:
             self._explored = all(
                 (child := self.children.get(eid)) is not None and child.fully_explored()
-                for eid in self.child_events + [0]
+                for eid in self.child_ids
             )
         return self._explored
 
@@ -111,7 +111,7 @@ class MarkovTree:
         self.avg_leaf_cost = 0.0
         self._leaves_seen = 0
         self.root = TreeNode(
-            label=(), level=0, event_id=-1, prob=1.0, cost=0.0,
+            label=(), level=0, prob=1.0, cost=0.0,
             state=root_state, topo=topo,
             terminal=cascade.is_fully_shed(root_state),
         )
@@ -135,36 +135,24 @@ class MarkovTree:
 
     def _open_node(self, node: TreeNode) -> None:
         """Compute the children distribution of a non-terminal node."""
-        if node.child_events is not None or node.terminal:
+        if node.child_ids is not None or node.terminal:
             return
         ids = cascade.in_service_ids(self.case, node.topo)
         flows = cascade.dc_power_flow(self.case, node.topo, node.state).flows
         lam, _ = cascade.failure_rates(self.case, node.topo, flows)
         probs, pr_no = cascade.level_probabilities(lam[node.topo.mask], self.tau_d)
-        keep = probs > 0.0
-        node.child_events = [ids[i] for i in np.flatnonzero(keep)]
-        node.child_probs = probs[keep]
-        node.prob_no_outage = pr_no
+        kept = np.append(np.flatnonzero(probs > 0.0), probs.size)  # then no-outage
+        node.child_ids = [ids[i] for i in kept[:-1]] + [0]
+        node.child_probs = np.append(probs, pr_no)[kept]
         if self.gradients:
             dpr_dx = cascade.probability_sensitivity(
                 self.case, node.topo, node.state, self.tau_d
             )
-            rows = np.vstack([dpr_dx[np.flatnonzero(keep), :], dpr_dx[-1:, :]])
-            node.dpr_dx0 = rows @ to_dense(node.chain_x)
+            node.dpr_dx0 = dpr_dx[kept, :] @ to_dense(node.chain_x)
 
-    def _child_prob(self, node: TreeNode, event_id: int) -> float:
-        if event_id == 0:
-            return float(node.prob_no_outage)
-        k = node.child_events.index(event_id)
-        return float(node.child_probs[k])
-
-    def _child_dprob(self, node: TreeNode, event_id: int) -> np.ndarray:
-        if event_id == 0:
-            return node.dpr_dx0[-1, :]
-        k = node.child_events.index(event_id)
-        return node.dpr_dx0[k, :]
-
-    def _make_child(self, node: TreeNode, event_id: int, attempt: int) -> TreeNode:
+    def _make_child(self, node: TreeNode, k: int, attempt: int) -> TreeNode:
+        """Simulate the level below `node` for its k-th child event."""
+        event_id = node.child_ids[k]
         rec = cascade.simulate_level(
             self.case, node.topo, node.state, event_id, self.tau_d,
             jacobians=self.gradients,
@@ -177,8 +165,7 @@ class MarkovTree:
             or cascade.is_fully_shed(rec.x_next)
         )
         child = TreeNode(
-            label=label, level=level, event_id=event_id,
-            prob=self._child_prob(node, event_id), cost=rec.cost,
+            label=label, level=level, prob=float(node.child_probs[k]), cost=rec.cost,
             state=rec.x_next, topo=rec.topo,
             terminal=terminal, record=rec, first_attempt=attempt,
         )
@@ -187,7 +174,7 @@ class MarkovTree:
             x_prime, x_star, x_next, dcost = chain_step(rec, x_parent)
             child.chain_x = self._store(x_next)
             child.dcost_dx0 = dcost
-            child.dprob_dx0 = self._child_dprob(node, event_id)
+            child.dprob_dx0 = node.dpr_dx0[k, :]
             child.s_accum = np.zeros(self.case.n_x)
         node.children[event_id] = child
         self.nodes[label] = child
@@ -195,46 +182,45 @@ class MarkovTree:
 
     # -- policies -----------------------------------------------------------
 
+    # Each policy returns an index into `node.child_ids`, or None when it
+    # has nothing left to visit.
+
     def _pick_exhaustive(self, node: TreeNode, order: str) -> int | None:
-        ids = list(node.child_events) + [0]
-        if order == "descending":
-            ids = ids[::-1]
-        for eid in ids:
-            child = node.children.get(eid)
+        ks = range(len(node.child_ids))
+        for k in reversed(ks) if order == "descending" else ks:
+            child = node.children.get(node.child_ids[k])
             if child is None or not child.fully_explored():
-                return eid
+                return k
         return None
 
     def _pick_sampled(self, node: TreeNode, rng: np.random.Generator) -> int:
-        probs = np.append(node.child_probs, node.prob_no_outage)
-        total = probs.sum()
-        draw = rng.random() * total
+        probs = node.child_probs
+        draw = rng.random() * probs.sum()
         acc = 0.0
         for k, p in enumerate(probs):
             acc += p
             if draw <= acc:
-                return node.child_events[k] if k < len(node.child_events) else 0
-        return 0
+                return k
+        return len(probs) - 1
 
     def _pick_best_first(self, node: TreeNode) -> int | None:
         """Unexplored children score Pr * running-average leaf cost; explored
         ones score Pr * their current equivalent cost. Scores within
         `BEST_FIRST_RTOL` of the best so far are a tie, which the first child
         in order wins, so last-bit roundoff does not pick the child."""
-        best_eid, best_score = None, -1.0
-        for k, eid in enumerate(list(node.child_events) + [0]):
+        best_k, best_score = None, -1.0
+        for k, (eid, pr) in enumerate(zip(node.child_ids, node.child_probs)):
             child = node.children.get(eid)
             if child is not None and child.fully_explored():
                 continue
-            pr = node.child_probs[k] if eid != 0 else node.prob_no_outage
             estimate = (
                 child.c_equiv if child is not None and child.visited
                 else max(self.avg_leaf_cost, 1.0)
             )
             score = pr * estimate
             if score > best_score + BEST_FIRST_RTOL * abs(best_score):
-                best_eid, best_score = eid, score
-        return best_eid
+                best_k, best_score = k, score
+        return best_k
 
     # -- public operations ----------------------------------------------------
 
@@ -252,14 +238,14 @@ class MarkovTree:
         while not node.terminal:
             self._open_node(node)
             if config.policy == "probability-sampled":
-                eid = self._pick_sampled(node, rng)
+                k = self._pick_sampled(node, rng)
             elif config.policy == "exhaustive":
-                eid = self._pick_exhaustive(node, config.exhaustive_order)
+                k = self._pick_exhaustive(node, config.exhaustive_order)
             else:
-                eid = self._pick_best_first(node)
-            if eid is None:
+                k = self._pick_best_first(node)
+            if k is None:
                 return path or None
-            node = node.children.get(eid) or self._make_child(node, eid, attempt)
+            node = node.children.get(node.child_ids[k]) or self._make_child(node, k, attempt)
             path.append(node)
             if not node.visited:
                 node.visited = True

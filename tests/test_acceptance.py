@@ -153,7 +153,7 @@ def test_05_conservation_after_every_execution(toy6, rts96):
         window = cfg.tau_d * case.gen_ramp
         for node in a.tree.nodes.values():
             rec = node.record
-            if rec is None or rec.emergency:
+            if rec is None or rec.execute.emergency:
                 continue
             count += 1
             state = rec.x_next
@@ -163,15 +163,15 @@ def test_05_conservation_after_every_execution(toy6, rts96):
                 g = sum(state.p_gen[j] for j, b in enumerate(case.gen_bus) if b in mset)
                 if abs(g - d) > 1e-6:
                     violations.append(f"balance {node.label}: {g - d:.2e}")
-            move = np.abs(state.p_gen - rec.x_prime.p_gen) - window
+            move = np.abs(state.p_gen - rec.fast.final_state.p_gen) - window
             if np.any(move > 1e-8):
                 violations.append(f"ramp {node.label}: {move.max():.2e}")
             if np.any(state.p_gen > case.gen_max + 1e-8) or np.any(
                 state.p_gen < case.gen_min - 1e-8
             ):
                 violations.append(f"gen bounds {node.label}")
-            hi = np.maximum(rec.x_prime.p_load, 0.0)
-            lo = np.minimum(np.maximum(rec.x_star.p_load, 0.0), hi)
+            hi = np.maximum(rec.fast.final_state.p_load, 0.0)
+            lo = np.minimum(np.maximum(rec.target.x_star.p_load, 0.0), hi)
             if np.any(state.p_load > hi + 1e-8) or np.any(state.p_load < lo - 1e-8):
                 violations.append(f"load bounds {node.label}")
     report(5, not violations,
@@ -190,7 +190,7 @@ def test_06_recursion_idempotence_and_order_independence(toy6):
     }
     node, path = t.root, []
     while not node.terminal:
-        node = node.children[(node.child_events + [0])[0]]
+        node = node.children[node.child_ids[0]]
         path.append(node)
     mtree.backward_risk_update(t, path)
     grad.backward_gradient_update(t, path, attempt=99999)

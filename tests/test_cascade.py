@@ -309,7 +309,7 @@ class TestSimulateLevel:
         state = SystemState([120.0, 90.0, 60.0], [100.0, 170.0, 0.0])
         rec = simulate_level(toy6, t2, state, 4, 15.0)  # second corridor circuit
         assert rec.event_id == 4
-        assert rec.cost_fast > 0.0  # bus-4 load lost
+        assert rec.fast.cost > 0.0  # bus-4 load lost
         assert len(rec.topo.islands) >= 2
 
 

@@ -182,6 +182,9 @@ class TestExitCodes:
         ("outages", [3.0], "config key 'outages' must be a list of integer branch ids"),
         ("policy", "x", "unknown policy 'x'"),
         ("base_dispatch", "case", "unknown config key 'base_dispatch'"),
+        ("epsilon_stop", -1e12, "config key 'epsilon_stop' must be >= 0"),
+        ("max_iterations", -1, "config key 'max_iterations' must be >= 0"),
+        ("threshold", -1e-5, "config key 'threshold' must be >= 0"),
     ])
     def test_config_value_rejected(self, toy_case_file, tmp_path, capsys, key, value, message):
         cfg = tmp_path / "run.json"
@@ -192,6 +195,13 @@ class TestExitCodes:
         code = run_cli(["irm", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert code == 2
         assert message in capsys.readouterr().err
+
+    def test_negative_threshold_flag_rejected(self, toy_case_file, tmp_path, capsys):
+        code = run_cli(["assess", "--case", toy_case_file, "--outages", "3",
+                        "--threshold", "-1", "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "config key 'threshold' must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_outages_flag_names_bad_token(self, toy_case_file, tmp_path, capsys):
         code = run_cli(["assess", "--case", toy_case_file, "--outages", "3,x",

@@ -120,7 +120,7 @@ class TestBackwardGradient:
         dcost = np.arange(1.0, n + 1.0)
         dprob = np.linspace(0.5, 1.0, n)
         child = mtree.TreeNode(
-            label=(1,), level=1, event_id=1, prob=0.2, cost=300.0,
+            label=(1,), level=1, prob=0.2, cost=300.0,
             state=t.root.state, topo=t.root.topo, terminal=True, first_attempt=1,
         )
         child.dcost_dx0 = dcost
@@ -136,7 +136,7 @@ class TestBackwardGradient:
         t = self._stub_tree()
         n = t.case.n_x
         child = mtree.TreeNode(
-            label=(1,), level=1, event_id=1, prob=0.2, cost=300.0,
+            label=(1,), level=1, prob=0.2, cost=300.0,
             state=t.root.state, topo=t.root.topo, terminal=True, first_attempt=1,
         )
         child.dcost_dx0 = np.ones(n)

@@ -10,8 +10,14 @@ from gridrisk.assess import AssessmentConfig, base_state, enumeration_risk, run_
 from gridrisk.cascade import simulate_level
 from gridrisk.network import SystemState, apply_outage, build_topology
 
-JACOBIAN_FIELDS = ("jac_prime", "jac_star", "jac_exec_prime", "jac_exec_star",
-                   "dcf_dx", "dcr_dxprime", "dcr_dxstar")
+# (part of the level record, derivative field) pairs
+JACOBIAN_FIELDS = (("fast", "jac"), ("fast", "dcost_dx"), ("target", "jac"),
+                   ("execute", "jac_prime"), ("execute", "jac_star"),
+                   ("execute", "dcost_dxprime"), ("execute", "dcost_dxstar"))
+
+
+def _no_jacobians(rec) -> bool:
+    return all(getattr(getattr(rec, part), f) is None for part, f in JACOBIAN_FIELDS)
 
 
 @pytest.fixture()
@@ -34,7 +40,7 @@ def _assert_same_tree(off, on):
         assert (other.prob, other.cost, other.c_equiv) == (node.prob, node.cost, node.c_equiv)
         if node.record is not None:
             assert other.record.signature == node.record.signature
-            assert all(getattr(other.record, f) is None for f in JACOBIAN_FIELDS)
+            assert _no_jacobians(other.record)
     assert off.r_prime == on.r_prime
     assert off.control_cost == on.control_cost
 
@@ -73,10 +79,35 @@ def test_level_without_jacobians_matches_level_with(toy6):
         on = simulate_level(toy6, t2, state, event_id, 15.0)
         off = simulate_level(toy6, t2, state, event_id, 15.0, jacobians=False)
         np.testing.assert_array_equal(off.x_next.x, on.x_next.x)
-        np.testing.assert_array_equal(off.x_star.x, on.x_star.x)
-        assert (off.cost_fast, off.cost_redispatch) == (on.cost_fast, on.cost_redispatch)
+        np.testing.assert_array_equal(off.target.x_star.x, on.target.x_star.x)
+        assert (off.fast.cost, off.execute.cost) == (on.fast.cost, on.execute.cost)
         assert off.signature == on.signature
-        assert (off.fast_events, off.truncated, off.target_fallback, off.emergency) == (
-            on.fast_events, on.truncated, on.target_fallback, on.emergency)
-        assert all(getattr(off, f) is None for f in JACOBIAN_FIELDS)
-        assert not off.degenerate
+        assert (off.fast.n_events, off.fast.truncated, off.target.fallback,
+                off.execute.emergency) == (on.fast.n_events, on.fast.truncated,
+                                           on.target.fallback, on.execute.emergency)
+        assert _no_jacobians(off)
+        assert not (off.target.degenerate or off.execute.degenerate)
+
+
+@pytest.mark.parametrize("gradients", [True, False])
+def test_signatures_computed_only_on_demand(toy6, monkeypatch, gradients):
+    calls = [0]
+    inner = lp.LpSolution.active_signature
+
+    def counted(sol):
+        calls[0] += 1
+        return inner(sol)
+
+    monkeypatch.setattr(lp.LpSolution, "active_signature", counted)
+    cfg = AssessmentConfig(tau_d=15.0, t_max=30.0, attempts=400, policy="exhaustive",
+                           seed=1, gradients=gradients)
+    a = run_assessment(toy6, {3}, cfg)
+    assert calls[0] == 0
+    sig = a.signature()
+    assert calls[0] == 2 * len(sig) > 0
+    rebuilt = {
+        label: (tuple(sorted(node.record.topo.in_service)),
+                inner(node.record.target.sol), inner(node.record.execute.sol))
+        for label, node in a.tree.nodes.items() if node.record is not None
+    }
+    assert sig == rebuilt

@@ -142,6 +142,16 @@ class TestIrm:
         used = [r.delta_r for r in traj.rounds[1:]]
         assert used and used[0] == pytest.approx(50000.0)
 
+    def test_scalar_delta_r_is_the_constant_schedule(self, toy6):
+        assessment = AssessmentConfig(
+            tau_d=15.0, t_max=30.0, attempts=200, policy="exhaustive", seed=3)
+        runs = [
+            irm(toy6, {3}, RmConfig(delta_r=dr, assessment=assessment, max_iterations=3))
+            for dr in (20000, [20000.0] * 3)
+        ]
+        assert len(runs[0].rounds) > 1
+        assert runs[0].rounds == runs[1].rounds
+
     def test_outputs_written(self, toy6, tmp_path):
         cfg = RmConfig(assessment=AssessmentConfig(
             tau_d=15.0, t_max=30.0, attempts=200, policy="exhaustive", seed=3),

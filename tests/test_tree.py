@@ -64,9 +64,9 @@ class TestExpansion:
         case = chain3_case()
         a = build_tree(case, depth=2)
         for node in a.tree.nodes.values():
-            if node.child_events is None:
+            if node.child_ids is None:
                 continue
-            mass = float(node.child_probs.sum()) + node.prob_no_outage
+            mass = float(node.child_probs.sum())
             assert abs(mass - 1.0) <= 1e-12
 
     def test_fixed_seed_reproducible_paths(self):
@@ -97,11 +97,10 @@ class TestExpansion:
         pr = 0.0182557968369987
         probs = {1: pr, 2: np.nextafter(pr, 1.0)}
         node = t.root
-        node.child_events = list(order)
-        node.child_probs = np.array([probs[e] for e in order])
-        node.prob_no_outage = 1e-3
+        node.child_ids = [*order, 0]
+        node.child_probs = np.array([probs[e] for e in order] + [1e-3])
         assert node.child_probs[0] != node.child_probs[1]
-        assert t._pick_best_first(node) == order[0]
+        assert t._pick_best_first(node) == 0
 
 
 class TestBackwardUpdate:
@@ -112,7 +111,7 @@ class TestBackwardUpdate:
         t = mtree.MarkovTree(case, topo, case.base_state(), tau_d=15.0, depth=1,
                              gradients=False)
         child = mtree.TreeNode(
-            label=(1,), level=1, event_id=1, prob=0.1, cost=500.0,
+            label=(1,), level=1, prob=0.1, cost=500.0,
             state=case.base_state(), topo=topo, terminal=True,
         )
         t.root.children[1] = child
@@ -145,7 +144,7 @@ class TestBackwardUpdate:
         # replay the left-most path with a fresh attempt index
         node, path = t.root, []
         while not node.terminal:
-            node = node.children[(node.child_events + [0])[0]]
+            node = node.children[node.child_ids[0]]
             path.append(node)
         mtree.backward_risk_update(t, path)
         gradient.backward_gradient_update(t, path, attempt=99999)
@@ -228,9 +227,9 @@ def uncached_fully_explored(node):
     of the whole subtree on every call."""
     if node.terminal:
         return node.visited
-    if node.child_events is None:
+    if node.child_ids is None:
         return False
-    for eid in node.child_events + [0]:
+    for eid in node.child_ids:
         child = node.children.get(eid)
         if child is None or not uncached_fully_explored(child):
             return False

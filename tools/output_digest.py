@@ -7,7 +7,7 @@ runs every command of `commands()` in its own process, with `--src` on
 PYTHONPATH and one BLAS thread (the thread count changes the last digits of
 the results), and prints one line per output file and per stdout:
 `<sha256>  <command>/<file>`. The case files are written by the checked-out
-code's own `serialize_case`, and every path a command sees is relative to one
+code's own `serialize_case`, the strategy file by this script, and every path a command sees is relative to one
 work directory, so two checkouts that compute the same results print the
 same lines. With `--against DIR` it runs the commands on both source trees
 and prints only the `<command>/<file>` labels whose digests differ (or that
@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import itertools
+import json
 import os
 import subprocess
 import sys
@@ -29,6 +30,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 TOY6 = ["--case", "toy6.json", "--tau-d", "15", "--t-max", "30"]
 RTS96 = ["--case", "rts96.json", "--outages", "22,23,24"]
+# acceptance criterion 3's interior control target on toy6
+TOY6_INTERIOR = {
+    "loads": [{"id": i, "target_mw": p} for i, p in enumerate((110.0, 85.0, 55.0), 1)],
+    "generators": [{"id": j, "target_mw": p} for j, p in enumerate((5.0, 160.0, 10.0), 1)],
+}
 
 
 def commands() -> list:
@@ -58,6 +64,11 @@ def commands() -> list:
         ("toy6-validate-gradient-3", [
             "validate-gradient", *TOY6, "--outages", "3", "--policy", "exhaustive",
             "--attempts", "300", "--fd-step", "0.25",
+        ]),
+        # the same at the interior target, where no component is flagged
+        ("toy6-validate-gradient-3-interior", [
+            "validate-gradient", *TOY6, "--outages", "3", "--policy", "exhaustive",
+            "--attempts", "300", "--fd-step", "0.25", "--strategy", "toy6-interior.json",
         ]),
         # acceptance criterion 10's compressed run: compressed chain storage
         ("ring120-gradient-compressed", [
@@ -100,6 +111,7 @@ def digests(src: str, emit=None) -> dict:
 
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
+        (work / "toy6-interior.json").write_text(json.dumps(TOY6_INTERIOR))
         _run([sys.executable, "-c",
               "from gridrisk import cases, serialize_case\n"
               "for name in ('toy6', 'rts96', 'ring120'):\n"
