@@ -10,7 +10,7 @@ taken.
 
 With `jacobians=False` the same states, costs, flags and LP solutions are
 produced, but no Jacobian, cost row or LP sensitivity is computed: those
-fields are None and `degenerate` stays False.
+fields are None.
 """
 
 from __future__ import annotations
@@ -178,11 +178,6 @@ def _rebalance(case: NetworkCase, topo: Topology, state: SystemState,
     jac = np.eye(n_x) if jacobians else None
     cost = 0.0
     dcost = np.zeros(n_x) if jacobians else None
-    # The loop below skips every balanced island. Half its tolerance here
-    # keeps summation-order roundoff from changing that decision.
-    d, g = _island_totals(topo, state)
-    if np.all(np.abs(g - d) <= BALANCE_TOL / 2):
-        return SystemState(p_d, p_g), jac, cost, dcost
 
     for k in range(len(topo.islands)):
         li = np.flatnonzero(topo.load_island == k)
@@ -312,7 +307,6 @@ class TargetResult:
     x_star: SystemState
     jac: np.ndarray | None      # d x* / d x' (None without jacobians)
     fallback: bool              # infeasible OPF -> shed-all target
-    degenerate: bool            # computed only with jacobians
     sol: lp.LpSolution          # the memoized target-LP solution
 
 
@@ -375,11 +369,10 @@ class _MemoEntry:
 
     sol: lp.LpSolution
     jacobians: tuple = ()   # weakref.ref per array
-    degenerate: bool = False
 
 
 def _solve_dispatch_lp(topo: Topology, key: tuple, build, derive=None):
-    """(solution, jacobians, degenerate) of the dispatch LP that `key` names
+    """(solution, jacobians) of the dispatch LP that `key` names
     on `topo`, solved once per distinct LP.
 
     The costs, the matrices a_eq, a_in and the row lower bounds lb_in of the
@@ -390,7 +383,7 @@ def _solve_dispatch_lp(topo: Topology, key: tuple, build, derive=None):
     `build()` makes the `LpProblem`; it runs on a miss, and again when the
     jacobians are asked for but no longer held. `derive(matrix)` turns the
     sensitivity matrix into the jacobian arrays; without it (no gradients)
-    no sensitivity is computed and (solution, None, False) comes back, as it
+    no sensitivity is computed and (solution, None) comes back, as it
     does for an LP that is not optimal.
 
     A hit returns the read-only solution, and the same read-only jacobian
@@ -405,7 +398,7 @@ def _solve_dispatch_lp(topo: Topology, key: tuple, build, derive=None):
         prob = build()
         entry = topo.lp_memo[key] = _MemoEntry(lp.solve_lp(prob))
     if derive is None or not entry.sol.optimal:
-        return entry.sol, None, False
+        return entry.sol, None
     arrays = tuple(ref() for ref in entry.jacobians)
     if not arrays or any(a is None for a in arrays):
         sens = lp.solution_sensitivity(prob if prob is not None else build(), entry.sol)
@@ -413,8 +406,7 @@ def _solve_dispatch_lp(topo: Topology, key: tuple, build, derive=None):
         for a in arrays:
             a.flags.writeable = False
         entry.jacobians = tuple(weakref.ref(a) for a in arrays)
-        entry.degenerate = sens.degenerate
-    return entry.sol, arrays, entry.degenerate
+    return entry.sol, arrays
 
 
 def dispatch_target(
@@ -458,7 +450,7 @@ def dispatch_target(
         jac[:, :n_l] = matrix[:n_x, :]  # d x*/d P'_g is zero
         return (jac,)
 
-    sol, derived, degenerate = _solve_dispatch_lp(
+    sol, derived = _solve_dispatch_lp(
         topo, ("target", lo.tobytes(), hi.tobytes()), build, derive if jacobians else None
     )
     if not sol.optimal:
@@ -468,13 +460,12 @@ def dispatch_target(
             jac[n_l:, n_l:] = np.eye(n_g)
         return TargetResult(
             x_star=SystemState(np.zeros(n_l), x_prime.p_gen.copy()),
-            jac=jac, fallback=True, degenerate=False, sol=sol,
+            jac=jac, fallback=True, sol=sol,
         )
     return TargetResult(
         x_star=SystemState(sol.x[:n_l].copy(), sol.x[n_l:].copy()),
         jac=derived[0] if jacobians else None,
         fallback=False,
-        degenerate=degenerate,
         sol=sol,
     )
 
@@ -488,7 +479,6 @@ class ExecuteResult:
     cost: float                   # realized adjustment cost C_R, $
     emergency: bool
     sol: lp.LpSolution            # the memoized execution-LP solution
-    degenerate: bool = False      # computed only with jacobians
     jac_prime: np.ndarray | None = None  # d x / d x'
     jac_star: np.ndarray | None = None   # d x / d x*
     dcost_dxprime: np.ndarray | None = None  # row
@@ -553,7 +543,7 @@ def dispatch_execute(
         return matrix[:n_x, :n_x].copy(), matrix[:n_x, n_x:].copy()
 
     key = ("execute", split_rhs.tobytes(), b_in.tobytes(), lo.tobytes(), hi.tobytes())
-    sol, derived, degenerate = _solve_dispatch_lp(
+    sol, derived = _solve_dispatch_lp(
         topo, key, build, derive if jacobians else None
     )
     if not sol.optimal:
@@ -579,22 +569,17 @@ def dispatch_execute(
     dcost_dxstar = w @ jac_star
     dcost_dxprime = w @ jac_prime + direct
     return ExecuteResult(
-        state=state, cost=cost, emergency=False, sol=sol, degenerate=degenerate,
+        state=state, cost=cost, emergency=False, sol=sol,
         jac_prime=jac_prime, jac_star=jac_star,
         dcost_dxprime=dcost_dxprime, dcost_dxstar=dcost_dxstar,
     )
 
 
-def _island_totals(topo: Topology, state: SystemState):
-    """(load, generation) per island, MW."""
-    n_isl = len(topo.islands)
-    return (np.bincount(topo.load_island, weights=state.p_load, minlength=n_isl),
-            np.bincount(topo.gen_island, weights=state.p_gen, minlength=n_isl))
-
-
 def _assert_balanced(case: NetworkCase, topo: Topology, state: SystemState) -> None:
     """Hard post-condition: per-island |sum P_g - sum P_d| <= 1e-6 MW."""
-    d, g = _island_totals(topo, state)
+    n_isl = len(topo.islands)
+    d = np.bincount(topo.load_island, weights=state.p_load, minlength=n_isl)
+    g = np.bincount(topo.gen_island, weights=state.p_gen, minlength=n_isl)
     bad = np.flatnonzero(np.abs(g - d) > 1e-6)
     if bad.size:
         k = bad[0]

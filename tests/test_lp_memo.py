@@ -28,9 +28,8 @@ def always_solve(topo, key, build, derive=None):
     prob = build()
     sol = lp.solve_lp(prob)
     if derive is None or not sol.optimal:
-        return sol, None, False
-    sens = lp.solution_sensitivity(prob, sol)
-    return sol, derive(sens.matrix), sens.degenerate
+        return sol, None
+    return sol, derive(lp.solution_sensitivity(prob, sol).matrix)
 
 
 def assessments_of(run, monkeypatch):

@@ -1,4 +1,5 @@
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -151,6 +152,29 @@ class TestIrm:
         ]
         assert len(runs[0].rounds) > 1
         assert runs[0].rounds == runs[1].rounds
+
+    def test_scalar_delta_r_builds_no_schedule(self, toy6, monkeypatch):
+        """A scalar delta_r is read each round, so no sequence as long as
+        max_iterations is built before round 1: a huge cap costs nothing."""
+
+        class Cap(int):
+            def __mul__(self, other):
+                raise AssertionError("a max_iterations-long sequence was built")
+
+            __rmul__ = __mul__
+
+        asked = []
+
+        def stop(*args):
+            asked.append(args[-1])
+            return SimpleNamespace(feasible=False, changed=False)
+
+        monkeypatch.setattr(management, "rm_step", stop)
+        cfg = RmConfig(delta_r=20000, max_iterations=Cap(10**9), assessment=AssessmentConfig(
+            tau_d=15.0, t_max=30.0, attempts=200, policy="exhaustive", seed=3))
+        traj = irm(toy6, {3}, cfg)
+        assert asked == [20000.0]
+        assert len(traj.rounds) == 1
 
     def test_outputs_written(self, toy6, tmp_path):
         cfg = RmConfig(assessment=AssessmentConfig(

@@ -7,12 +7,13 @@ runs every command of `commands()` in its own process, with `--src` on
 PYTHONPATH and one BLAS thread (the thread count changes the last digits of
 the results), and prints one line per output file and per stdout:
 `<sha256>  <command>/<file>`. The case files are written by the checked-out
-code's own `serialize_case`, the strategy file by this script, and every path a command sees is relative to one
-work directory, so two checkouts that compute the same results print the
-same lines. With `--against DIR` it runs the commands on both source trees
-and prints only the `<command>/<file>` labels whose digests differ (or that
-only one tree writes), exiting 1 if there is any. A command that exits
-non-zero stops the run with exit code 1.
+code's own `serialize_case`, the strategy file by this script, and every
+path a command sees is relative to one work directory, so two checkouts
+that compute the same results print the same lines. With `--against DIR`
+it runs the commands on both source trees and prints only the
+`<command>/<file>` labels whose digests differ (or that only one tree
+writes), exiting 1 if there is any. A command that exits non-zero stops
+the run with exit code 1.
 """
 
 from __future__ import annotations
