@@ -4,11 +4,13 @@ gradient validator."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import cascade, gradient, tree as mtree
+from .cascade import control_cost_value
 from .network import NetworkCase, SystemState, Topology, build_topology, apply_outage
 
 
@@ -23,11 +25,23 @@ FD_REL_TOL = 0.05        # finite-difference check: largest relative error
 FD_GAMMA_FLOOR = 1e-3    # finite-difference check: smaller |gamma| is not checked
 
 
+def check_setting(key: str, val, low: float = 0.0, integral: bool = False) -> None:
+    """Raise a ValueError naming config key `key` unless `val` is a finite
+    number, an int when `integral` (a bool is neither), and at least `low`."""
+    if isinstance(val, bool) or not isinstance(val, int if integral else (int, float)):
+        raise ValueError(f"config key '{key}' has the wrong type: {type(val).__name__}")
+    if isinstance(val, float) and not math.isfinite(val):
+        raise ValueError(f"config key '{key}' must be finite")
+    if val < low:
+        raise ValueError(f"config key '{key}' must be >= {low:g}")
+
+
 @dataclass
 class AssessmentConfig:
     """Assessment and tree-search settings. The tree has floor(t_max / tau_d)
     levels. Policies: best-first (score-guided), probability-sampled and
-    exhaustive (depth-first, children in `exhaustive_order`)."""
+    exhaustive (depth-first, children in `exhaustive_order`). Each setting
+    is checked on construction; a bad one raises a ValueError naming it."""
 
     tau_d: float = 15.0
     t_max: float = 150.0
@@ -39,15 +53,24 @@ class AssessmentConfig:
     exhaustive_order: str = "ascending"
 
     def __post_init__(self):
+        check_setting("tau_d", self.tau_d, low=-math.inf)
+        if self.tau_d <= 0:
+            raise ValueError("config key 'tau_d' must be > 0")
+        check_setting("t_max", self.t_max, low=-math.inf)
+        if self.t_max < self.tau_d:
+            raise ValueError("config key 't_max' must be >= tau_d")
+        check_setting("attempts", self.attempts, low=1, integral=True)
+        check_setting("seed", self.seed, integral=True)
         if self.policy not in POLICIES:
             raise ValueError(f"unknown policy '{self.policy}'")
+        if self.exhaustive_order not in ("ascending", "descending"):
+            raise ValueError(f"unknown exhaustive_order '{self.exhaustive_order}'")
+        if self.threshold is not None and self.threshold != "auto":
+            check_setting("threshold", self.threshold)
 
     @property
     def depth(self) -> int:
-        n = int(self.t_max // self.tau_d)
-        if n < 1:
-            raise ValueError("t_max must cover at least one interval")
-        return n
+        return int(self.t_max // self.tau_d)
 
     def resolve_threshold(self, case: NetworkCase) -> float | None:
         if self.threshold == "auto":
@@ -172,14 +195,6 @@ def run_assessment(
     )
 
 
-def control_cost_value(case: NetworkCase, x_pre: SystemState, x_target: SystemState) -> float:
-    """Re-dispatch control cost: -c_D'(P*_d - P_d) + c_G'|P*_g - P_g|."""
-    return float(
-        -case.c_load @ (x_target.p_load - x_pre.p_load)
-        + case.c_gen @ np.abs(x_target.p_gen - x_pre.p_gen)
-    )
-
-
 # ---------------------------------------------------------------------------
 # Independent enumeration oracle (kept free of the tree recursion machinery)
 # ---------------------------------------------------------------------------
@@ -254,8 +269,11 @@ def validate_gradient(
     a kink no active set records. Requires an exhaustive budget so both sides
     see the identical tree. Passes only when at least one component was
     checked and every checked component with |gamma| above `FD_GAMMA_FLOOR`
-    is within `FD_REL_TOL`.
+    is within `FD_REL_TOL`. `step` is the `fd_step` config key, finite and
+    > 0.
     """
+    if not (math.isfinite(step) and step > 0):
+        raise ValueError("config key 'fd_step' must be finite and > 0")
     if config.policy != "exhaustive":
         raise ValueError("gradient validation requires an exhaustive search budget")
     fast = pre_control(case, initial_outages)

@@ -470,6 +470,16 @@ def dispatch_target(
     )
 
 
+def control_cost_value(case: NetworkCase, x_from: SystemState, x_to: SystemState) -> float:
+    """Re-dispatch cost of moving `x_from` to `x_to` at the case's costs:
+    c_D'(P_d(from) - P_d(to)) + c_G'|P_g(to) - P_g(from)|. It is the realized
+    cost C_R of an execution and the control cost C_0 of an assessment."""
+    return float(
+        case.c_load @ (x_from.p_load - x_to.p_load)
+        + case.c_gen @ np.abs(x_to.p_gen - x_from.p_gen)
+    )
+
+
 @dataclass
 class ExecuteResult:
     """Executed state and cost; the four derivative fields are None without
@@ -499,7 +509,7 @@ def dispatch_execute(
     |P_g - P'_g| <= tau_D r_g, P_min <= P_g <= P_max, P*_d <= P_d <= P'_d,
     with c_D, c_G tie-broken by `_tie_broken_costs`. The realized cost C_R
     prices the executed adjustment against the pre-dispatch state at the
-    case's costs: c_D'(P'_d - P_d) + c_G'|P_g - P'_g|.
+    case's costs, `control_cost_value(case, x', x)`.
     """
     if tau_d <= 0:
         raise ValueError("tau_d must be > 0")
@@ -557,12 +567,12 @@ def dispatch_execute(
 
     state = SystemState(sol.x[:n_l].copy(), sol.x[n_l : n_l + n_g].copy())
     _assert_balanced(case, topo, state)
-    move = state.p_gen - x_prime.p_gen
-    cost = float(case.c_load @ (x_prime.p_load - state.p_load) + case.c_gen @ np.abs(move))
+    cost = control_cost_value(case, x_prime, state)
     if not jacobians:
         return ExecuteResult(state=state, cost=cost, emergency=False, sol=sol)
 
     jac_star, jac_prime = derived
+    move = state.p_gen - x_prime.p_gen
     sigma = np.sign(np.where(np.abs(move) <= 1e-9, 0.0, move))
     w = np.concatenate([-case.c_load, case.c_gen * sigma])  # dC_R/dx at fixed x'
     direct = np.concatenate([case.c_load, -case.c_gen * sigma])

@@ -13,7 +13,7 @@ import json
 import math
 import sys
 import typing
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -33,65 +33,30 @@ EXIT_INTERNAL = 4
 
 @dataclass
 class RunConfig:
-    """Single-file run configuration; flags override individual fields."""
+    """Single-file run configuration; flags override individual keys. The
+    assessment and risk-management keys live in `rm` and its `assessment`,
+    the library configs that declare and check them."""
 
     case: str = ""
     format: str = "native-json"
     outages: list = field(default_factory=list)
-    tau_d: float = 15.0
-    t_max: float = 150.0
-    attempts: int = 200
-    policy: str = "probability-sampled"
-    seed: int = 0
-    delta_r: float | list | None = None     # None = adaptive schedule
-    threshold: float | str | None = "auto"  # "auto", None = dense, float = compressed
     out: str = "out"
     failure_rate: dict = field(default_factory=dict)
     costs: dict = field(default_factory=dict)
-    epsilon_stop: float | None = None
-    max_iterations: int = 8
     strategy: str | None = None     # JSON file with an explicit control target
     fd_step: float = 0.25
-
-    def validate(self) -> None:
-        if not all(isinstance(b, int) and not isinstance(b, bool) for b in self.outages):
-            raise ValueError("config key 'outages' must be a list of integer branch ids")
-        for key in ("tau_d", "t_max", "threshold", "delta_r", "epsilon_stop", "fd_step"):
-            val = getattr(self, key)
-            vals = val if isinstance(val, list) else [val]
-            if not all(math.isfinite(v) for v in vals if _is_number(v)):
-                raise ValueError(f"config key '{key}' must be finite")
-        if self.tau_d <= 0:
-            raise ValueError("tau_d must be > 0")
-        if self.t_max < self.tau_d:
-            raise ValueError("t_max must be >= tau_d")
-        if self.attempts < 1:
-            raise ValueError("attempts must be >= 1")
-        if not (self.threshold is None or self.threshold == "auto"
-                or _is_number(self.threshold)):
-            raise ValueError("config key 'threshold' must be \"auto\", null or a number")
-        for key in ("epsilon_stop", "max_iterations", "threshold"):
-            if _is_number(getattr(self, key)) and getattr(self, key) < 0:
-                raise ValueError(f"config key '{key}' must be >= 0")
-        if isinstance(self.delta_r, list) and not all(map(_is_number, self.delta_r)):
-            raise ValueError("config key 'delta_r' must be a number or a list of numbers")
-        if self.fd_step <= 0:
-            raise ValueError("config key 'fd_step' must be > 0")
-
-    def assessment(self, gradients: bool = True) -> _assess.AssessmentConfig:
-        return _assess.AssessmentConfig(
-            tau_d=self.tau_d,
-            t_max=self.t_max,
-            attempts=self.attempts,
-            policy=self.policy,
-            seed=self.seed,
-            gradients=gradients,
-            threshold=self.threshold,
-        )
+    rm: _mgmt.RmConfig = field(default_factory=_mgmt.RmConfig)
 
 
-def _is_number(val) -> bool:
-    return isinstance(val, (int, float)) and not isinstance(val, bool)
+# Fields that are no config key: the nested configs, `gradients` (each
+# command picks it) and `exhaustive_order` (left at its library default).
+_NOT_KEYS = {"gradients", "exhaustive_order", "assessment", "rm"}
+_KEY_CLASS = {
+    f.name: cls
+    for cls in (RunConfig, _mgmt.RmConfig, _assess.AssessmentConfig)
+    for f in fields(cls) if f.name not in _NOT_KEYS
+}
+_RUN_HINTS = typing.get_type_hints(RunConfig)
 
 
 def _type_matches(hint, val) -> bool:
@@ -103,58 +68,47 @@ def _type_matches(hint, val) -> bool:
     return isinstance(val, allowed + ((int,) if float in allowed else ()))
 
 
+def _parse_tokens(flag: str, tokens, kind: type, what: str) -> list:
+    values = []
+    for tok in tokens:
+        try:
+            values.append(kind(tok))
+        except ValueError:
+            raise ValueError(f"{flag} takes {what}, got '{tok.strip()}'") from None
+    return values
+
+
 def load_config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig()
+    """The config file's keys overridden by the given flags, each handed to
+    the dataclass that declares it."""
+    settings = {}
     if args.config:
         with open(args.config) as fh:
-            doc = json.load(fh)
-        if not isinstance(doc, dict):
+            settings = json.load(fh)
+        if not isinstance(settings, dict):
             raise ValueError("config file must hold a JSON object")
-        hints = typing.get_type_hints(RunConfig)
-        for key, val in doc.items():
-            if key not in hints:
-                raise ValueError(f"unknown config key '{key}'")
-            if not _type_matches(hints[key], val):
-                raise ValueError(
-                    f"config key '{key}' has the wrong type: {type(val).__name__}"
-                )
-            setattr(cfg, key, val)
-    overrides = {
-        "case": args.case,
-        "format": args.format,
-        "tau_d": args.tau_d,
-        "t_max": args.t_max,
-        "attempts": args.attempts,
-        "policy": args.policy,
-        "seed": args.seed,
-        "threshold": args.threshold,
-        "out": args.out,
-        "strategy": getattr(args, "strategy", None),
-        "fd_step": getattr(args, "fd_step", None),
-    }
-    for key, val in overrides.items():
-        if val is not None:
-            setattr(cfg, key, val)
-    if args.outages is not None:
-        cfg.outages = []
-        for tok in filter(str.strip, args.outages.split(",")):
-            try:
-                cfg.outages.append(int(tok))
-            except ValueError:
-                raise ValueError(
-                    f"--outages takes integer branch ids, got '{tok.strip()}'"
-                ) from None
-    if getattr(args, "delta_r", None) is not None:
-        cfg.delta_r = []
-        for tok in args.delta_r.split(","):
-            try:
-                cfg.delta_r.append(float(tok))
-            except ValueError:
-                raise ValueError(f"--delta-r takes numbers, got '{tok.strip()}'") from None
-        if len(cfg.delta_r) == 1:
-            cfg.delta_r = cfg.delta_r[0]
-    cfg.validate()
-    return cfg
+    flags = {key: val for key, val in vars(args).items()
+             if val is not None and key not in ("command", "func", "config")}
+    if "outages" in flags:
+        tokens = filter(str.strip, flags["outages"].split(","))
+        flags["outages"] = _parse_tokens("--outages", tokens, int, "integer branch ids")
+    if "delta_r" in flags:
+        schedule = _parse_tokens("--delta-r", flags["delta_r"].split(","), float, "numbers")
+        flags["delta_r"] = schedule[0] if len(schedule) == 1 else schedule
+    kwargs = {RunConfig: {}, _mgmt.RmConfig: {}, _assess.AssessmentConfig: {}}
+    for key, val in {**settings, **flags}.items():
+        if key not in _KEY_CLASS:
+            raise ValueError(f"unknown config key '{key}'")
+        kwargs[_KEY_CLASS[key]][key] = val
+    for key, val in kwargs[RunConfig].items():
+        if not _type_matches(_RUN_HINTS[key], val):
+            raise ValueError(f"config key '{key}' has the wrong type: {type(val).__name__}")
+    if not all(isinstance(b, int) and not isinstance(b, bool)
+               for b in kwargs[RunConfig].get("outages", [])):
+        raise ValueError("config key 'outages' must be a list of integer branch ids")
+    assessment = _assess.AssessmentConfig(**kwargs[_assess.AssessmentConfig])
+    rm = _mgmt.RmConfig(**kwargs[_mgmt.RmConfig], assessment=assessment)
+    return RunConfig(**kwargs[RunConfig], rm=rm)
 
 
 def load_case_file(cfg: RunConfig) -> NetworkCase:
@@ -227,7 +181,7 @@ def _summary(assessment, cfg: RunConfig) -> dict:
         "schema_version": 2,
         "case": cfg.case,
         "outages": list(cfg.outages),
-        "seed": cfg.seed,
+        "seed": cfg.rm.assessment.seed,
         "attempts": len(assessment.history.attempts),
         "C0": float(assessment.control_cost),
         "pre_control_cost": float(assessment.pre_control_cost),
@@ -239,7 +193,8 @@ def _summary(assessment, cfg: RunConfig) -> dict:
 def cmd_assess(cfg: RunConfig) -> int:
     case = load_case_file(cfg)
     target = load_strategy(case, cfg.strategy) if cfg.strategy else None
-    a = _assess.run_assessment(case, cfg.outages, cfg.assessment(gradients=False), target)
+    acfg = replace(cfg.rm.assessment, gradients=False)
+    a = _assess.run_assessment(case, cfg.outages, acfg, target)
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     _tree.dump_tree_csv(a.tree, str(out / "tree.csv"))
@@ -254,7 +209,7 @@ def cmd_assess(cfg: RunConfig) -> int:
 def cmd_gradient(cfg: RunConfig) -> int:
     case = load_case_file(cfg)
     target = load_strategy(case, cfg.strategy) if cfg.strategy else None
-    a = _assess.run_assessment(case, cfg.outages, cfg.assessment(gradients=True), target)
+    a = _assess.run_assessment(case, cfg.outages, cfg.rm.assessment, target)
     gammas = a.gamma_history()
     deltas, deltas_dir = _gradient.convergence_indices(gammas, gammas[-1])
     out = Path(cfg.out)
@@ -277,12 +232,8 @@ def cmd_gradient(cfg: RunConfig) -> int:
 def cmd_validate_gradient(cfg: RunConfig) -> int:
     case = load_case_file(cfg)
     target = load_strategy(case, cfg.strategy) if cfg.strategy else None
-    acfg = cfg.assessment(gradients=True)
-    if acfg.policy != "exhaustive":
-        print("validate-gradient requires --policy exhaustive", file=sys.stderr)
-        return EXIT_PARSE
     val = _assess.validate_gradient(
-        case, cfg.outages, acfg, control_target=target, step=cfg.fd_step
+        case, cfg.outages, cfg.rm.assessment, control_target=target, step=cfg.fd_step
     )
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -312,13 +263,7 @@ def cmd_validate_gradient(cfg: RunConfig) -> int:
 
 def cmd_irm(cfg: RunConfig) -> int:
     case = load_case_file(cfg)
-    rm_cfg = _mgmt.RmConfig(
-        delta_r=cfg.delta_r,
-        epsilon_stop=cfg.epsilon_stop,
-        max_iterations=cfg.max_iterations,
-        assessment=cfg.assessment(gradients=True),
-    )
-    traj = _mgmt.irm(case, cfg.outages, rm_cfg)
+    traj = _mgmt.irm(case, cfg.outages, cfg.rm)
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     _mgmt.write_trajectory_csv(traj, str(out / "trajectory.csv"))
@@ -337,11 +282,17 @@ def build_parser() -> argparse.ArgumentParser:
         description="Cascading-outage risk assessment and risk management",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in (
-        ("assess", cmd_assess),
-        ("gradient", cmd_gradient),
-        ("validate-gradient", cmd_validate_gradient),
-        ("irm", cmd_irm),
+    flags = {
+        "--threshold": {"type": float, "help": "compressed sensitivity storage threshold"},
+        "--strategy": {"help": "control strategy JSON"},
+        "--fd-step": {"type": float},
+        "--delta-r": {"help": "value or comma schedule"},
+    }
+    for name, fn, own in (
+        ("assess", cmd_assess, ["--strategy"]),
+        ("gradient", cmd_gradient, ["--threshold", "--strategy"]),
+        ("validate-gradient", cmd_validate_gradient, ["--threshold", "--strategy", "--fd-step"]),
+        ("irm", cmd_irm, ["--threshold", "--delta-r"]),
     ):
         p = sub.add_parser(name)
         p.set_defaults(func=fn)
@@ -349,18 +300,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--case", help="case file path")
         p.add_argument("--format", choices=["native-json", "matpower-text"])
         p.add_argument("--outages", help="comma-separated initial branch ids")
-        p.add_argument("--tau-d", dest="tau_d", type=float)
-        p.add_argument("--t-max", dest="t_max", type=float)
+        p.add_argument("--tau-d", type=float)
+        p.add_argument("--t-max", type=float)
         p.add_argument("--attempts", type=int)
-        p.add_argument("--policy",
-                       choices=["best-first", "probability-sampled", "exhaustive"])
+        p.add_argument("--policy", choices=_assess.POLICIES)
         p.add_argument("--seed", type=int)
-        p.add_argument("--delta-r", dest="delta_r", help="value or comma schedule")
-        p.add_argument("--threshold", type=float,
-                       help="compressed sensitivity storage threshold")
         p.add_argument("--out", help="output directory")
-        p.add_argument("--strategy", help="control strategy JSON")
-        p.add_argument("--fd-step", dest="fd_step", type=float)
+        for flag in own:
+            p.add_argument(flag, **flags[flag])
     return parser
 
 

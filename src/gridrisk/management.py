@@ -5,16 +5,18 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import lp
 from .assess import (
-    Assessment, AssessmentConfig, control_cost_value, pre_control, run_assessment,
+    Assessment, AssessmentConfig, check_setting, pre_control, run_assessment,
 )
 from .cascade import (
     _flow_limit_rows, _island_balance_rows, _move_split_rows, _tie_broken_costs,
+    control_cost_value,
 )
 from .network import NetworkCase, SystemState, Topology
 
@@ -148,13 +150,22 @@ class RmConfig:
     delta_r: explicit schedule (list) or a single value reused each round;
     None selects the adaptive default (0.8 of the current assessed risk,
     halved on infeasibility or non-improvement). epsilon_stop defaults to
-    max(1, 1e-3 R'_0).
+    max(1, 1e-3 R'_0). Each setting is checked on construction; a bad one
+    raises a ValueError naming it.
     """
 
     delta_r: object = None
     epsilon_stop: float | None = None
     max_iterations: int = 8
     assessment: AssessmentConfig = field(default_factory=AssessmentConfig)
+
+    def __post_init__(self):
+        if self.delta_r is not None:
+            for val in self.delta_r if isinstance(self.delta_r, list) else [self.delta_r]:
+                check_setting("delta_r", val, low=-math.inf)
+        if self.epsilon_stop is not None:
+            check_setting("epsilon_stop", self.epsilon_stop)
+        check_setting("max_iterations", self.max_iterations, integral=True)
 
 
 @dataclass

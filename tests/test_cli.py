@@ -5,9 +5,13 @@ from pathlib import Path
 
 import pytest
 import scipy.optimize._highspy._core as core
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridrisk import assess, cascade, cases
+from gridrisk.assess import POLICIES, AssessmentConfig
 from gridrisk.cli import main
+from gridrisk.management import RmConfig
 from gridrisk.network import serialize_case
 
 
@@ -185,6 +189,8 @@ class TestExitCodes:
         ("epsilon_stop", -1e12, "config key 'epsilon_stop' must be >= 0"),
         ("max_iterations", -1, "config key 'max_iterations' must be >= 0"),
         ("threshold", -1e-5, "config key 'threshold' must be >= 0"),
+        ("seed", -1, "config key 'seed' must be >= 0"),
+        ("attempts", 0, "config key 'attempts' must be >= 1"),
     ])
     def test_config_value_rejected(self, toy_case_file, tmp_path, capsys, key, value, message):
         cfg = tmp_path / "run.json"
@@ -197,10 +203,19 @@ class TestExitCodes:
         assert message in capsys.readouterr().err
 
     def test_negative_threshold_flag_rejected(self, toy_case_file, tmp_path, capsys):
-        code = run_cli(["assess", "--case", toy_case_file, "--outages", "3",
+        code = run_cli(["gradient", "--case", toy_case_file, "--outages", "3",
                         "--threshold", "-1", "--out", str(tmp_path / "o")])
         assert code == 2
         assert "config key 'threshold' must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["irm", "--strategy", "x.json"], ["assess", "--threshold", "1e-5"],
+    ])
+    def test_flag_the_command_does_not_read(self, toy_case_file, tmp_path, argv):
+        with pytest.raises(SystemExit) as exc:
+            run_cli([*argv, "--case", toy_case_file, "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
         assert not (tmp_path / "o").exists()
 
     def test_outages_flag_names_bad_token(self, toy_case_file, tmp_path, capsys):
@@ -496,3 +511,62 @@ def test_strategy_roundtrip_between_commands(tmp_path):
     summary = json.loads((assess_out / "summary.json").read_text())
     strategy = json.loads((irm_out / "strategy.json").read_text())
     assert summary["R_prime"] == pytest.approx(strategy["subsequent_risk"], rel=1e-9)
+
+
+# Library config settings: each bad value raises a ValueError naming its key.
+_NON_FINITE = st.sampled_from([float("nan"), float("inf"), float("-inf")])
+_NOT_NUMBERS = st.sampled_from([True, False, "1", "x", None, [1.0]])
+_NEGATIVE = st.floats(max_value=-1e-12, allow_nan=False, allow_infinity=False)
+_NON_INTEGRAL = st.floats(allow_nan=False, allow_infinity=False).filter(
+    lambda v: not v.is_integer())
+_BAD_FLOAT = st.one_of(_NON_FINITE, _NOT_NUMBERS, _NEGATIVE, st.integers(max_value=-1))
+_BAD_INT = st.one_of(_NON_FINITE, _NOT_NUMBERS, _NON_INTEGRAL, st.integers(max_value=-1))
+_BAD_SETTINGS = {
+    (AssessmentConfig, "tau_d"): st.one_of(_BAD_FLOAT, st.just(0.0)),
+    (AssessmentConfig, "t_max"): st.one_of(_BAD_FLOAT, st.floats(0.0, 14.99)),
+    (AssessmentConfig, "attempts"): st.one_of(_BAD_INT, st.just(0)),
+    (AssessmentConfig, "seed"): _BAD_INT,
+    (AssessmentConfig, "policy"): st.text().filter(lambda p: p not in POLICIES),
+    (AssessmentConfig, "exhaustive_order"): st.sampled_from(["sideways", "", None]),
+    (AssessmentConfig, "threshold"): st.one_of(
+        _NON_FINITE, _NEGATIVE, st.sampled_from([True, "x", "Auto", [1e-5]])),
+    (RmConfig, "delta_r"): st.one_of(
+        _NON_FINITE, st.sampled_from([True, "x", {}]),
+        st.lists(st.one_of(_NON_FINITE, st.sampled_from([True, "x", None])), min_size=1)
+        .flatmap(lambda bad: st.permutations([50000.0, *bad]))),
+    (RmConfig, "epsilon_stop"): st.one_of(_NON_FINITE, _NEGATIVE, st.sampled_from([True, "1"])),
+    (RmConfig, "max_iterations"): _BAD_INT,
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_bad_setting_raises_named_error(data):
+    cls, key = data.draw(st.sampled_from(list(_BAD_SETTINGS)))
+    value = data.draw(_BAD_SETTINGS[cls, key])
+    with pytest.raises(ValueError) as exc:
+        cls(**{key: value})
+    assert key in str(exc.value)
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    tau_d=st.floats(1e-3, 1e3), horizon=st.floats(1.0, 20.0),
+    attempts=st.integers(1, 10**6), seed=st.integers(0, 2**63),
+    policy=st.sampled_from(POLICIES), order=st.sampled_from(["ascending", "descending"]),
+    threshold=st.one_of(st.just("auto"), st.none(), st.integers(0, 5), st.floats(0.0, 1.0)),
+    delta_r=st.one_of(st.none(), st.integers(), _FINITE, st.lists(_FINITE)),
+    epsilon_stop=st.one_of(st.none(), st.floats(0.0, 1e12)),
+    max_iterations=st.integers(0, 100),
+)
+def test_valid_settings_construct(tau_d, horizon, attempts, seed, policy, order, threshold,
+                                  delta_r, epsilon_stop, max_iterations):
+    assessment = AssessmentConfig(
+        tau_d=tau_d, t_max=tau_d * horizon, attempts=attempts, policy=policy, seed=seed,
+        threshold=threshold, exhaustive_order=order,
+    )
+    RmConfig(delta_r=delta_r, epsilon_stop=epsilon_stop, max_iterations=max_iterations,
+             assessment=assessment)

@@ -197,6 +197,13 @@ class TestControlGradient:
         # nothing is left to check, and an empty check does not pass
         assert val.checked == 0 and not val.passed
 
+    @pytest.mark.parametrize("step", [0.0, -0.25, float("nan"), float("inf")])
+    def test_step_checked_before_any_assessment(self, step):
+        # no case: the check must come before anything reads it
+        cfg = AssessmentConfig(t_max=30.0, policy="exhaustive")
+        with pytest.raises(ValueError, match="config key 'fd_step' must be finite and > 0"):
+            validate_gradient(None, {3}, cfg, step=step)
+
 
 def test_compression_error_bound_on_control_gradient():
     # threshold-compressed chains move the projected gradient by no more than

@@ -182,10 +182,8 @@ class TestRiskEstimate:
         assert all(rp[i] <= rp[i + 1] + 1e-12 for i in range(len(rp) - 1))
 
     def test_empty_budget_empty_history(self):
-        case = chain3_case()
-        cfg = AssessmentConfig(tau_d=15.0, t_max=30.0, attempts=0, policy="exhaustive")
-        a = run_assessment(case, set(), cfg)
-        assert a.history.attempts == []
+        with pytest.raises(ValueError, match="config key 'attempts' must be >= 1"):
+            AssessmentConfig(tau_d=15.0, t_max=30.0, attempts=0, policy="exhaustive")
 
 
 class TestDumps:

@@ -7,11 +7,11 @@ runs every command of `commands()` in its own process, with `--src` on
 PYTHONPATH and one BLAS thread (the thread count changes the last digits of
 the results), and prints one line per output file and per stdout:
 `<sha256>  <command>/<file>`. The case files are written by the checked-out
-code's own `serialize_case`, the strategy file by this script, and every
-path a command sees is relative to one work directory, so two checkouts
-that compute the same results print the same lines. With `--against DIR`
-it runs the commands on both source trees and prints only the
-`<command>/<file>` labels whose digests differ (or that only one tree
+code's own `serialize_case`, the strategy and config files by this script,
+and every path a command sees is relative to one work directory, so two
+checkouts that compute the same results print the same lines. With
+`--against DIR` it runs the commands on both source trees and prints only
+the `<command>/<file>` labels whose digests differ (or that only one tree
 writes), exiting 1 if there is any. A command that exits non-zero stops
 the run with exit code 1.
 """
@@ -36,6 +36,13 @@ TOY6_INTERIOR = {
     "loads": [{"id": i, "target_mw": p} for i, p in enumerate((110.0, 85.0, 55.0), 1)],
     "generators": [{"id": j, "target_mw": p} for j, p in enumerate((5.0, 160.0, 10.0), 1)],
 }
+# an IRM run on toy6 {3} whose assessment and risk-management keys all come
+# from a config file, none from a flag
+TOY6_IRM_CONFIG = {
+    "case": "toy6.json", "outages": [3], "tau_d": 15, "t_max": 30, "attempts": 200,
+    "policy": "exhaustive", "seed": 1, "threshold": None, "delta_r": [50000, 20000],
+    "epsilon_stop": 1, "max_iterations": 3,
+}
 
 
 def commands() -> list:
@@ -49,6 +56,7 @@ def commands() -> list:
                 "--attempts", "200", "--seed", "1",
             ]))
     cmds += [
+        ("toy6-irm-3-config", ["irm", "--config", "toy6-irm-3.json"]),
         ("rts96-assess", ["assess", *RTS96, "--attempts", "40"]),
         ("rts96-gradient", ["gradient", *RTS96, "--attempts", "30"]),
         ("rts96-irm", ["irm", *RTS96, "--attempts", "20"]),
@@ -113,6 +121,7 @@ def digests(src: str, emit=None) -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         (work / "toy6-interior.json").write_text(json.dumps(TOY6_INTERIOR))
+        (work / "toy6-irm-3.json").write_text(json.dumps(TOY6_IRM_CONFIG))
         _run([sys.executable, "-c",
               "from gridrisk import cases, serialize_case\n"
               "for name in ('toy6', 'rts96', 'ring120'):\n"
