@@ -54,8 +54,7 @@ class AssessmentConfig:
 
     def __post_init__(self):
         check_setting("tau_d", self.tau_d, low=-math.inf)
-        if self.tau_d <= 0:
-            raise ValueError("config key 'tau_d' must be > 0")
+        cascade.check_tau_d(self.tau_d)
         check_setting("t_max", self.t_max, low=-math.inf)
         if self.t_max < self.tau_d:
             raise ValueError("config key 't_max' must be >= tau_d")

@@ -495,6 +495,14 @@ class ExecuteResult:
     dcost_dxstar: np.ndarray | None = None   # row
 
 
+def check_tau_d(tau_d: float) -> None:
+    """Raise a ValueError naming config key 'tau_d' unless it is finite and > 0."""
+    if not math.isfinite(tau_d):
+        raise ValueError("config key 'tau_d' must be finite")
+    if tau_d <= 0:
+        raise ValueError("config key 'tau_d' must be > 0")
+
+
 def dispatch_execute(
     case: NetworkCase,
     topo: Topology,
@@ -511,8 +519,7 @@ def dispatch_execute(
     prices the executed adjustment against the pre-dispatch state at the
     case's costs, `control_cost_value(case, x', x)`.
     """
-    if tau_d <= 0:
-        raise ValueError("tau_d must be > 0")
+    check_tau_d(tau_d)
     n_l, n_g, n_x = case.n_load, case.n_gen, case.n_x
     n_vars = n_l + 3 * n_g  # P_d, P_g, u, v with P_g - u + v = P*_g
 

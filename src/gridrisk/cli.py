@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -276,7 +277,10 @@ def cmd_irm(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared after it:
+    building it takes about 1 ms, and parsing leaves no state in it."""
     parser = argparse.ArgumentParser(
         prog="gridrisk",
         description="Cascading-outage risk assessment and risk management",

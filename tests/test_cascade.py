@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridrisk import cascade, cases
+from gridrisk.assess import enumeration_risk
 from gridrisk.network import parse_case, serialize_case
 from gridrisk.cascade import (
     InternalError,
@@ -278,6 +279,19 @@ class TestDispatchExecute:
         assert not exe.emergency
         assert exe.jac_star.shape == exe.jac_prime.shape == (toy6.n_x, toy6.n_x)
         assert exe.jac_star.base is None and exe.jac_prime.base is None
+
+    @pytest.mark.parametrize("tau_d, message", [
+        (0.0, "must be > 0"), (-15.0, "must be > 0"),
+        (float("nan"), "must be finite"), (float("inf"), "must be finite"),
+    ])
+    def test_bad_tau_d_names_the_key(self, toy6, tau_d, message):
+        topo = build_topology(toy6)
+        xp = SystemState([120.0, 90.0, 60.0], [100.0, 170.0, 0.0])
+        match = f"config key 'tau_d' {message}"
+        with pytest.raises(ValueError, match=match):
+            dispatch_execute(toy6, topo, xp, xp, tau_d)
+        with pytest.raises(ValueError, match=match):
+            enumeration_risk(toy6, topo, xp, tau_d, 2)
 
     def test_balance_invariant(self, toy6):
         topo = build_topology(toy6)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from gridrisk import assess, cascade, cases
 from gridrisk.assess import POLICIES, AssessmentConfig
-from gridrisk.cli import main
+from gridrisk.cli import build_parser, main
 from gridrisk.management import RmConfig
 from gridrisk.network import serialize_case
 
@@ -217,6 +217,18 @@ class TestExitCodes:
             run_cli([*argv, "--case", toy_case_file, "--out", str(tmp_path / "o")])
         assert exc.value.code == 2
         assert not (tmp_path / "o").exists()
+
+    def test_shared_parser_keeps_no_state_between_calls(self, toy_case_file, tmp_path):
+        """`main` parses with one parser per process; a command that ran
+        before does not make the next one accept a flag it does not read."""
+        assert run_cli(["assess", "--case", toy_case_file, "--outages", "3",
+                        "--t-max", "15", "--attempts", "2", "--out", str(tmp_path / "a")]) == 0
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["irm", "--strategy", "x.json", "--case", toy_case_file,
+                     "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert not (tmp_path / "o").exists()
+        assert build_parser() is build_parser()
 
     def test_outages_flag_names_bad_token(self, toy_case_file, tmp_path, capsys):
         code = run_cli(["assess", "--case", toy_case_file, "--outages", "3,x",

@@ -1,4 +1,8 @@
 import functools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1034,3 +1038,55 @@ def test_nan_bound_rejected():
     for lo, hi in (([np.nan, 1.0], [3.0, 4.0]), ([0.0, 1.0], [3.0, np.nan])):
         with pytest.raises(ValueError, match="must not be NaN"):
             lp.LpProblem(c=[-1.0, 1.0], a_in=[[1.0, 1.0]], b_in=[4.0], lo=lo, hi=hi)
+
+
+# ---------------------------------------------------------------------------
+# Loading the HiGHS extension
+#
+# `lp` loads scipy's compiled HiGHS bindings without running
+# `scipy.optimize/__init__`. Import state is per process, so these checks
+# run in fresh interpreters.
+
+SRC = str(Path(lp.__file__).resolve().parents[1])
+
+
+def _fresh_python(code: str) -> str:
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [SRC, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_cli_import_skips_scipy_optimize():
+    out = _fresh_python(
+        "import sys, gridrisk.cli\n"
+        "print(sorted(m for m in ('scipy.optimize', 'scipy.special', 'scipy.fft',"
+        " 'scipy.spatial') if m in sys.modules))\n"
+    )
+    assert out.strip() == "[]"
+
+
+@pytest.mark.parametrize("first", ["gridrisk.lp", "scipy.optimize"])
+def test_one_extension_module_in_either_import_order(first):
+    second = "scipy.optimize" if first == "gridrisk.lp" else "gridrisk.lp"
+    out = _fresh_python(
+        f"import sys, importlib\n"
+        f"importlib.import_module({first!r}); importlib.import_module({second!r})\n"
+        "import gridrisk.lp, scipy.optimize\n"
+        "print(gridrisk.lp._highs is sys.modules['scipy.optimize._highspy._core'])\n"
+        "res = scipy.optimize.linprog([1.0, 2.0], A_ub=[[-1.0, -1.0]], b_ub=[-1.0],"
+        " method='highs-ds')\n"
+        "print(res.status, res.x.tolist())\n"
+    )
+    assert out.split("\n")[:2] == ["True", "0 [1.0, 0.0]"]
+
+
+def test_missing_extension_names_module_and_requirement(tmp_path, monkeypatch):
+    monkeypatch.delitem(sys.modules, lp._HIGHS_MODULE)
+    with pytest.raises(ImportError, match=r"scipy\.optimize\._highspy\._core.*"
+                                          r"scipy>=1\.15.*pyproject\.toml") as exc:
+        lp._load_highs([str(tmp_path)])
+    assert exc.value.name == lp._HIGHS_MODULE
+    assert lp._HIGHS_MODULE not in sys.modules
