@@ -1,8 +1,9 @@
 """Command-line front end: deterministic assessment, gradient, gradient
 validation and iterated risk-management runs with CSV/JSON reports.
 
-Exit codes: 0 success, 2 case/config/strategy parse or read error, 3 infeasible
-base case, 4 internal error (an island left unbalanced after dispatch).
+Exit codes: 0 success, 2 case/config/strategy parse or read error or a case
+whose island systems cannot be solved, 3 infeasible base case, 4 internal
+error (an island left unbalanced after dispatch).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from . import cascade as _cascade
 from . import gradient as _gradient
 from . import management as _mgmt
 from . import tree as _tree
-from .network import CaseError, NetworkCase, parse_case
+from .network import CaseError, NetworkCase, PowerFlowError, parse_case
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -322,7 +323,8 @@ def main(argv=None) -> int:
         if not cfg.case:
             raise FileNotFoundError("no case file given (--case or config)")
         return args.func(cfg)
-    except (FileNotFoundError, CaseError, json.JSONDecodeError, ValueError) as exc:
+    except (FileNotFoundError, CaseError, PowerFlowError, json.JSONDecodeError,
+            ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except _assess.InfeasibleBaseCase as exc:

@@ -6,8 +6,9 @@ thresholded compressed storage for the chain matrices.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
-import scipy.sparse as sp
 
 from .cascade import LevelRecord
 
@@ -16,9 +17,28 @@ from .cascade import LevelRecord
 # Compressed storage
 # ---------------------------------------------------------------------------
 
-def compress(matrix: np.ndarray, threshold: float) -> sp.csr_matrix:
-    """Sparse storage keeping only entries with |value| >= threshold (0 keeps
-    the matrix lossless).
+@dataclass(frozen=True)
+class Compressed:
+    """A matrix kept as the flat positions and values of its stored entries;
+    every other entry reads back as +0.0, as from a CSR matrix."""
+
+    index: np.ndarray
+    values: np.ndarray
+    shape: tuple
+
+    @property
+    def nnz(self) -> int:
+        return self.index.size
+
+    def toarray(self) -> np.ndarray:
+        dense = np.zeros(self.shape)
+        dense.flat[self.index] = self.values
+        return dense
+
+
+def compress(matrix: np.ndarray, threshold: float) -> Compressed:
+    """Storage keeping only the nonzero entries with |value| >= threshold (0
+    keeps the matrix lossless, but for the sign of its zeros).
 
     Chain sensitivity matrices are dominated by near-zero entries on large
     systems (typically well under 1% of entries exceed 1e-3 and under 10%
@@ -27,8 +47,9 @@ def compress(matrix: np.ndarray, threshold: float) -> sp.csr_matrix:
     """
     if not threshold >= 0:
         raise ValueError("threshold must be >= 0")
-    kept = np.where(np.abs(matrix) >= threshold, matrix, 0.0) if threshold > 0 else matrix
-    return sp.csr_matrix(kept)
+    flat = matrix.ravel()
+    index = np.flatnonzero(np.abs(flat) >= threshold if threshold > 0 else flat)
+    return Compressed(index, flat[index], matrix.shape)
 
 
 def maybe_compress(matrix: np.ndarray, threshold: float | None):
@@ -36,7 +57,7 @@ def maybe_compress(matrix: np.ndarray, threshold: float | None):
 
 
 def to_dense(stored) -> np.ndarray:
-    return stored.toarray() if sp.issparse(stored) else stored
+    return stored.toarray() if isinstance(stored, Compressed) else stored
 
 
 # ---------------------------------------------------------------------------

@@ -4,18 +4,15 @@ Solving is delegated to HiGHS dual simplex through the compiled bindings
 scipy ships (`scipy.optimize._highspy._core`), with the same options and
 post-solve feasibility check as scipy's `highs-ds` LP method with
 `presolve=False`, without that method's per-call Python wrapping. The
-extension is loaded from scipy's directory without importing
+extension is loaded by `_ext.load_scipy_extension`, without importing
 `scipy.optimize`, whose `__init__` pulls in scipy.special, scipy.fft,
 scipy.spatial and about 170 other modules that gridrisk never calls: that
 takes about 0.2 s off each process's start and 14 MB off its peak memory.
-The module is registered in `sys.modules` under its own name, and an entry
-already there is reused, so the extension's types are never loaded twice
-and a later `import scipy.optimize` gets this same module. Small models share one
-module-level solver: `passModel` replaces its model and basis, so no state
-carries from one solve to the next, and setting one up costs more than a
-small LP's simplex solve. After a model with more than `REUSE_NNZ`
-nonzeros the solver is dropped, so a large model's workspace is freed as
-soon as its solve ends. The program runs no threads, so one
+Small models share one module-level solver: `passModel` replaces its model
+and basis, so no state carries from one solve to the next, and setting one
+up costs more than a small LP's simplex solve. After a model with more than
+`REUSE_NNZ` nonzeros the solver is dropped, so a large model's workspace is
+freed as soon as its solve ends. The program runs no threads, so one
 shared solver is never in use twice at once. Inequality
 rows may be ranged, `lb_in <= A_in x <= b_in`, so a two-sided limit such as
 |flow| <= F_max is one row; HiGHS takes ranged rows natively. The model goes
@@ -35,49 +32,14 @@ counts as two) or a nonbasic multiplier is within `DUAL_TOL` of zero.
 
 from __future__ import annotations
 
-import importlib.machinery
-import importlib.util
 import math
-import os
-import sys
 from dataclasses import dataclass
-from types import ModuleType
 
 import numpy as np
 
-_HIGHS_MODULE = "scipy.optimize._highspy._core"
+from ._ext import load_scipy_extension
 
-
-def _load_highs(search_path: list[str]) -> ModuleType:
-    """scipy's HiGHS extension `_HIGHS_MODULE`, found in `search_path` and
-    run without its parent packages' `__init__`. It is entered in
-    `sys.modules` before it runs, and an entry already there is returned."""
-    module = sys.modules.get(_HIGHS_MODULE)
-    if module is not None:
-        return module
-    spec = importlib.machinery.PathFinder.find_spec(_HIGHS_MODULE, search_path)
-    if spec is None:
-        raise ImportError(
-            f"cannot find {_HIGHS_MODULE} in {search_path}; gridrisk needs "
-            "scipy>=1.15, as pyproject.toml requires", name=_HIGHS_MODULE)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[_HIGHS_MODULE] = module
-    try:
-        spec.loader.exec_module(module)
-    except BaseException:
-        del sys.modules[_HIGHS_MODULE]
-        raise
-    return module
-
-
-def _highs_search_path() -> list[str]:
-    """scipy's `optimize/_highspy` directories, found without importing scipy."""
-    scipy = importlib.util.find_spec("scipy")
-    roots = scipy.submodule_search_locations if scipy is not None else None
-    return [os.path.join(root, "optimize", "_highspy") for root in roots or []]
-
-
-_highs = _load_highs(_highs_search_path())
+_highs = load_scipy_extension("scipy.optimize._highspy._core")
 
 FEAS_TOL = 1e-8          # KKT / constraint residual tolerance
 TIGHT_TOL = 1e-7         # activity detection

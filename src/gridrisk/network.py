@@ -9,12 +9,15 @@ from __future__ import annotations
 import json
 import math
 import re
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
+
+from ._ext import load_scipy_extension
+
+# the compiled kernel scipy.linalg.inv calls after validating its input
+_batched_linalg = load_scipy_extension("scipy.linalg._batched_linalg")
 
 SCHEMA_VERSION = 1
 
@@ -58,7 +61,14 @@ class CaseSemanticError(CaseError):
 
 
 class PowerFlowError(RuntimeError):
-    """Internal failure of the DC solver (singular island system)."""
+    """An island's DC system that cannot be solved: its susceptance matrix is
+    singular at working precision or not finite (say, a branch admittance
+    of 1e-17 pu next to ordinary ones); names the island by its bus ids."""
+
+
+class IllConditionedIsland(RuntimeWarning):
+    """An island's susceptance matrix was inverted with a reciprocal
+    condition number below machine precision, as `scipy.linalg.inv` warns."""
 
 
 def _check_finite(entity: str, *items) -> None:
@@ -284,6 +294,49 @@ class Topology:
     lp_memo: dict = field(default_factory=dict, compare=False, repr=False)
 
 
+def connected_components(n_bus: int, u: np.ndarray, v: np.ndarray) -> tuple[int, np.ndarray]:
+    """The islands of the graph on `n_bus` buses with edges (u[i], v[i]):
+    their count and each bus's island, numbered in order of the island's
+    lowest bus position as `scipy.sparse.csgraph.connected_components`
+    numbers them (int32 labels, as it gives).
+
+    Union-find in which each root is the lowest position of its set, so the
+    sorted distinct roots are the islands in that order."""
+    parent = list(range(n_bus))
+
+    def root(p):
+        while parent[p] != p:
+            parent[p] = parent[parent[p]]   # path halving
+            p = parent[p]
+        return p
+
+    for a, b in zip(u.tolist(), v.tolist()):
+        ra, rb = root(a), root(b)
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
+    roots, labels = np.unique([root(p) for p in range(n_bus)], return_inverse=True)
+    return roots.size, labels.astype(np.int32)
+
+
+def _island_inverse(case: NetworkCase, members: tuple, sub: np.ndarray) -> np.ndarray:
+    """The inverse of an island's reduced susceptance matrix `sub`, from the
+    kernel `scipy.linalg.inv` calls (it finds the matrix positive definite
+    and inverts it by Cholesky), so the bits are that function's. Its checks
+    are mirrored: a non-finite or singular matrix raises `PowerFlowError`,
+    and an ill-conditioned one only warns."""
+    buses = [case.buses[p].id for p in members]
+    if not np.isfinite(sub).all():
+        raise PowerFlowError(f"island system is not finite (island of buses {buses})")
+    inverse, errors = _batched_linalg._inv(sub, -1, False, False)
+    for err in errors:
+        if err["is_singular"] or err["lapack_info"] < 0:
+            raise PowerFlowError(f"singular island system (island of buses {buses})")
+        if err["is_ill_conditioned"]:
+            warnings.warn(f"ill-conditioned island system (island of buses {buses}): "
+                          f"rcond = {err['rcond']}", IllConditionedIsland, stacklevel=3)
+    return inverse
+
+
 def build_topology(case: NetworkCase, removed: frozenset = frozenset()) -> Topology:
     """The topology of the network without `removed` branches, from the
     case's cache or, on the first request for its in-service set, built and
@@ -301,9 +354,7 @@ def build_topology(case: NetworkCase, removed: frozenset = frozenset()) -> Topol
     mask = np.zeros(case.n_branch, dtype=bool)
     mask[[case.branch_pos[b] for b in in_service]] = True
     u, v, y = case.branch_from[mask], case.branch_to[mask], case.branch_y[mask]
-    n_isl, labels = connected_components(
-        coo_matrix((np.ones(u.size), (u, v)), shape=(n_bus, n_bus)), directed=False
-    )
+    n_isl, labels = connected_components(n_bus, u, v)
     islands = tuple(
         tuple(np.flatnonzero(labels == k).tolist()) for k in range(n_isl)
     )
@@ -329,12 +380,7 @@ def build_topology(case: NetworkCase, removed: frozenset = frozenset()) -> Topol
         if not energized[k] or len(members) == 1:
             continue
         keep = [p for p in members if p != ref_bus[k]]
-        sub = b_mat[np.ix_(keep, keep)]
-        try:
-            sub_inv = scipy.linalg.inv(sub)
-        except scipy.linalg.LinAlgError as exc:  # pragma: no cover - guarded by connectivity
-            raise PowerFlowError(f"singular island system (island {k})") from exc
-        inv_map[np.ix_(keep, keep)] = sub_inv
+        inv_map[np.ix_(keep, keep)] = _island_inverse(case, members, b_mat[np.ix_(keep, keep)])
 
     # branch-flow rows: F_pu = y_i * (theta_u - theta_v), zero for branches
     # out of service or in a de-energized island

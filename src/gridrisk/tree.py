@@ -13,6 +13,7 @@ import csv
 from dataclasses import dataclass, field
 
 import numpy as np
+import numpy.random  # noqa: F401  (numpy loads it lazily: at import, not in the first search)
 
 from . import cascade
 from .gradient import backward_gradient_update, chain_step, maybe_compress, to_dense

@@ -12,7 +12,7 @@ from gridrisk import assess, cascade, cases
 from gridrisk.assess import POLICIES, AssessmentConfig
 from gridrisk.cli import build_parser, main
 from gridrisk.management import RmConfig
-from gridrisk.network import serialize_case
+from gridrisk.network import IllConditionedIsland, serialize_case
 
 
 @pytest.fixture()
@@ -366,6 +366,27 @@ class TestExitCodes:
         assert "internal error: HiGHS reports an optimal LP without a valid basis" in (
             capsys.readouterr().err)
 
+    @staticmethod
+    def _toy6_branch1_y(tmp_path, y):
+        doc = json.loads(serialize_case(cases.toy6()))
+        next(br for br in doc["branches"] if br["id"] == 1)["y"] = y
+        f = tmp_path / "case.json"
+        f.write_text(json.dumps(doc))
+        return ["assess", "--case", str(f), "--tau-d", "15", "--t-max", "30",
+                "--out", str(tmp_path / "o")]
+
+    def test_singular_island_system_exits_2(self, tmp_path, capsys):
+        # y = 1e-17 passes the case check (y > 0), but next to the other
+        # branches' y it leaves the island's susceptance matrix singular
+        assert run_cli(self._toy6_branch1_y(tmp_path, 1e-17)) == 2
+        assert ("error: singular island system (island of buses [1, 2, 3, 4, 5, 6])"
+                in capsys.readouterr().err)
+
+    def test_ill_conditioned_island_system_only_warns(self, tmp_path):
+        with pytest.warns(IllConditionedIsland, match=r"island of buses \[.*rcond = "):
+            assert run_cli(self._toy6_branch1_y(tmp_path, 1e300)) == 0
+        assert (tmp_path / "o" / "summary.json").exists()
+
 
 class TestCommands:
     def test_zero_rate_assess_reports_zero_risk(self, tmp_path):
@@ -582,3 +603,17 @@ def test_valid_settings_construct(tau_d, horizon, attempts, seed, policy, order,
     )
     RmConfig(delta_r=delta_r, epsilon_stop=epsilon_stop, max_iterations=max_iterations,
              assessment=assessment)
+
+
+def test_operation_after_import_loads_no_module(fresh_python, toy_case_file, tmp_path):
+    # numpy 2 loads numpy.random on first use; import work done then would
+    # be timed as part of the first operation instead of the set-up
+    out = fresh_python(
+        "import sys, gridrisk.cli\n"
+        "before = set(sys.modules)\n"
+        f"code = gridrisk.cli.main(['assess', '--case', {toy_case_file!r},"
+        f" '--out', {str(tmp_path / 'o')!r}])\n"
+        "added = sorted(set(sys.modules) - before)\n"
+        "print(code, [m for m in added if m.split('.')[0] in ('numpy', 'scipy', 'gridrisk')])\n"
+    )
+    assert out.splitlines()[-1] == "0 []"

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
 
 from gridrisk import gradient
 from gridrisk import tree as mtree
@@ -39,6 +40,22 @@ class TestCompression:
         # NaN used to pass the sign check and act as the lossless threshold 0
         with pytest.raises(ValueError):
             gradient.compress(np.eye(2), np.nan)
+
+    @pytest.mark.parametrize("threshold", [0.0, 1e-5])
+    def test_matches_csr_storage(self, threshold):
+        # the stored entries and the dense read-back, -0.0 included (it is not
+        # stored and reads back as +0.0), are CSR's
+        rng = np.random.default_rng(11)
+        for _ in range(50):
+            shape = tuple(rng.integers(1, 15, size=2))
+            m = rng.normal(scale=1e-5, size=shape)
+            m[rng.random(shape) < 0.2] = 0.0
+            m[rng.random(shape) < 0.2] = -0.0
+            m[0, 0] = -0.0
+            c = gradient.compress(m, threshold)
+            ref = csr_matrix(np.where(np.abs(m) >= threshold, m, 0.0) if threshold else m)
+            assert c.nnz == ref.nnz
+            assert gradient.to_dense(c).tobytes() == ref.toarray().tobytes()
 
 
 class TestConvergenceIndices:

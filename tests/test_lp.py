@@ -1,8 +1,6 @@
 import functools
-import os
-import subprocess
+import re
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +10,7 @@ from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from gridrisk import lp
+from gridrisk._ext import load_scipy_extension
 
 
 def kkt_residuals(prob: lp.LpProblem, sol: lp.LpSolution) -> dict:
@@ -1041,37 +1040,33 @@ def test_nan_bound_rejected():
 
 
 # ---------------------------------------------------------------------------
-# Loading the HiGHS extension
+# Loading scipy's extensions
 #
-# `lp` loads scipy's compiled HiGHS bindings without running
-# `scipy.optimize/__init__`. Import state is per process, so these checks
-# run in fresh interpreters.
+# `lp` and `network` load scipy's compiled HiGHS bindings and batched inverse
+# kernel without running `scipy.optimize/__init__` or `scipy.linalg/__init__`.
 
-SRC = str(Path(lp.__file__).resolve().parents[1])
-
-
-def _fresh_python(code: str) -> str:
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [SRC, *filter(None, [os.environ.get("PYTHONPATH")])])}
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    return done.stdout
+EXTENSIONS = ("scipy.optimize._highspy._core", "scipy.linalg._batched_linalg")
 
 
-def test_cli_import_skips_scipy_optimize():
-    out = _fresh_python(
+def test_cli_import_skips_scipy_optimize(fresh_python):
+    out = fresh_python(
         "import sys, gridrisk.cli\n"
         "print(sorted(m for m in ('scipy.optimize', 'scipy.special', 'scipy.fft',"
-        " 'scipy.spatial') if m in sys.modules))\n"
+        " 'scipy.spatial', 'scipy.linalg', 'scipy.sparse', 'scipy._lib._util')"
+        " if m in sys.modules))\n"
+        "print(*sorted(m for m in sys.modules if m.startswith('scipy.')))\n"
     )
-    assert out.strip() == "[]"
+    absent, loaded = out.split("\n")[:2]
+    assert absent == "[]"
+    # the two extensions and the submodules pybind11 registers under them
+    assert {m for m in loaded.split() if not m.startswith(EXTENSIONS)} == set()
+    assert set(EXTENSIONS) <= set(loaded.split())
 
 
 @pytest.mark.parametrize("first", ["gridrisk.lp", "scipy.optimize"])
-def test_one_extension_module_in_either_import_order(first):
+def test_one_extension_module_in_either_import_order(fresh_python, first):
     second = "scipy.optimize" if first == "gridrisk.lp" else "gridrisk.lp"
-    out = _fresh_python(
+    out = fresh_python(
         f"import sys, importlib\n"
         f"importlib.import_module({first!r}); importlib.import_module({second!r})\n"
         "import gridrisk.lp, scipy.optimize\n"
@@ -1083,10 +1078,27 @@ def test_one_extension_module_in_either_import_order(first):
     assert out.split("\n")[:2] == ["True", "0 [1.0, 0.0]"]
 
 
+@pytest.mark.parametrize("first", ["gridrisk.network", "scipy.linalg"])
+def test_one_linalg_kernel_in_either_import_order(fresh_python, first):
+    second = "scipy.linalg" if first == "gridrisk.network" else "gridrisk.network"
+    out = fresh_python(
+        f"import sys, importlib\n"
+        f"importlib.import_module({first!r}); importlib.import_module({second!r})\n"
+        "import gridrisk.network, scipy.linalg\n"
+        "kernel = sys.modules['scipy.linalg._batched_linalg']\n"
+        "print(gridrisk.network._batched_linalg is kernel"
+        " and scipy.linalg._basic._batched_linalg is kernel)\n"
+        "a = [[2.0, -1.0], [-1.0, 2.0]]\n"
+        "print(abs(scipy.linalg.inv(a) @ a - [[1.0, 0.0], [0.0, 1.0]]).max() < 1e-12)\n"
+    )
+    assert out.split("\n")[:2] == ["True", "True"]
+
+
 def test_missing_extension_names_module_and_requirement(tmp_path, monkeypatch):
-    monkeypatch.delitem(sys.modules, lp._HIGHS_MODULE)
-    with pytest.raises(ImportError, match=r"scipy\.optimize\._highspy\._core.*"
-                                          r"scipy>=1\.15.*pyproject\.toml") as exc:
-        lp._load_highs([str(tmp_path)])
-    assert exc.value.name == lp._HIGHS_MODULE
-    assert lp._HIGHS_MODULE not in sys.modules
+    for name in EXTENSIONS:
+        monkeypatch.delitem(sys.modules, name)
+        with pytest.raises(ImportError, match=re.escape(name) + r".*"
+                                              r"scipy>=1\.17.*pyproject\.toml") as exc:
+            load_scipy_extension(name, [str(tmp_path)])
+        assert exc.value.name == name
+        assert name not in sys.modules

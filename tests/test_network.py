@@ -3,6 +3,11 @@ import re
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse import coo_matrix
+from scipy.sparse import csgraph
 
 from gridrisk import cases, network
 from gridrisk.assess import AssessmentConfig
@@ -10,6 +15,8 @@ from gridrisk.management import RmConfig, irm
 from gridrisk.network import (
     CaseSemanticError,
     CaseSyntaxError,
+    IllConditionedIsland,
+    PowerFlowError,
     SystemState,
     apply_outage,
     build_topology,
@@ -301,6 +308,80 @@ class TestTopology:
         irm(case, {3}, cfg)
         assert len(case._topo_cache) > 5
         assert len(calls) == len(case._topo_cache)
+
+
+@st.composite
+def graphs(draw):
+    """1-30 buses and up to 40 branches between them, with parallel branches
+    and isolated buses."""
+    n = draw(st.integers(1, 30))
+    edges = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                          max_size=40))
+    u = np.array([a for a, _ in edges], dtype=np.int64)
+    v = np.array([b for _, b in edges], dtype=np.int64)
+    return n, u, v
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs())
+def test_islands_match_scipy_csgraph(graph):
+    n, u, v = graph
+    count, labels = network.connected_components(n, u, v)
+    ref_count, ref_labels = csgraph.connected_components(
+        coo_matrix((np.ones(u.size), (u, v)), shape=(n, n)), directed=False)
+    assert count == ref_count
+    assert labels.dtype == ref_labels.dtype
+    assert np.array_equal(labels, ref_labels)
+
+
+class TestIslandSystem:
+    def test_inverse_is_scipy_linalg_inv_bit_for_bit(self, rts96):
+        # intact and under every N-1 outage: the same bits as scipy.linalg.inv,
+        # so a flow at its limit trips on the same side
+        checked = 0
+        for removed in [(), *((b,) for b in rts96.branch_ids.tolist())]:
+            topo = build_topology(rts96, frozenset(removed))
+            b_mat = np.zeros((rts96.n_bus, rts96.n_bus))
+            for i in np.flatnonzero(topo.mask):
+                u, v, y = rts96.branch_from[i], rts96.branch_to[i], rts96.branch_y[i]
+                b_mat[u, u] += y
+                b_mat[v, v] += y
+                b_mat[u, v] -= y
+                b_mat[v, u] -= y
+            for k, members in enumerate(topo.islands):
+                if not topo.energized[k] or len(members) == 1:
+                    continue
+                keep = np.ix_(*[[p for p in members if p != topo.ref_bus[k]]] * 2)
+                ref = scipy.linalg.inv(b_mat[keep])
+                assert topo.inv_map[keep].tobytes() == ref.tobytes()
+                checked += 1
+        assert checked >= rts96.n_branch + 1
+
+    @staticmethod
+    def _toy6_with_y(**y_by_branch):
+        doc = json.loads(serialize_case(cases.toy6()))
+        for br in doc["branches"]:
+            br["y"] = y_by_branch.get(f"b{br['id']}", br["y"])
+        return parse_case(json.dumps(doc))
+
+    def test_singular_island_names_its_buses(self):
+        case = self._toy6_with_y(b1=1e-17)
+        with pytest.raises(PowerFlowError, match=re.escape(
+                "singular island system (island of buses [1, 2, 3, 4, 5, 6])")):
+            build_topology(case)
+
+    def test_non_finite_island_names_its_buses(self):
+        # branches 1 and 2 meet at bus 3, whose diagonal entry overflows to inf
+        case = self._toy6_with_y(b1=1e308, b2=1e308)
+        with np.errstate(over="ignore"), pytest.raises(PowerFlowError, match=re.escape(
+                "island system is not finite (island of buses [1, 2, 3, 4, 5, 6])")):
+            build_topology(case)
+
+    def test_ill_conditioned_island_only_warns(self):
+        case = self._toy6_with_y(b1=1e300)
+        with pytest.warns(IllConditionedIsland, match=r"island of buses \[.*rcond = "):
+            topos = [build_topology(case, frozenset({b})) for b in case.branch_ids.tolist()]
+        assert all(np.isfinite(t.inv_map).all() for t in topos)
 
 
 class TestDcPowerFlow:
