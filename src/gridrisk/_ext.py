@@ -1,16 +1,18 @@
 """Loading scipy's compiled extensions without their packages' `__init__`.
 
-gridrisk calls two of scipy's compiled modules: the HiGHS bindings
-(`scipy.optimize._highspy._core`, in `lp`) and the batched inverse kernel
+gridrisk calls three of scipy's compiled modules: the HiGHS bindings
+(`scipy.optimize._highspy._core`, in `lp`), the batched inverse kernel
 that `scipy.linalg.inv` calls (`scipy.linalg._batched_linalg`, in
-`network`). Importing them the usual way runs `scipy.optimize/__init__` or
-`scipy.linalg/__init__`, which pull in scipy's array-API layer and hundreds
+`network`) and the CSR product kernels of `scipy.sparse`
+(`scipy.sparse._sparsetools`, in `gradient`). Importing them the usual way
+runs `scipy.optimize/__init__`, `scipy.linalg/__init__` or
+`scipy.sparse/__init__`, which pull in scipy's array-API layer and hundreds
 of modules gridrisk never calls. `load_scipy_extension` finds the module's
 file in its own directory inside scipy and runs only that file. The module
 is entered in `sys.modules` under its own name before it runs, and an entry
 already there is reused, so an extension's types are never loaded twice and
-a later `import scipy.optimize` or `import scipy.linalg` gets this same
-module.
+a later `import scipy.optimize`, `import scipy.linalg` or `import
+scipy.sparse` gets this same module.
 """
 
 from __future__ import annotations

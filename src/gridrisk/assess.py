@@ -87,7 +87,7 @@ class Assessment:
     pre_control_cost: float       # fast-process cost of the initial outages (not in R)
     tree: mtree.MarkovTree
     history: mtree.ConvergenceHistory
-    exec_sensitivity: np.ndarray | None
+    exec_sensitivity: gradient.Csr | None   # d x_root / d x_target
 
     @property
     def r_prime(self) -> float:

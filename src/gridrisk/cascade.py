@@ -6,7 +6,8 @@ sensitivity matrices of the state chain when asked for (`jacobians=True`).
 All maps are differentiated under the frozen-event / frozen-basis rule: the
 trip sequence, island partition and LP active sets are held fixed, so every
 returned Jacobian is the sub-derivative of the piecewise-smooth map actually
-taken.
+taken. Each local Jacobian is a `gradient.Csr`, built from its nonzero
+blocks without a dense n_x x n_x step.
 
 With `jacobians=False` the same states, costs, flags and LP solutions are
 produced, but no Jacobian, cost row or LP sensitivity is computed: those
@@ -18,10 +19,12 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from . import lp
+from .gradient import Csr
 from .lp import InternalError
 from .network import (
     NetworkCase,
@@ -152,13 +155,38 @@ class ShortTimescaleTrace:
     final_state: SystemState
     final_topology: Topology
     cost: float                 # total fast cost, $
-    jac: np.ndarray | None      # d(final state)/d(input state)
+    jac: Csr | None             # d(final state)/d(input state)
     dcost_dx: np.ndarray | None  # row, d(total cost)/d(input state)
     truncated: bool = False
 
     @property
     def n_events(self) -> int:
         return len(self.events)
+
+
+@lru_cache(maxsize=16)
+def _identity(n: int) -> Csr:
+    """The n x n identity, one shared read-only object per recent size."""
+    return Csr.from_coo(np.arange(n), np.arange(n), np.ones(n), (n, n))
+
+
+def _identity_with_rows(n: int, blocks: list) -> Csr:
+    """The n x n identity with the rows of each (rows, cols, values) block
+    replaced by `values` in columns `cols`; no row is in two blocks."""
+    if not blocks:
+        return _identity(n)
+    width = np.ones(n, dtype=np.intp)
+    for rows, cols, _ in blocks:
+        width[rows] = cols.size
+    indptr = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(width, out=indptr[1:])
+    indices = np.arange(n).repeat(width)   # right for unreplaced rows
+    data = np.ones(indptr[-1])
+    for rows, cols, values in blocks:
+        at = indptr[rows, None] + np.arange(cols.size)
+        indices[at] = cols
+        data[at] = values
+    return Csr(indptr, indices, data, (n, n))
 
 
 def _rebalance(case: NetworkCase, topo: Topology, state: SystemState,
@@ -169,42 +197,39 @@ def _rebalance(case: NetworkCase, topo: Topology, state: SystemState,
     proportionally at cost c_D per MW; surplus islands curtail generation
     proportionally above P_min when island load covers total P_min, else
     fully proportionally. Returns (state', jacobian, cost, dcost_dx);
-    the map is linear per island given the frozen partition. Without
-    `jacobians` the jacobian and dcost_dx are None.
+    the map is linear per island given the frozen partition, so the jacobian
+    is the identity with one block of rows per unbalanced island (the shared
+    `_identity(n_x)` when every island is balanced). Without `jacobians` the
+    jacobian and dcost_dx are None.
     """
     n_l, n_x = case.n_load, case.n_x
     p_d = state.p_load.copy()
     p_g = state.p_gen.copy()
-    jac = np.eye(n_x) if jacobians else None
+    blocks = []     # (rows, cols, values) of the rows each island replaces
     cost = 0.0
     dcost = np.zeros(n_x) if jacobians else None
 
-    for k in range(len(topo.islands)):
-        li = np.flatnonzero(topo.load_island == k)
-        gi = np.flatnonzero(topo.gen_island == k)
+    for li, gi in zip(topo.island_loads, topo.island_gens):
         d_tot = float(p_d[li].sum()) if li.size else 0.0
         g_tot = float(p_g[gi].sum()) if gi.size else 0.0
         if abs(g_tot - d_tot) <= BALANCE_TOL:
             continue
         lx = li            # load slots in x
         gx = n_l + gi      # generator slots in x
+        cols = np.concatenate([lx, gx]) if jacobians else None   # a block's columns
         if g_tot < d_tot:
             # Shed load down to the available generation.
             alpha = g_tot / d_tot
             cd = case.c_load[li]
             cost += float(cd @ (p_d[li] * (1.0 - alpha)))
             if jacobians:
-                rows = np.zeros((li.size, n_x))
-                block_dd = -np.outer(p_d[li], np.full(li.size, g_tot / d_tot**2))
-                block_dd[np.arange(li.size), np.arange(li.size)] += alpha
-                rows[:, lx] = block_dd
-                if gi.size:
-                    rows[:, gx] = np.outer(p_d[li], np.full(gi.size, 1.0 / d_tot))
-                dcost_step = np.zeros(n_x)
-                dcost_step[lx] += cd
-                dcost_step -= cd @ rows
-                dcost += dcost_step
-                jac[lx, :] = rows
+                block = np.outer(p_d[li], np.repeat([-g_tot / d_tot**2, 1.0 / d_tot],
+                                                    [li.size, gi.size]))
+                i = np.arange(li.size)
+                block[i, i] += alpha
+                dcost[cols] = -(cd @ block)   # zero before: islands share no slot
+                dcost[lx] += cd
+                blocks.append((lx, cols, block))
             p_d[li] *= alpha
         else:
             # Curtail generation down to the island load (no direct cost).
@@ -221,13 +246,12 @@ def _rebalance(case: NetworkCase, topo: Topology, state: SystemState,
                 scale, ref = g_tot, p_g[gi].copy()
                 p_g[gi] *= beta
             if jacobians:
-                rows = np.zeros((gi.size, n_x))
-                block_gg = -np.outer(ref, np.full(gi.size, beta / scale))
-                block_gg[np.arange(gi.size), np.arange(gi.size)] += beta
-                rows[:, gx] = block_gg
-                if li.size:
-                    rows[:, lx] = np.outer(ref, np.full(li.size, 1.0 / scale))
-                jac[gx, :] = rows
+                block = np.outer(ref, np.repeat([1.0 / scale, -beta / scale],
+                                                [li.size, gi.size]))
+                j = np.arange(gi.size)
+                block[j, li.size + j] += beta
+                blocks.append((gx, cols, block))
+    jac = _identity_with_rows(n_x, blocks) if jacobians else None
     return SystemState(p_d, p_g), jac, cost, dcost
 
 
@@ -250,7 +274,7 @@ def short_timescale_process(
     events: list[FastEvent] = []
     cur_topo = topo
     cur_state = state
-    jac_total = np.eye(case.n_x) if jacobians else None
+    jac_total = eye = _identity(case.n_x) if jacobians else None
     dcost_total = np.zeros(case.n_x) if jacobians else None
     cost_total = 0.0
     pending_trips: tuple = tuple(initial_trips)
@@ -263,9 +287,13 @@ def short_timescale_process(
         changed = cost_step > 0.0 or bool(pending_trips) or not np.array_equal(
             new_state.x, cur_state.x
         )
-        if jacobians:
-            dcost_total += dcost_step @ jac_total  # w.r.t. the process input state
-            jac_total = jac_step @ jac_total
+        if jacobians and jac_step is not eye:
+            if jac_total is eye:
+                dcost_total += dcost_step
+                jac_total = jac_step
+            else:
+                dcost_total += dcost_step @ jac_total  # w.r.t. the process input state
+                jac_total = jac_step @ jac_total
         cost_total += cost_step
         cur_state = new_state
         if changed:
@@ -284,8 +312,8 @@ def short_timescale_process(
         cost_total += float(case.c_load @ cur_state.p_load)
         cur_state = SystemState(np.zeros(case.n_load), np.zeros(case.n_gen))
         if jacobians:
-            dcost_total += case.c_load @ jac_total[: case.n_load, :]
-            jac_total = np.zeros((case.n_x, case.n_x))
+            dcost_total += np.concatenate([case.c_load, np.zeros(case.n_gen)]) @ jac_total
+            jac_total = Csr.zeros((case.n_x, case.n_x))
 
     return ShortTimescaleTrace(
         events=events,
@@ -305,7 +333,7 @@ def short_timescale_process(
 @dataclass
 class TargetResult:
     x_star: SystemState
-    jac: np.ndarray | None      # d x* / d x' (None without jacobians)
+    jac: Csr | None             # d x* / d x' (None without jacobians)
     fallback: bool              # infeasible OPF -> shed-all target
     sol: lp.LpSolution          # the memoized target-LP solution
 
@@ -364,11 +392,11 @@ def _move_split_rows(case: NetworkCase, n_vars: int, p_ref: np.ndarray):
 
 @dataclass(slots=True)
 class _MemoEntry:
-    """A dispatch LP's solution, and weak references to the read-only
+    """A dispatch LP's solution, and weak references to the read-only `Csr`
     jacobians its sensitivity gave (none until a caller asks for them)."""
 
     sol: lp.LpSolution
-    jacobians: tuple = ()   # weakref.ref per array
+    jacobians: tuple = ()   # weakref.ref per jacobian
 
 
 def _solve_dispatch_lp(topo: Topology, key: tuple, build, derive=None):
@@ -382,12 +410,12 @@ def _solve_dispatch_lp(topo: Topology, key: tuple, build, derive=None):
     `topo.lp_memo`, and the caller computes only those before the lookup.
     `build()` makes the `LpProblem`; it runs on a miss, and again when the
     jacobians are asked for but no longer held. `derive(matrix)` turns the
-    sensitivity matrix into the jacobian arrays; without it (no gradients)
+    sensitivity matrix into the `Csr` jacobians; without it (no gradients)
     no sensitivity is computed and (solution, None) comes back, as it
     does for an LP that is not optimal.
 
-    A hit returns the read-only solution, and the same read-only jacobian
-    arrays, that the first call got. The memo holds the arrays weakly: the
+    A hit returns the read-only solution, and the same read-only jacobians,
+    that the first call got. The memo holds the jacobians weakly: the
     `LevelRecord`s that carry them own them, so they live as long as some
     tree does, and once every owner is gone the next call rebuilds the LP
     and recomputes them, with the same bytes.
@@ -399,14 +427,12 @@ def _solve_dispatch_lp(topo: Topology, key: tuple, build, derive=None):
         entry = topo.lp_memo[key] = _MemoEntry(lp.solve_lp(prob))
     if derive is None or not entry.sol.optimal:
         return entry.sol, None
-    arrays = tuple(ref() for ref in entry.jacobians)
-    if not arrays or any(a is None for a in arrays):
+    jacs = tuple(ref() for ref in entry.jacobians)
+    if not jacs or any(j is None for j in jacs):
         sens = lp.solution_sensitivity(prob if prob is not None else build(), entry.sol)
-        arrays = derive(sens.matrix)
-        for a in arrays:
-            a.flags.writeable = False
-        entry.jacobians = tuple(weakref.ref(a) for a in arrays)
-    return entry.sol, arrays
+        jacs = derive(sens.matrix)
+        entry.jacobians = tuple(weakref.ref(j) for j in jacs)
+    return entry.sol, jacs
 
 
 def dispatch_target(
@@ -446,9 +472,7 @@ def dispatch_target(
         )
 
     def derive(matrix):
-        jac = np.zeros((n_x, n_x))
-        jac[:, :n_l] = matrix[:n_x, :]  # d x*/d P'_g is zero
-        return (jac,)
+        return (Csr.from_dense(matrix, (n_x, n_x)),)  # d x*/d P'_g is zero
 
     sol, derived = _solve_dispatch_lp(
         topo, ("target", lo.tobytes(), hi.tobytes()), build, derive if jacobians else None
@@ -456,8 +480,8 @@ def dispatch_target(
     if not sol.optimal:
         jac = None
         if jacobians:
-            jac = np.zeros((n_x, n_x))
-            jac[n_l:, n_l:] = np.eye(n_g)
+            gens = n_l + np.arange(n_g)
+            jac = Csr.from_coo(gens, gens, np.ones(n_g), (n_x, n_x))
         return TargetResult(
             x_star=SystemState(np.zeros(n_l), x_prime.p_gen.copy()),
             jac=jac, fallback=True, sol=sol,
@@ -489,8 +513,8 @@ class ExecuteResult:
     cost: float                   # realized adjustment cost C_R, $
     emergency: bool
     sol: lp.LpSolution            # the memoized execution-LP solution
-    jac_prime: np.ndarray | None = None  # d x / d x'
-    jac_star: np.ndarray | None = None   # d x / d x*
+    jac_prime: Csr | None = None         # d x / d x'
+    jac_star: Csr | None = None          # d x / d x*
     dcost_dxprime: np.ndarray | None = None  # row
     dcost_dxstar: np.ndarray | None = None   # row
 
@@ -556,8 +580,7 @@ def dispatch_execute(
         )
 
     def derive(matrix):
-        # copies: a view would keep the whole sensitivity matrix alive
-        return matrix[:n_x, :n_x].copy(), matrix[:n_x, n_x:].copy()
+        return Csr.from_dense(matrix[:n_x, :n_x]), Csr.from_dense(matrix[:n_x, n_x:])
 
     key = ("execute", split_rhs.tobytes(), b_in.tobytes(), lo.tobytes(), hi.tobytes())
     sol, derived = _solve_dispatch_lp(
@@ -568,7 +591,7 @@ def dispatch_execute(
         state, jac, cost, dcost = _rebalance(case, topo, x_prime, jacobians)
         return ExecuteResult(
             state=state, cost=cost, emergency=True, sol=sol,
-            jac_prime=jac, jac_star=np.zeros((n_x, n_x)) if jacobians else None,
+            jac_prime=jac, jac_star=Csr.zeros((n_x, n_x)) if jacobians else None,
             dcost_dxprime=dcost, dcost_dxstar=np.zeros(n_x) if jacobians else None,
         )
 
@@ -582,9 +605,8 @@ def dispatch_execute(
     move = state.p_gen - x_prime.p_gen
     sigma = np.sign(np.where(np.abs(move) <= 1e-9, 0.0, move))
     w = np.concatenate([-case.c_load, case.c_gen * sigma])  # dC_R/dx at fixed x'
-    direct = np.concatenate([case.c_load, -case.c_gen * sigma])
     dcost_dxstar = w @ jac_star
-    dcost_dxprime = w @ jac_prime + direct
+    dcost_dxprime = w @ jac_prime - w   # C_R's own x' term is -w
     return ExecuteResult(
         state=state, cost=cost, emergency=False, sol=sol,
         jac_prime=jac_prime, jac_star=jac_star,

@@ -239,6 +239,17 @@ class NetworkCase:
             if br.trip_factor < 1.0:
                 raise CaseSemanticError("trip factor must be >= 1", f"branch {br.id}")
             br.rate.validate(f"branch {br.id}")
+        # The largest susceptance sum `build_topology` forms is a bus's sum of
+        # y over the intact network's branches, added in case order.
+        y_sum = dict.fromkeys(bus_ids, 0.0)
+        for br in self.branches:
+            for end in (br.from_bus, br.to_bus):
+                y_sum[end] += br.y
+                if not math.isfinite(y_sum[end]):
+                    raise CaseSemanticError(
+                        f"branch admittance overflows the susceptance sum at bus {end}",
+                        f"branch {br.id}",
+                    )
         for g in self.generators:
             _check_finite(f"gen {g.id}", g)
             if g.bus not in bus_ids:
@@ -286,6 +297,8 @@ class Topology:
     mask: np.ndarray = field(compare=False)
     load_island: np.ndarray = field(compare=False)  # island per load
     gen_island: np.ndarray = field(compare=False)   # island per generator
+    island_loads: tuple = field(compare=False)      # load positions per island
+    island_gens: tuple = field(compare=False)       # generator positions per island
     inv_map: np.ndarray = field(compare=False)      # injections (pu) -> angles
     flow_sens: np.ndarray = field(compare=False)    # d(flows, MW)/d([P_d; P_g], MW)
     live: np.ndarray = field(compare=False)  # in-service branches of energized islands
@@ -394,19 +407,23 @@ def build_topology(case: NetworkCase, removed: frozenset = frozenset()) -> Topol
     sens[:, : case.n_load] = -flow_rows[:, case.load_bus]
     sens[:, case.n_load :] = flow_rows[:, case.gen_bus]
 
+    load_island, gen_island = labels[case.load_bus], labels[case.gen_bus]
     topo = Topology(
         in_service=in_service,
         islands=islands,
         ref_bus=ref_bus,
         energized=energized,
         mask=mask,
-        load_island=labels[case.load_bus],
-        gen_island=labels[case.gen_bus],
+        load_island=load_island,
+        gen_island=gen_island,
+        island_loads=tuple(np.flatnonzero(load_island == k) for k in range(n_isl)),
+        island_gens=tuple(np.flatnonzero(gen_island == k) for k in range(n_isl)),
         inv_map=inv_map,
         flow_sens=sens,
         live=live,
     )
-    for arr in (topo.mask, topo.load_island, topo.gen_island, topo.inv_map, sens, live):
+    for arr in (mask, load_island, gen_island, *topo.island_loads, *topo.island_gens,
+                inv_map, sens, live):
         arr.flags.writeable = False
     case._topo_cache[in_service] = topo
     return topo

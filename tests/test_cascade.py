@@ -149,7 +149,7 @@ class TestShortTimescale:
         trace = short_timescale_process(two_bus, topo, state)
         assert trace.n_events == 0
         assert trace.cost == 0.0
-        np.testing.assert_array_equal(trace.jac, np.eye(2))
+        np.testing.assert_array_equal(trace.jac.toarray(), np.eye(2))
         np.testing.assert_array_equal(trace.final_state.x, state.x)
 
     def test_islanding_sheds_whole_load(self, two_bus):
@@ -183,6 +183,7 @@ class TestShortTimescale:
         t2, _ = apply_outage(toy6, topo, {5})
         state = SystemState([120.0, 90.0, 60.0], [100.0, 160.0, 10.0])
         trace = short_timescale_process(toy6, t2, state, initial_trips=(5,))
+        jac = trace.jac.toarray()
         h = 0.1
         for k in range(toy6.n_x):
             d = np.zeros(toy6.n_x)
@@ -194,7 +195,7 @@ class TestShortTimescale:
                 toy6, t2, SystemState.from_x(state.x - d, 3), initial_trips=(5,)
             )
             fd = (up.final_state.x - dn.final_state.x) / (2 * h)
-            np.testing.assert_allclose(trace.jac[:, k], fd, atol=1e-4)
+            np.testing.assert_allclose(jac[:, k], fd, atol=1e-4)
             fd_cost = (up.cost - dn.cost) / (2 * h)
             assert trace.dcost_dx[k] == pytest.approx(fd_cost, abs=1e-4 * max(1, abs(fd_cost)))
 
@@ -278,7 +279,8 @@ class TestDispatchExecute:
         exe = dispatch_execute(toy6, topo, xp, xs, 15.0)
         assert not exe.emergency
         assert exe.jac_star.shape == exe.jac_prime.shape == (toy6.n_x, toy6.n_x)
-        assert exe.jac_star.base is None and exe.jac_prime.base is None
+        for jac in (exe.jac_star, exe.jac_prime):
+            assert all(a.base is None for a in (jac.indptr, jac.indices, jac.data))
 
     @pytest.mark.parametrize("tau_d, message", [
         (0.0, "must be > 0"), (-15.0, "must be > 0"),
@@ -334,6 +336,7 @@ class TestTargetSensitivity:
         topo = build_topology(toy6)
         state = SystemState([110.0, 80.0, 50.0], [100.0, 140.0, 0.0])
         tgt = dispatch_target(toy6, topo, state)
+        jac = tgt.jac.toarray()
         h = 0.1
         for k in range(toy6.n_load):
             d = np.zeros(toy6.n_x)
@@ -341,9 +344,9 @@ class TestTargetSensitivity:
             up = dispatch_target(toy6, topo, SystemState.from_x(state.x + d, 3))
             dn = dispatch_target(toy6, topo, SystemState.from_x(state.x - d, 3))
             fd = (up.x_star.x - dn.x_star.x) / (2 * h)
-            np.testing.assert_allclose(tgt.jac[:, k], fd, atol=1e-4)
+            np.testing.assert_allclose(jac[:, k], fd, atol=1e-4)
         # generator columns are identically zero (plans ignore current output)
-        assert np.all(tgt.jac[:, toy6.n_load:] == 0.0)
+        assert np.all(jac[:, toy6.n_load:] == 0.0)
 
 
 class TestTruncation:
@@ -357,7 +360,7 @@ class TestTruncation:
         assert trace.truncated
         assert trace.final_state.total_load() == 0.0
         assert trace.cost == pytest.approx(100.0 * 10000.0)
-        assert np.all(trace.jac == 0.0)
+        assert np.all(trace.jac.toarray() == 0.0)
 
 
 def test_rebalance_curtails_case_setpoints(rts96):

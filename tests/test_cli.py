@@ -1,6 +1,7 @@
 import csv
 import json
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -381,6 +382,22 @@ class TestExitCodes:
         assert run_cli(self._toy6_branch1_y(tmp_path, 1e-17)) == 2
         assert ("error: singular island system (island of buses [1, 2, 3, 4, 5, 6])"
                 in capsys.readouterr().err)
+
+    def test_overflowing_admittance_sum_exits_2_without_warning(self, tmp_path, capsys):
+        # branches 1 and 2 both end at bus 3, and 1e308 + 1e308 is not finite:
+        # the case check names the branch before any numpy sum overflows
+        doc = json.loads(serialize_case(cases.toy6()))
+        for br in doc["branches"]:
+            if br["id"] in (1, 2):
+                br["y"] = 1e308
+        f = tmp_path / "case.json"
+        f.write_text(json.dumps(doc))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(["assess", "--case", str(f), "--tau-d", "15", "--t-max", "30",
+                            "--out", str(tmp_path / "o")]) == 2
+        assert ("error: branch admittance overflows the susceptance sum at bus 3 "
+                "[branch 2]" in capsys.readouterr().err)
 
     def test_ill_conditioned_island_system_only_warns(self, tmp_path):
         with pytest.warns(IllConditionedIsland, match=r"island of buses \[.*rcond = "):

@@ -1042,10 +1042,12 @@ def test_nan_bound_rejected():
 # ---------------------------------------------------------------------------
 # Loading scipy's extensions
 #
-# `lp` and `network` load scipy's compiled HiGHS bindings and batched inverse
-# kernel without running `scipy.optimize/__init__` or `scipy.linalg/__init__`.
+# `lp`, `network` and `gradient` load scipy's compiled HiGHS bindings, batched
+# inverse kernel and CSR kernels without running `scipy.optimize/__init__`,
+# `scipy.linalg/__init__` or `scipy.sparse/__init__`.
 
-EXTENSIONS = ("scipy.optimize._highspy._core", "scipy.linalg._batched_linalg")
+EXTENSIONS = ("scipy.optimize._highspy._core", "scipy.linalg._batched_linalg",
+              "scipy.sparse._sparsetools")
 
 
 def test_cli_import_skips_scipy_optimize(fresh_python):
@@ -1058,9 +1060,27 @@ def test_cli_import_skips_scipy_optimize(fresh_python):
     )
     absent, loaded = out.split("\n")[:2]
     assert absent == "[]"
-    # the two extensions and the submodules pybind11 registers under them
+    # the three extensions and the submodules pybind11 registers under them
     assert {m for m in loaded.split() if not m.startswith(EXTENSIONS)} == set()
     assert set(EXTENSIONS) <= set(loaded.split())
+
+
+def test_gradient_run_skips_scipy_sparse(fresh_python, tmp_path):
+    # a gradient run multiplies its sparse jacobians with the CSR kernels
+    # alone: scipy.sparse itself is never imported
+    out = fresh_python(
+        "import sys\n"
+        "from gridrisk import cases, serialize_case\n"
+        "from gridrisk.cli import main\n"
+        f"case = {str(tmp_path / 'toy6.json')!r}\n"
+        "open(case, 'w').write(serialize_case(cases.toy6()))\n"
+        "code = main(['gradient', '--case', case, '--outages', '3', '--tau-d', '15',"
+        " '--t-max', '30', '--attempts', '20', '--seed', '1',"
+        f" '--out', {str(tmp_path / 'out')!r}])\n"
+        "print(code, 'scipy.sparse' in sys.modules, 'scipy.sparse._sparsetools' in sys.modules)\n"
+    )
+    assert out.split("\n")[-2] == "0 False True"
+    assert (tmp_path / "out" / "gradient.csv").exists()
 
 
 @pytest.mark.parametrize("first", ["gridrisk.lp", "scipy.optimize"])

@@ -161,15 +161,22 @@ def test_hit_returns_the_same_read_only_jacobians():
     exe_again = cascade.dispatch_execute(case, topo, x, tgt.x_star, 15.0)
     assert tgt_again.jac is tgt.jac
     assert exe_again.jac_star is exe.jac_star and exe_again.jac_prime is exe.jac_prime
-    for array in (tgt.jac, exe.jac_star, exe.jac_prime):
+
+    def arrays():
+        return [a for jac in (tgt.jac, exe.jac_star, exe.jac_prime)
+                for a in (jac.indptr, jac.indices, jac.data)]
+
+    for array in arrays():
         with pytest.raises(ValueError, match="read-only"):
-            array[0, 0] = 1.0
-    saved = [a.tobytes() for a in (tgt.jac, exe.jac_star, exe.jac_prime)]
+            array[:1] = 1
+    with pytest.raises(AttributeError):
+        tgt.jac.data = np.zeros(tgt.jac.nnz)
+    saved = [a.tobytes() for a in arrays()]
     del tgt, exe, tgt_again, exe_again
     gc.collect()
     tgt = cascade.dispatch_target(case, topo, x)
     exe = cascade.dispatch_execute(case, topo, x, tgt.x_star, 15.0)
-    assert [a.tobytes() for a in (tgt.jac, exe.jac_star, exe.jac_prime)] == saved
+    assert [a.tobytes() for a in arrays()] == saved
 
 
 def test_dropped_runs_leave_no_jacobians(monkeypatch):

@@ -12,8 +12,11 @@ and every path a command sees is relative to one work directory, so two
 checkouts that compute the same results print the same lines. With
 `--against DIR` it runs the commands on both source trees and prints only
 the `<command>/<file>` labels whose digests differ (or that only one tree
-writes), exiting 1 if there is any. A command that exits non-zero stops
-the run with exit code 1.
+writes), exiting 1 if there is any. Each such label is followed by the
+largest relative difference over the numeric cells of the two files, so a
+move by roundoff alone reads as one, or by "text differs" when the files
+differ outside their numbers. A command that exits non-zero stops the run
+with exit code 1.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ import hashlib
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -104,9 +108,10 @@ def _run(argv: list, env: dict, cwd: Path) -> bytes:
     return proc.stdout
 
 
-def digests(src: str, emit=None) -> dict:
+def digests(src: str, emit=None, contents: dict | None = None) -> dict:
     """`<command>/<file>` -> sha256 for every command run on the package in
-    `src`; `emit(line)` sees each line as soon as it is known."""
+    `src`; `emit(line)` sees each line as soon as it is known, and
+    `contents`, when given, gets each label's bytes."""
     env = dict(os.environ)
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = "1"
@@ -115,6 +120,8 @@ def digests(src: str, emit=None) -> dict:
 
     def record(label, data):
         found[label] = hashlib.sha256(data).hexdigest()
+        if contents is not None:
+            contents[label] = data
         if emit is not None:
             emit(f"{found[label]}  {label}")
 
@@ -137,6 +144,24 @@ def digests(src: str, emit=None) -> dict:
     return found
 
 
+_NUMBER = re.compile(rb"([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)")
+
+
+def difference_note(ours: bytes | None, theirs: bytes | None) -> str:
+    """How two outputs of one label differ: the largest |a - b| / max(|a|,
+    |b|) over their numeric cells, paired in order, when the text around the
+    numbers is the same."""
+    if ours is None or theirs is None:
+        return "written by one tree only"
+    a, b = _NUMBER.split(ours), _NUMBER.split(theirs)
+    if len(a) != len(b) or a[::2] != b[::2]:
+        return "text differs"
+    worst = max((abs(x - y) / max(abs(x), abs(y))
+                 for x, y in zip(map(float, a[1::2]), map(float, b[1::2])) if x != y),
+                default=0.0)
+    return f"largest relative difference {worst:.3g}"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", default=str(ROOT / "src"),
@@ -147,10 +172,12 @@ def main(argv=None) -> int:
     if args.against is None:
         digests(args.src, emit=lambda line: print(line, flush=True))
         return 0
-    ours, theirs = digests(args.src), digests(args.against)
+    our_data, their_data = {}, {}
+    ours = digests(args.src, contents=our_data)
+    theirs = digests(args.against, contents=their_data)
     changed = [label for label in {**ours, **theirs} if ours.get(label) != theirs.get(label)]
     for label in changed:
-        print(label)
+        print(f"{label}  {difference_note(our_data.get(label), their_data.get(label))}")
     return 1 if changed else 0
 
 
