@@ -7,7 +7,6 @@ built with before they were sparse, as `test_dispatch_rows.py` keeps its
 reference row builders.
 """
 
-import json
 from dataclasses import fields, is_dataclass
 
 import numpy as np
@@ -18,15 +17,7 @@ from hypothesis import strategies as st
 from gridrisk import cascade, cases, lp
 from gridrisk.assess import AssessmentConfig, run_assessment
 from gridrisk.gradient import Csr
-from gridrisk.network import (
-    SystemState,
-    Topology,
-    apply_outage,
-    build_topology,
-    dc_power_flow,
-    parse_case,
-    serialize_case,
-)
+from gridrisk.network import SystemState, Topology, apply_outage, dc_power_flow
 
 
 # ---------------------------------------------------------------------------
@@ -192,22 +183,6 @@ def test_level_jacobians_match_dense_formulas(run, sensitivity_matrices, monkeyp
     if run == "rts96-truncated":
         assert flags["truncated"]
     _close(a.gamma, a.tree.root.s_accum @ a.exec_sensitivity.toarray())
-
-
-def test_truncated_fast_process_is_empty(monkeypatch):
-    # the triangle's loop path overloads once branch 1 is lost, and one
-    # fast-process round is not enough to settle it
-    doc = json.loads(serialize_case(cases.triangle()))
-    next(br for br in doc["branches"] if br["id"] == 3)["f_max"] = 70.0
-    case = parse_case(json.dumps(doc))
-    monkeypatch.setattr(cascade, "MAX_FAST_EVENTS", 1)
-    topo, _ = apply_outage(case, build_topology(case), {1})
-    state = SystemState([100.0], [100.0])
-    trace = cascade.short_timescale_process(case, topo, state, initial_trips=(1,))
-    jac, dcost = ref_fast(case, topo, state, (1,))
-    assert trace.truncated and trace.jac.nnz == 0
-    np.testing.assert_array_equal(trace.jac.toarray(), jac)
-    _close(trace.dcost_dx, dcost)
 
 
 def _arrays(obj, seen):

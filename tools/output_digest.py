@@ -167,7 +167,8 @@ def main(argv=None) -> int:
     parser.add_argument("--src", default=str(ROOT / "src"),
                         help="directory holding the gridrisk package (default: this checkout's src)")
     parser.add_argument("--against", metavar="DIR",
-                        help="a second package directory; print only the labels whose digests differ")
+                        help="a second package directory; print only the labels whose digests "
+                             "differ, each with the largest relative difference of its numbers")
     args = parser.parse_args(argv)
     if args.against is None:
         digests(args.src, emit=lambda line: print(line, flush=True))
