@@ -58,6 +58,8 @@ class AssessmentConfig:
         check_setting("t_max", self.t_max, low=-math.inf)
         if self.t_max < self.tau_d:
             raise ValueError("config key 't_max' must be >= tau_d")
+        if not math.isfinite(self.t_max / self.tau_d):
+            raise ValueError("config key 't_max' must be a finite multiple of tau_d")
         check_setting("attempts", self.attempts, low=1, integral=True)
         check_setting("seed", self.seed, integral=True)
         if self.policy not in POLICIES:
@@ -214,7 +216,7 @@ def enumeration_risk(
     if depth < 1 or cascade.is_fully_shed(state):
         return 0.0
     ids = cascade.in_service_ids(case, topo)
-    flows = cascade.dc_power_flow(case, topo, state).flows
+    flows = cascade.dc_power_flow(case, topo, state)
     lam, _ = cascade.failure_rates(case, topo, flows)
     probs, pr_no = cascade.level_probabilities(lam[topo.mask], tau_d)
     total = 0.0

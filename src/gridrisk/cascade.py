@@ -124,7 +124,7 @@ def probability_sensitivity(
     sensitivity of the fixed topology. Rows follow the in-service branch
     order returned by `in_service_ids`.
     """
-    flows = dc_power_flow(case, topo, state).flows
+    flows = dc_power_flow(case, topo, state)
     lam_all, dlam_all = failure_rates(case, topo, flows)
     jac_pr = probability_jacobian(lam_all[topo.mask], tau_d)    # (ne+1, ne)
     dflow = flow_sensitivity(case, topo)[topo.mask, :]          # (ne, n_x)
@@ -298,7 +298,7 @@ def short_timescale_process(
         cur_state = new_state
         if changed:
             events.append(FastEvent(tripped=pending_trips, cost=cost_step))
-        flows = dc_power_flow(case, cur_topo, cur_state).flows
+        flows = dc_power_flow(case, cur_topo, cur_state)
         over = case.branch_ids[
             cur_topo.mask & (np.abs(flows) > case.trip_factor * case.f_max)
         ].tolist()

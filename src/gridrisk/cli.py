@@ -1,9 +1,10 @@
 """Command-line front end: deterministic assessment, gradient, gradient
 validation and iterated risk-management runs with CSV/JSON reports.
 
-Exit codes: 0 success, 2 case/config/strategy parse or read error or a case
-whose island systems cannot be solved, 3 infeasible base case, 4 internal
-error (an island left unbalanced after dispatch).
+Exit codes: 0 success, 2 case/config/strategy parse or read error, an
+output directory that cannot be made, or a case whose island systems cannot
+be solved, 3 infeasible base case, 4 internal error (an island left
+unbalanced after dispatch).
 """
 
 from __future__ import annotations
@@ -323,8 +324,7 @@ def main(argv=None) -> int:
         if not cfg.case:
             raise FileNotFoundError("no case file given (--case or config)")
         return args.func(cfg)
-    except (FileNotFoundError, CaseError, PowerFlowError, json.JSONDecodeError,
-            ValueError) as exc:
+    except (OSError, CaseError, PowerFlowError, json.JSONDecodeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except _assess.InfeasibleBaseCase as exc:

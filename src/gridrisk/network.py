@@ -1,5 +1,8 @@
 """Grid data model: case files, topology/islanding, DC power flow, flow sensitivities.
 
+Each topology keeps one injection-to-flow map, its flow sensitivity
+(n_branch x n_x); DC flows are read from it, and bus angles are never kept.
+
 Units are fixed throughout the package: power in MW, branch admittance in pu
 on the case's MVA base, angles in rad, failure rates in 1/min, costs in $/MW.
 """
@@ -287,7 +290,9 @@ class Topology:
     islands are tuples of bus positions; an island is energized when it
     contains at least one generator bus, and then carries a reference bus
     (the generator bus with the lowest id). `mask` is the in-service set as a
-    bool per branch in case order; equality ignores the arrays.
+    bool per branch in case order; equality ignores the arrays. The flow
+    factors are kept once, as `flow_sens`; the island inverses they are built
+    from are not kept, so no array here is n_bus x n_bus.
     """
 
     in_service: frozenset
@@ -299,9 +304,7 @@ class Topology:
     gen_island: np.ndarray = field(compare=False)   # island per generator
     island_loads: tuple = field(compare=False)      # load positions per island
     island_gens: tuple = field(compare=False)       # generator positions per island
-    inv_map: np.ndarray = field(compare=False)      # injections (pu) -> angles
     flow_sens: np.ndarray = field(compare=False)    # d(flows, MW)/d([P_d; P_g], MW)
-    live: np.ndarray = field(compare=False)  # in-service branches of energized islands
     # dispatch-LP solutions on this topology, with weak references to their
     # jacobians, filled by `cascade._solve_dispatch_lp`
     lp_memo: dict = field(default_factory=dict, compare=False, repr=False)
@@ -387,7 +390,8 @@ def build_topology(case: NetworkCase, removed: frozenset = frozenset()) -> Topol
         np.column_stack([y, y, -y, -y]).ravel(),
     )
 
-    # theta = inv_map @ injections(pu), zero row/col at each reference bus
+    # theta = inv_map @ injections(pu), zero row/col at each reference bus;
+    # used here to build the flow rows and then dropped
     inv_map = np.zeros((n_bus, n_bus))
     for k, members in enumerate(islands):
         if not energized[k] or len(members) == 1:
@@ -418,12 +422,9 @@ def build_topology(case: NetworkCase, removed: frozenset = frozenset()) -> Topol
         gen_island=gen_island,
         island_loads=tuple(np.flatnonzero(load_island == k) for k in range(n_isl)),
         island_gens=tuple(np.flatnonzero(gen_island == k) for k in range(n_isl)),
-        inv_map=inv_map,
         flow_sens=sens,
-        live=live,
     )
-    for arr in (mask, load_island, gen_island, *topo.island_loads, *topo.island_gens,
-                inv_map, sens, live):
+    for arr in (mask, load_island, gen_island, *topo.island_loads, *topo.island_gens, sens):
         arr.flags.writeable = False
     case._topo_cache[in_service] = topo
     return topo
@@ -447,30 +448,16 @@ def apply_outage(case: NetworkCase, topo: Topology, branch_ids) -> tuple[Topolog
     return build_topology(case, removed), already_out
 
 
-@dataclass(frozen=True)
-class FlowResult:
-    flows: np.ndarray   # MW per branch (0 for out-of-service / de-energized)
-    angles: np.ndarray  # rad per bus (0 at references and de-energized buses)
+def dc_power_flow(case: NetworkCase, topo: Topology, state: SystemState) -> np.ndarray:
+    """Branch flows in MW at `state`: the topology's flow sensitivity times
+    [P_d; P_g].
 
-
-def dc_power_flow(case: NetworkCase, topo: Topology, state: SystemState) -> FlowResult:
-    """Solve the reduced susceptance system per energized island.
-
-    Injections must balance per island (enforced upstream by dispatch); any
-    residual lands on the island reference. De-energized islands report zero
-    flows and angles.
+    The factors are taken per island against its reference bus, so
+    injections that do not balance in an island leave their residual on the
+    reference. Out-of-service branches and branches of de-energized islands
+    carry zero flow.
     """
-    inj = np.zeros(case.n_bus)
-    np.add.at(inj, case.gen_bus, state.p_gen)
-    np.add.at(inj, case.load_bus, -state.p_load)
-    inj /= case.base_mva
-    angles = topo.inv_map @ inj
-    live = topo.live
-    flows_pu = np.zeros(case.n_branch)
-    flows_pu[live] = case.branch_y[live] * (
-        angles[case.branch_from[live]] - angles[case.branch_to[live]]
-    )
-    return FlowResult(flows=flows_pu * case.base_mva, angles=angles)
+    return topo.flow_sens @ state.x
 
 
 def flow_sensitivity(case: NetworkCase, topo: Topology) -> np.ndarray:

@@ -139,7 +139,7 @@ class MarkovTree:
         if node.child_ids is not None or node.terminal:
             return
         ids = cascade.in_service_ids(self.case, node.topo)
-        flows = cascade.dc_power_flow(self.case, node.topo, node.state).flows
+        flows = cascade.dc_power_flow(self.case, node.topo, node.state)
         lam, _ = cascade.failure_rates(self.case, node.topo, flows)
         probs, pr_no = cascade.level_probabilities(lam[node.topo.mask], self.tau_d)
         kept = np.append(np.flatnonzero(probs > 0.0), probs.size)  # then no-outage

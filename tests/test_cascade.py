@@ -130,7 +130,7 @@ class TestProbabilitySensitivity:
 
         def probs(delta):
             st_ = SystemState(state.p_load + delta[:1], state.p_gen + delta[1:])
-            flows = dc_power_flow(two_bus, topo, st_).flows
+            flows = dc_power_flow(two_bus, topo, st_)
             lam, _ = failure_rates(two_bus, topo, flows)
             pr, pr_no = level_probabilities(lam, 15.0)
             return np.append(pr, pr_no)
@@ -227,7 +227,7 @@ class TestDispatchTarget:
         topo = build_topology(case)
         tgt = dispatch_target(case, topo, SystemState([100.0], [100.0]))
         assert tgt.x_star.p_load[0] == pytest.approx(90.0, abs=1e-7)
-        flows = dc_power_flow(case, topo, tgt.x_star).flows
+        flows = dc_power_flow(case, topo, tgt.x_star)
         assert abs(flows[0]) == pytest.approx(60.0, abs=1e-7)
 
     def test_deenergized_island_target_zero(self, two_bus):

@@ -237,6 +237,31 @@ class TestExitCodes:
         assert code == 2
         assert "--outages takes integer branch ids, got 'x'" in capsys.readouterr().err
 
+    def test_horizon_of_infinitely_many_levels_exits_2(self, toy_case_file, tmp_path, capsys):
+        code = run_cli(["assess", "--case", toy_case_file, "--tau-d", "1e-300",
+                        "--t-max", "1e308", "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config key 't_max' must be a finite multiple of tau_d" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("flag", ["--case", "--config", "--strategy", "--out"])
+    def test_os_error_on_a_path_exits_2(self, toy_case_file, tmp_path, capsys, flag):
+        """A directory where a file is read, or a file where the output
+        directory goes, is an error naming the path."""
+        bad = tmp_path / "bad"
+        if flag == "--out":
+            bad.write_text("")
+        else:
+            bad.mkdir()
+        paths = {"--case": toy_case_file, "--out": str(tmp_path / "o"), flag: str(bad)}
+        code = run_cli(["assess", "--outages", "3", "--t-max", "15", "--attempts", "2",
+                        *(arg for item in paths.items() for arg in item)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(bad) in err
+        assert "Traceback" not in err
+
     def test_huge_exhaustive_depth_exits_2_at_once(self, toy_case_file, tmp_path, capsys):
         """The label-space bound stops counting once it is passed, instead of
         building (n+1)^depth for a depth of 66,666,666."""
@@ -597,6 +622,12 @@ def test_bad_setting_raises_named_error(data):
     with pytest.raises(ValueError) as exc:
         cls(**{key: value})
     assert key in str(exc.value)
+
+
+def test_t_max_over_tau_d_must_be_finite():
+    # 1e308 / 1e-300 overflows, so the tree would have no finite depth
+    with pytest.raises(ValueError, match="config key 't_max' must be a finite multiple"):
+        AssessmentConfig(tau_d=1e-300, t_max=1e308)
 
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)

@@ -276,7 +276,7 @@ class TestTopology:
         topo, _ = apply_outage(triangle, build_topology(triangle), {1, 3})
         assert topo.mask.tolist() == [False, True, False]
         assert topo.energized == (True, False)
-        assert topo.live.size == 0
+        assert not flow_sensitivity(triangle, topo).any()
 
     def test_one_object_per_in_service_set(self, toy6):
         topo = build_topology(toy6, {1, 2})
@@ -286,7 +286,7 @@ class TestTopology:
         assert toy6._topo_cache[topo.in_service] is topo
 
     @pytest.mark.parametrize("name", [
-        "mask", "inv_map", "flow_sens", "live", "load_island", "gen_island",
+        "mask", "flow_sens", "load_island", "gen_island",
     ])
     def test_arrays_read_only(self, toy6, name):
         topo, _ = apply_outage(toy6, build_topology(toy6), {3})
@@ -337,7 +337,7 @@ def test_islands_match_scipy_csgraph(graph):
 class TestIslandSystem:
     def test_inverse_is_scipy_linalg_inv_bit_for_bit(self, rts96):
         # intact and under every N-1 outage: the same bits as scipy.linalg.inv,
-        # so a flow at its limit trips on the same side
+        # so the flow factors, and a flow at its limit, are the same
         checked = 0
         for removed in [(), *((b,) for b in rts96.branch_ids.tolist())]:
             topo = build_topology(rts96, frozenset(removed))
@@ -353,7 +353,8 @@ class TestIslandSystem:
                     continue
                 keep = np.ix_(*[[p for p in members if p != topo.ref_bus[k]]] * 2)
                 ref = scipy.linalg.inv(b_mat[keep])
-                assert topo.inv_map[keep].tobytes() == ref.tobytes()
+                inverse = network._island_inverse(rts96, members, b_mat[keep])
+                assert inverse.tobytes() == ref.tobytes()
                 checked += 1
         assert checked >= rts96.n_branch + 1
 
@@ -384,41 +385,40 @@ class TestIslandSystem:
         case = self._toy6_with_y(b1=1e300)
         with pytest.warns(IllConditionedIsland, match=r"island of buses \[.*rcond = "):
             topos = [build_topology(case, frozenset({b})) for b in case.branch_ids.tolist()]
-        assert all(np.isfinite(t.inv_map).all() for t in topos)
+        assert all(np.isfinite(t.flow_sens).all() for t in topos)
 
 
 class TestDcPowerFlow:
     def test_two_bus_hand_solution(self, two_bus):
-        # 1 pu injection over y=10 pu: flow 1 pu (100 MW), angle gap 0.1 rad
+        # 1 pu injection over y=10 pu: flow 1 pu (100 MW)
         topo = build_topology(two_bus)
         state = SystemState([100.0], [100.0])
-        res = dc_power_flow(two_bus, topo, state)
-        assert res.flows[0] == pytest.approx(100.0, abs=1e-9)
-        assert res.angles[0] - res.angles[1] == pytest.approx(0.1, abs=1e-12)
+        flows = dc_power_flow(two_bus, topo, state)
+        assert flows[0] == pytest.approx(100.0, abs=1e-9)
 
     def test_zero_injection_zero_flow(self, two_bus):
         topo = build_topology(two_bus)
-        res = dc_power_flow(two_bus, topo, SystemState([0.0], [0.0]))
-        assert np.all(res.flows == 0.0)
+        flows = dc_power_flow(two_bus, topo, SystemState([0.0], [0.0]))
+        assert np.all(flows == 0.0)
 
     def test_triangle_superposition(self, triangle):
         # equal admittances: 2/3 direct, 1/3 around the loop
         topo = build_topology(triangle)
-        res = dc_power_flow(triangle, topo, SystemState([100.0], [100.0]))
-        assert res.flows[0] == pytest.approx(200.0 / 3.0, rel=1e-12)  # 1-2
-        assert abs(res.flows[1]) == pytest.approx(100.0 / 3.0, rel=1e-12)
-        assert abs(res.flows[2]) == pytest.approx(100.0 / 3.0, rel=1e-12)
+        flows = dc_power_flow(triangle, topo, SystemState([100.0], [100.0]))
+        assert flows[0] == pytest.approx(200.0 / 3.0, rel=1e-12)  # 1-2
+        assert abs(flows[1]) == pytest.approx(100.0 / 3.0, rel=1e-12)
+        assert abs(flows[2]) == pytest.approx(100.0 / 3.0, rel=1e-12)
 
     def test_deenergized_island_zero_flows(self, two_bus):
         topo = build_topology(two_bus)
         t2, _ = apply_outage(two_bus, topo, {1})
-        res = dc_power_flow(two_bus, t2, SystemState([50.0], [50.0]))
-        assert np.all(res.flows == 0.0)
+        flows = dc_power_flow(two_bus, t2, SystemState([50.0], [50.0]))
+        assert np.all(flows == 0.0)
 
     def test_kcl_on_toy6(self, toy6):
         topo = build_topology(toy6)
         state = SystemState([120.0, 90.0, 60.0], [100.0, 170.0, 0.0])
-        res = dc_power_flow(toy6, topo, state)
+        flows = dc_power_flow(toy6, topo, state)
         inj = np.zeros(toy6.n_bus)
         np.add.at(inj, toy6.gen_bus, state.p_gen)
         np.add.at(inj, toy6.load_bus, -state.p_load)
@@ -426,10 +426,134 @@ class TestDcPowerFlow:
             out = 0.0
             for i, br in enumerate(toy6.branches):
                 if toy6.branch_from[i] == b:
-                    out += res.flows[i]
+                    out += flows[i]
                 if toy6.branch_to[i] == b:
-                    out -= res.flows[i]
+                    out -= flows[i]
             assert out == pytest.approx(inj[b], abs=1e-9 * toy6.base_mva)
+
+
+@st.composite
+def small_cases(draw):
+    """Connected cases of 3-8 buses: a random spanning tree plus up to four
+    extra (possibly parallel) branches, random ratings and failure rates, at
+    least one generator and one load, and costs drawn from a short list so
+    that equal costs occur. The tree is drawn over a random order of the bus
+    ids, so no bus position is favoured."""
+    n = draw(st.integers(3, 8))
+    ids = draw(st.permutations(range(1, n + 1)))
+    ends = [(draw(st.integers(0, k - 1)), k) for k in range(1, n)]
+    ends += draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                          .filter(lambda e: e[0] != e[1]), max_size=4))
+    branches = []
+    for i, (a, b) in enumerate(ends, 1):
+        branches.append({
+            "id": i, "from": ids[a], "to": ids[b],
+            "y": draw(st.floats(0.5, 50.0)), "f_max": draw(st.floats(20.0, 300.0)),
+            "lambda_0": draw(st.sampled_from([1e-4, 1e-3])),
+            "lambda_1": draw(st.sampled_from([1e-2, 2e-2])),
+            "lambda_max": draw(st.sampled_from([0.05, 0.1])),
+            "knee": draw(st.sampled_from([0.5, 0.6, 0.8])),
+        })
+    costs = st.sampled_from([80.0, 100.0, 120.0])
+    gen_buses = draw(st.lists(st.sampled_from(ids), min_size=1, max_size=3))
+    generators = [{"id": j, "bus": bus, "p": draw(st.floats(0.0, 150.0)), "p_max": 200.0,
+                   "ramp": draw(st.floats(1.0, 10.0)), "cost": draw(costs)}
+                  for j, bus in enumerate(gen_buses, 1)]
+    load_buses = draw(st.lists(st.sampled_from(ids), min_size=1, max_size=n))
+    loads = [{"id": k, "bus": bus, "p": draw(st.floats(0.0, 150.0)),
+              "cost": draw(st.sampled_from([9000.0, 10000.0]))}
+             for k, bus in enumerate(load_buses, 1)]
+    return parse_case(json.dumps({
+        "base_mva": 100.0, "buses": [{"id": i} for i in range(1, n + 1)],
+        "branches": branches, "generators": generators, "loads": loads,
+    }))
+
+
+def reduced_b_flows(case, in_service, state):
+    """Branch flows (MW) from one `numpy.linalg.solve` per island of the
+    reduced susceptance system, each island found by scipy's csgraph and
+    referenced at its generator bus of lowest id; zero in islands without a
+    generator."""
+    on = np.array([br.id in in_service for br in case.branches])
+    u, v, y = case.branch_from[on], case.branch_to[on], case.branch_y[on]
+    _, labels = csgraph.connected_components(
+        coo_matrix((np.ones(u.size), (u, v)), shape=(case.n_bus, case.n_bus)), directed=False)
+    b_mat = np.zeros((case.n_bus, case.n_bus))
+    for a, b, yi in zip(u, v, y):
+        b_mat[[a, b], [a, b]] += yi
+        b_mat[[a, b], [b, a]] -= yi
+    inj = np.zeros(case.n_bus)
+    np.add.at(inj, case.gen_bus, state.p_gen / case.base_mva)
+    np.add.at(inj, case.load_bus, -state.p_load / case.base_mva)
+    theta = np.zeros(case.n_bus)
+    energized = np.zeros(case.n_bus, dtype=bool)
+    for k in np.unique(labels):
+        members = np.flatnonzero(labels == k)
+        gens = [p for p in members if p in case.gen_bus]
+        if not gens:
+            continue
+        energized[members] = True
+        ref = min(gens, key=lambda p: case.buses[p].id)
+        keep = members[members != ref]
+        if keep.size:
+            theta[keep] = np.linalg.solve(b_mat[np.ix_(keep, keep)], inj[keep])
+    flows = np.zeros(case.n_branch)
+    live = on & energized[case.branch_from]
+    flows[live] = case.branch_y[live] * (theta[case.branch_from[live]]
+                                         - theta[case.branch_to[live]])
+    return flows * case.base_mva
+
+
+def balanced_state(case, topo, state):
+    """`state` with each energized island's load shared equally by its
+    generators, and the load of de-energized islands set to zero."""
+    p_load, p_gen = state.p_load.copy(), state.p_gen.copy()
+    for k, energized in enumerate(topo.energized):
+        loads, gens = topo.island_loads[k], topo.island_gens[k]
+        if not energized:
+            p_load[loads] = 0.0
+            continue
+        p_gen[gens] = p_load[loads].sum() / gens.size
+    return SystemState(p_load, p_gen)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_cases())
+def test_flows_match_reduced_b_solve_and_kcl(case):
+    """On the intact network and under every N-1 outage: the flows equal an
+    independent per-island solve, and with each island balanced the flows
+    leaving every bus sum to its injection."""
+    state = case.base_state()
+    for removed in [(), *((b,) for b in case.branch_ids.tolist())]:
+        topo = build_topology(case, frozenset(removed))
+        flows = dc_power_flow(case, topo, state)
+        ref = reduced_b_flows(case, topo.in_service, state)
+        assert np.abs(flows - ref).max() <= 1e-9 * max(np.abs(ref).max(), 1.0)
+
+        balanced = balanced_state(case, topo, state)
+        flows = dc_power_flow(case, topo, balanced)
+        inj = np.zeros(case.n_bus)
+        np.add.at(inj, case.gen_bus, balanced.p_gen)
+        np.add.at(inj, case.load_bus, -balanced.p_load)
+        out = np.zeros(case.n_bus)
+        np.add.at(out, case.branch_from, flows)
+        np.add.at(out, case.branch_to, -flows)
+        scale = max(np.abs(inj).max(), 1.0)
+        np.testing.assert_allclose(out, inj, rtol=0, atol=1e-9 * scale)
+
+
+def test_no_topology_array_is_n_bus_square():
+    # the per-topology arrays grow with branches times state entries, not with
+    # the square of the bus count
+    case = cases.ring120()
+    for removed in [(), (1,), (1, 61), (5, 121)]:
+        build_topology(case, frozenset(removed))
+    assert len(case._topo_cache) == 4
+    for topo in case._topo_cache.values():
+        for value in vars(topo).values():
+            for arr in value if isinstance(value, tuple) else (value,):
+                if isinstance(arr, np.ndarray):
+                    assert arr.shape != (case.n_bus, case.n_bus)
 
 
 class TestFlowSensitivity:
@@ -457,12 +581,11 @@ class TestFlowSensitivity:
         sens = flow_sensitivity(case, topo)
         h = 0.01 * case.base_mva  # +-0.01 pu
         ref = {k: topo.ref_bus[isl] for k, isl in enumerate(topo.load_island)}
-        base = dc_power_flow(case, topo, state)
 
         def flows_with(dx):
             st = SystemState(state.p_load + dx[: case.n_load],
                              state.p_gen + dx[case.n_load :])
-            return dc_power_flow(case, topo, st).flows
+            return dc_power_flow(case, topo, st)
 
         for k in range(case.n_x):
             dx = np.zeros(case.n_x)

@@ -82,7 +82,7 @@ def ref_fast(case, topo, state, initial_trips=()):
         jac_step, dcost_step, state = ref_rebalance(case, topo, state)
         dcost_total += dcost_step @ jac_total
         jac_total = jac_step @ jac_total
-        flows = dc_power_flow(case, topo, state).flows
+        flows = dc_power_flow(case, topo, state)
         over = case.branch_ids[topo.mask & (np.abs(flows) > case.trip_factor * case.f_max)]
         if not over.size:
             return jac_total, dcost_total

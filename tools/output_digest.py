@@ -13,9 +13,10 @@ checkouts that compute the same results print the same lines. With
 `--against DIR` it runs the commands on both source trees and prints only
 the `<command>/<file>` labels whose digests differ (or that only one tree
 writes), exiting 1 if there is any. Each such label is followed by the
-largest relative difference over the numeric cells of the two files, so a
-move by roundoff alone reads as one, or by "text differs" when the files
-differ outside their numbers. A command that exits non-zero stops the run
+largest relative and the largest absolute difference over the numeric cells
+of the two files, so a move by roundoff alone reads as one, even in a cell
+near zero, where the relative difference alone can read 1; or by "text
+differs" when the files differ outside their numbers. A command that exits non-zero stops the run
 with exit code 1.
 """
 
@@ -149,17 +150,17 @@ _NUMBER = re.compile(rb"([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)")
 
 def difference_note(ours: bytes | None, theirs: bytes | None) -> str:
     """How two outputs of one label differ: the largest |a - b| / max(|a|,
-    |b|) over their numeric cells, paired in order, when the text around the
-    numbers is the same."""
+    |b|) and the largest |a - b| over their numeric cells, paired in order,
+    when the text around the numbers is the same."""
     if ours is None or theirs is None:
         return "written by one tree only"
     a, b = _NUMBER.split(ours), _NUMBER.split(theirs)
     if len(a) != len(b) or a[::2] != b[::2]:
         return "text differs"
-    worst = max((abs(x - y) / max(abs(x), abs(y))
-                 for x, y in zip(map(float, a[1::2]), map(float, b[1::2])) if x != y),
-                default=0.0)
-    return f"largest relative difference {worst:.3g}"
+    pairs = [(x, y) for x, y in zip(map(float, a[1::2]), map(float, b[1::2])) if x != y]
+    relative = max((abs(x - y) / max(abs(x), abs(y)) for x, y in pairs), default=0.0)
+    absolute = max((abs(x - y) for x, y in pairs), default=0.0)
+    return f"largest relative difference {relative:.3g}, absolute {absolute:.3g}"
 
 
 def main(argv=None) -> int:
@@ -168,7 +169,8 @@ def main(argv=None) -> int:
                         help="directory holding the gridrisk package (default: this checkout's src)")
     parser.add_argument("--against", metavar="DIR",
                         help="a second package directory; print only the labels whose digests "
-                             "differ, each with the largest relative difference of its numbers")
+                             "differ, each with the largest relative and absolute difference "
+                             "of its numbers")
     args = parser.parse_args(argv)
     if args.against is None:
         digests(args.src, emit=lambda line: print(line, flush=True))
