@@ -253,6 +253,15 @@ class GradientValidation:
     checked: int
 
 
+def check_validation(config: AssessmentConfig, step: float) -> None:
+    """Raise a ValueError unless `step`, the `fd_step` config key, is finite
+    and > 0 and `config` has the exhaustive budget gradient validation needs."""
+    if not (math.isfinite(step) and step > 0):
+        raise ValueError("config key 'fd_step' must be finite and > 0")
+    if config.policy != "exhaustive":
+        raise ValueError("gradient validation requires an exhaustive search budget")
+
+
 def validate_gradient(
     case: NetworkCase,
     initial_outages,
@@ -270,13 +279,10 @@ def validate_gradient(
     a kink no active set records. Requires an exhaustive budget so both sides
     see the identical tree. Passes only when at least one component was
     checked and every checked component with |gamma| above `FD_GAMMA_FLOOR`
-    is within `FD_REL_TOL`. `step` is the `fd_step` config key, finite and
-    > 0.
+    is within `FD_REL_TOL`. `step` is the `fd_step` config key; see
+    `check_validation`.
     """
-    if not (math.isfinite(step) and step > 0):
-        raise ValueError("config key 'fd_step' must be finite and > 0")
-    if config.policy != "exhaustive":
-        raise ValueError("gradient validation requires an exhaustive search budget")
+    check_validation(config, step)
     fast = pre_control(case, initial_outages)
     center = run_assessment(case, initial_outages, config, control_target, fast)
     target = center.x_target

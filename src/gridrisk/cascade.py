@@ -17,7 +17,6 @@ fields are None.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -390,15 +389,6 @@ def _move_split_rows(case: NetworkCase, n_vars: int, p_ref: np.ndarray):
     return rows, np.asarray(p_ref, dtype=float)
 
 
-@dataclass(slots=True)
-class _MemoEntry:
-    """A dispatch LP's solution, and weak references to the read-only `Csr`
-    jacobians its sensitivity gave (none until a caller asks for them)."""
-
-    sol: lp.LpSolution
-    jacobians: tuple = ()   # weakref.ref per jacobian
-
-
 def _solve_dispatch_lp(topo: Topology, key: tuple, build, derive=None):
     """(solution, jacobians) of the dispatch LP that `key` names
     on `topo`, solved once per distinct LP.
@@ -408,31 +398,29 @@ def _solve_dispatch_lp(topo: Topology, key: tuple, build, derive=None):
     LP kind; the state enters through their right-hand sides and bounds. So
     the kind and the bytes of the state-driven vectors name the LP in
     `topo.lp_memo`, and the caller computes only those before the lookup.
-    `build()` makes the `LpProblem`; it runs on a miss, and again when the
-    jacobians are asked for but no longer held. `derive(matrix)` turns the
-    sensitivity matrix into the `Csr` jacobians; without it (no gradients)
-    no sensitivity is computed and (solution, None) comes back, as it
-    does for an LP that is not optimal.
+    `build()` makes the `LpProblem`; it runs on a miss, and again when an
+    LP first solved without jacobians is later asked for them.
+    `derive(matrix)` turns the sensitivity matrix into the jacobians, a
+    `Csr` or a tuple of them; without it (no gradients) no sensitivity is
+    computed and (solution, None) comes back, as it does for an LP that is
+    not optimal.
 
-    A hit returns the read-only solution, and the same read-only jacobians,
-    that the first call got. The memo holds the jacobians weakly: the
-    `LevelRecord`s that carry them own them, so they live as long as some
-    tree does, and once every owner is gone the next call rebuilds the LP
-    and recomputes them, with the same bytes.
+    Each memo entry is [solution, jacobians], the jacobians None until a
+    caller asks for them; a hit returns the read-only solution and the same
+    read-only jacobians that the first call got.
     """
     entry = topo.lp_memo.get(key)
     prob = None
     if entry is None:
         prob = build()
-        entry = topo.lp_memo[key] = _MemoEntry(lp.solve_lp(prob))
-    if derive is None or not entry.sol.optimal:
-        return entry.sol, None
-    jacs = tuple(ref() for ref in entry.jacobians)
-    if not jacs or any(j is None for j in jacs):
-        sens = lp.solution_sensitivity(prob if prob is not None else build(), entry.sol)
-        jacs = derive(sens.matrix)
-        entry.jacobians = tuple(weakref.ref(j) for j in jacs)
-    return entry.sol, jacs
+        entry = topo.lp_memo[key] = [lp.solve_lp(prob), None]
+    sol, jacs = entry
+    if derive is None or not sol.optimal:
+        return sol, None
+    if jacs is None:
+        sens = lp.solution_sensitivity(prob if prob is not None else build(), sol)
+        jacs = entry[1] = derive(sens.matrix)
+    return sol, jacs
 
 
 def dispatch_target(
@@ -472,7 +460,7 @@ def dispatch_target(
         )
 
     def derive(matrix):
-        return (Csr.from_dense(matrix, (n_x, n_x)),)  # d x*/d P'_g is zero
+        return Csr.from_dense(matrix, (n_x, n_x))  # d x*/d P'_g is zero
 
     sol, derived = _solve_dispatch_lp(
         topo, ("target", lo.tobytes(), hi.tobytes()), build, derive if jacobians else None
@@ -488,7 +476,7 @@ def dispatch_target(
         )
     return TargetResult(
         x_star=SystemState(sol.x[:n_l].copy(), sol.x[n_l:].copy()),
-        jac=derived[0] if jacobians else None,
+        jac=derived,
         fallback=False,
         sol=sol,
     )

@@ -4,7 +4,9 @@ validation and iterated risk-management runs with CSV/JSON reports.
 Exit codes: 0 success, 2 case/config/strategy parse or read error, an
 output directory that cannot be made, or a case whose island systems cannot
 be solved, 3 infeasible base case, 4 internal error (an island left
-unbalanced after dispatch).
+unbalanced after dispatch). Each command makes its output directory after
+reading its inputs and before its run, so one that cannot be made fails at
+once.
 """
 
 from __future__ import annotations
@@ -196,10 +198,10 @@ def _summary(assessment, cfg: RunConfig) -> dict:
 def cmd_assess(cfg: RunConfig) -> int:
     case = load_case_file(cfg)
     target = load_strategy(case, cfg.strategy) if cfg.strategy else None
-    acfg = replace(cfg.rm.assessment, gradients=False)
-    a = _assess.run_assessment(case, cfg.outages, acfg, target)
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
+    acfg = replace(cfg.rm.assessment, gradients=False)
+    a = _assess.run_assessment(case, cfg.outages, acfg, target)
     _tree.dump_tree_csv(a.tree, str(out / "tree.csv"))
     write_convergence_csv(out / "convergence.csv", a.history)
     with open(out / "summary.json", "w") as fh:
@@ -212,11 +214,11 @@ def cmd_assess(cfg: RunConfig) -> int:
 def cmd_gradient(cfg: RunConfig) -> int:
     case = load_case_file(cfg)
     target = load_strategy(case, cfg.strategy) if cfg.strategy else None
+    out = Path(cfg.out)
+    out.mkdir(parents=True, exist_ok=True)
     a = _assess.run_assessment(case, cfg.outages, cfg.rm.assessment, target)
     gammas = a.gamma_history()
     deltas, deltas_dir = _gradient.convergence_indices(gammas, gammas[-1])
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
     _tree.dump_tree_csv(a.tree, str(out / "tree.csv"))
     write_convergence_csv(out / "convergence.csv", a.history, deltas, deltas_dir)
     write_gradient_csv(out / "gradient.csv", case, a.gamma)
@@ -235,11 +237,12 @@ def cmd_gradient(cfg: RunConfig) -> int:
 def cmd_validate_gradient(cfg: RunConfig) -> int:
     case = load_case_file(cfg)
     target = load_strategy(case, cfg.strategy) if cfg.strategy else None
+    _assess.check_validation(cfg.rm.assessment, cfg.fd_step)
+    out = Path(cfg.out)
+    out.mkdir(parents=True, exist_ok=True)
     val = _assess.validate_gradient(
         case, cfg.outages, cfg.rm.assessment, control_target=target, step=cfg.fd_step
     )
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
     with open(out / "validation.csv", "w", newline="") as fh:
         fh.write("# schema_version=1\n")
         writer = csv.writer(fh)
@@ -266,9 +269,9 @@ def cmd_validate_gradient(cfg: RunConfig) -> int:
 
 def cmd_irm(cfg: RunConfig) -> int:
     case = load_case_file(cfg)
-    traj = _mgmt.irm(case, cfg.outages, cfg.rm)
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
+    traj = _mgmt.irm(case, cfg.outages, cfg.rm)
     _mgmt.write_trajectory_csv(traj, str(out / "trajectory.csv"))
     _mgmt.write_strategy_json(case, traj, str(out / "strategy.json"))
     final = traj.final_assessment

@@ -305,8 +305,8 @@ class Topology:
     island_loads: tuple = field(compare=False)      # load positions per island
     island_gens: tuple = field(compare=False)       # generator positions per island
     flow_sens: np.ndarray = field(compare=False)    # d(flows, MW)/d([P_d; P_g], MW)
-    # dispatch-LP solutions on this topology, with weak references to their
-    # jacobians, filled by `cascade._solve_dispatch_lp`
+    # dispatch-LP solutions on this topology, each with the jacobians derived
+    # from its sensitivity once asked for, filled by `cascade._solve_dispatch_lp`
     lp_memo: dict = field(default_factory=dict, compare=False, repr=False)
 
 

@@ -35,12 +35,12 @@ def rts96():
 def fresh_python():
     """Run Python code in a new interpreter with gridrisk importable and
     return its stdout; import state is per process, so import checks run
-    there."""
-    def run(code: str) -> str:
+    there. `flags` go to the interpreter before `-c`."""
+    def run(code: str, *flags: str) -> str:
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             [SRC, *filter(None, [os.environ.get("PYTHONPATH")])])}
-        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                              text=True, timeout=120)
+        done = subprocess.run([sys.executable, *flags, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
         return done.stdout
     return run

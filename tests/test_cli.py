@@ -9,7 +9,7 @@ import scipy.optimize._highspy._core as core
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridrisk import assess, cascade, cases
+from gridrisk import assess, cascade, cases, management
 from gridrisk.assess import POLICIES, AssessmentConfig
 from gridrisk.cli import build_parser, main
 from gridrisk.management import RmConfig
@@ -262,6 +262,23 @@ class TestExitCodes:
         assert err.startswith("error: ") and str(bad) in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["assess", "gradient", "validate-gradient", "irm"])
+    def test_out_that_cannot_be_made_fails_before_the_run(self, toy_case_file, tmp_path,
+                                                          capsys, monkeypatch, command):
+        def no_run(*args, **kwargs):
+            raise AssertionError("the run started before the output directory was made")
+
+        for module, name in ((assess, "run_assessment"), (management, "irm"),
+                             (assess, "validate_gradient")):
+            monkeypatch.setattr(module, name, no_run)
+        bad = tmp_path / "bad"
+        bad.write_text("")
+        code = run_cli([command, "--case", toy_case_file, "--outages", "3",
+                        "--policy", "exhaustive", "--t-max", "30", "--out", str(bad)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(bad) in err
+
     def test_huge_exhaustive_depth_exits_2_at_once(self, toy_case_file, tmp_path, capsys):
         """The label-space bound stops counting once it is passed, instead of
         building (n+1)^depth for a depth of 66,666,666."""
@@ -498,6 +515,7 @@ class TestCommands:
             "--policy", "probability-sampled", "--out", str(tmp_path / "v"),
         ])
         assert code == 2
+        assert not (tmp_path / "v").exists()
 
     def test_validate_gradient_report(self, toy_case_file, tmp_path):
         out = tmp_path / "v"

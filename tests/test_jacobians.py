@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from gridrisk import lp
+from gridrisk import cases, lp
 from gridrisk.assess import AssessmentConfig, base_state, enumeration_risk, run_assessment
 from gridrisk.cascade import simulate_level
 from gridrisk.network import SystemState, apply_outage, build_topology
@@ -60,7 +60,10 @@ def test_gradients_off_matches_on_node_for_node(request, name, outages, cfg):
     assert off.gamma is None and on.gamma is not None
 
 
-def test_gradients_off_solves_no_sensitivity(toy6, sensitivity_calls):
+def test_gradients_off_solves_no_sensitivity(sensitivity_calls):
+    # a fresh case: the memo keeps the jacobians of earlier gradient runs on a
+    # shared one, and the last step needs LPs not yet differentiated
+    toy6 = cases.toy6()
     cfg = AssessmentConfig(tau_d=15.0, t_max=30.0, attempts=400, policy="exhaustive",
                            seed=1, gradients=False)
     base_state(toy6)
