@@ -40,7 +40,7 @@ def check_setting(key: str, val, low: float = 0.0, integral: bool = False) -> No
 class AssessmentConfig:
     """Assessment and tree-search settings. The tree has floor(t_max / tau_d)
     levels. Policies: best-first (score-guided), probability-sampled and
-    exhaustive (depth-first, children in `exhaustive_order`). Each setting
+    exhaustive (depth-first, children in event order). Each setting
     is checked on construction; a bad one raises a ValueError naming it."""
 
     tau_d: float = 15.0
@@ -50,7 +50,6 @@ class AssessmentConfig:
     seed: int = 0
     gradients: bool = True
     threshold: object = "auto"              # None = dense, float = compressed
-    exhaustive_order: str = "ascending"
 
     def __post_init__(self):
         check_setting("tau_d", self.tau_d, low=-math.inf)
@@ -64,8 +63,6 @@ class AssessmentConfig:
         check_setting("seed", self.seed, integral=True)
         if self.policy not in POLICIES:
             raise ValueError(f"unknown policy '{self.policy}'")
-        if self.exhaustive_order not in ("ascending", "descending"):
-            raise ValueError(f"unknown exhaustive_order '{self.exhaustive_order}'")
         if self.threshold is not None and self.threshold != "auto":
             check_setting("threshold", self.threshold)
 
@@ -141,7 +138,7 @@ def pre_control(case: NetworkCase, initial_outages) -> cascade.ShortTimescaleTra
     """The fast process the initial outages start from the base dispatch. It
     ends in the pre-control state and does not depend on the control target."""
     x_base = base_state(case)
-    topo1, _ = apply_outage(case, build_topology(case), initial_outages)
+    topo1 = apply_outage(case, build_topology(case), initial_outages)
     return cascade.short_timescale_process(
         case, topo1, x_base, initial_trips=tuple(sorted(initial_outages)), jacobians=False
     )
@@ -253,11 +250,16 @@ class GradientValidation:
     checked: int
 
 
-def check_validation(config: AssessmentConfig, step: float) -> None:
-    """Raise a ValueError unless `step`, the `fd_step` config key, is finite
-    and > 0 and `config` has the exhaustive budget gradient validation needs."""
+def check_fd_step(step: float) -> None:
+    """Raise a ValueError naming `fd_step` unless `step` is finite and > 0."""
     if not (math.isfinite(step) and step > 0):
         raise ValueError("config key 'fd_step' must be finite and > 0")
+
+
+def check_validation(config: AssessmentConfig, step: float) -> None:
+    """Raise a ValueError unless `step` passes `check_fd_step` and `config`
+    has the exhaustive budget gradient validation needs."""
+    check_fd_step(step)
     if config.policy != "exhaustive":
         raise ValueError("gradient validation requires an exhaustive search budget")
 

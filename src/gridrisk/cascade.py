@@ -114,17 +114,17 @@ def probability_jacobian(lam: np.ndarray, tau_d: float) -> np.ndarray:
 def probability_sensitivity(
     case: NetworkCase,
     topo: Topology,
-    state: SystemState,
+    lam_all: np.ndarray,
+    dlam_all: np.ndarray,
     tau_d: float,
 ) -> np.ndarray:
-    """d[Pr over in-service branches, Pr_no]/d[P_d; P_g] at the given state.
+    """d[Pr over in-service branches, Pr_no]/d[P_d; P_g] at a state whose
+    `failure_rates` are `lam_all` and `dlam_all`.
 
     Chains the probability Jacobian through the rate model and the flow
     sensitivity of the fixed topology. Rows follow the in-service branch
     order returned by `in_service_ids`.
     """
-    flows = dc_power_flow(case, topo, state)
-    lam_all, dlam_all = failure_rates(case, topo, flows)
     jac_pr = probability_jacobian(lam_all[topo.mask], tau_d)    # (ne+1, ne)
     dflow = flow_sensitivity(case, topo)[topo.mask, :]          # (ne, n_x)
     chain = dlam_all[topo.mask][:, None] * dflow                # dlam/dx
@@ -303,7 +303,7 @@ def short_timescale_process(
         ].tolist()
         if not over:
             break
-        cur_topo, _ = apply_outage(case, cur_topo, over)
+        cur_topo = apply_outage(case, cur_topo, over)
         pending_trips = tuple(over)
     else:
         # Did not settle within MAX_FAST_EVENTS: shed everything left and flag it.
@@ -672,7 +672,7 @@ def simulate_level(
     settle, pick a re-dispatch target, execute it within the interval.
     `jacobians=False` skips every local derivative (see the module note)."""
     if event_id:
-        topo_after, _ = apply_outage(case, topo, {event_id})
+        topo_after = apply_outage(case, topo, {event_id})
         trace = short_timescale_process(
             case, topo_after, state, initial_trips=(event_id,), jacobians=jacobians
         )

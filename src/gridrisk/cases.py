@@ -34,8 +34,8 @@ def two_bus() -> NetworkCase:
     )
 
 
-def triangle(load_mw: float = 100.0) -> NetworkCase:
-    """Symmetric three-bus loop with equal admittances."""
+def triangle() -> NetworkCase:
+    """Symmetric three-bus loop with equal admittances and a 100 MW load."""
     return _case(
         {
             "base_mva": 100.0,
@@ -46,10 +46,10 @@ def triangle(load_mw: float = 100.0) -> NetworkCase:
                 {"id": 3, "from": 1, "to": 3, "y": 5.0, "f_max": 200.0},
             ],
             "generators": [
-                {"id": 1, "bus": 1, "p": load_mw, "p_min": 0.0, "p_max": 400.0,
+                {"id": 1, "bus": 1, "p": 100.0, "p_min": 0.0, "p_max": 400.0,
                  "ramp": 20.0, "cost": 90.0}
             ],
-            "loads": [{"id": 1, "bus": 2, "p": load_mw, "cost": 10000.0}],
+            "loads": [{"id": 1, "bus": 2, "p": 100.0, "cost": 10000.0}],
         }
     )
 
@@ -96,14 +96,13 @@ def toy6() -> NetworkCase:
     )
 
 
-def ring120(n_bus: int = 120) -> NetworkCase:
-    """Deterministic ring-with-chords system for large-case behaviour.
+def ring120() -> NetworkCase:
+    """Deterministic 120-bus ring-with-chords system for large-case behaviour.
 
     Generation sits on the first quarter of the ring, load on the rest, so
     the chords and the ring segments near the generation pocket run loaded.
     """
-    if n_bus < 20:
-        raise ValueError("ring120 expects at least 20 buses")
+    n_bus = 120
     buses = [{"id": i} for i in range(1, n_bus + 1)]
     branches = []
     bid = 0
@@ -150,17 +149,11 @@ def rts96_text() -> str:
     )
 
 
-def rts96(defaults: dict | None = None) -> NetworkCase:
+def rts96() -> NetworkCase:
     """Parse the bundled RTS-96 with its companion default parameters."""
-    merged = {
+    defaults = {
         "failure_rate": {"lambda_0": 1e-4, "lambda_1": 1e-2, "knee": 0.6,
                          "lambda_max": 0.05, "trip_factor": 1.2},
         "costs": {"load_shed": 10000.0, "gen_adjust": 100.0},
     }
-    if defaults:
-        for key, val in defaults.items():
-            if isinstance(val, dict):
-                merged.setdefault(key, {}).update(val)
-            else:
-                merged[key] = val
-    return parse_case(rts96_text(), "matpower-text", merged)
+    return parse_case(rts96_text(), "matpower-text", defaults)

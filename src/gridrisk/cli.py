@@ -4,9 +4,9 @@ validation and iterated risk-management runs with CSV/JSON reports.
 Exit codes: 0 success, 2 case/config/strategy parse or read error, an
 output directory that cannot be made, or a case whose island systems cannot
 be solved, 3 infeasible base case, 4 internal error (an island left
-unbalanced after dispatch). Each command makes its output directory after
-reading its inputs and before its run, so one that cannot be made fails at
-once.
+unbalanced after dispatch). Every command checks every config key, then
+reads its case and strategy and makes its output directory (`_start`)
+before its run, so a bad input or an unmakeable `--out` fails at once.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from . import cascade as _cascade
 from . import gradient as _gradient
 from . import management as _mgmt
 from . import tree as _tree
-from .network import CaseError, NetworkCase, PowerFlowError, parse_case
+from .network import CaseError, NetworkCase, PowerFlowError, SystemState, parse_case
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -52,10 +52,13 @@ class RunConfig:
     fd_step: float = 0.25
     rm: _mgmt.RmConfig = field(default_factory=_mgmt.RmConfig)
 
+    def __post_init__(self):
+        _assess.check_fd_step(self.fd_step)
 
-# Fields that are no config key: the nested configs, `gradients` (each
-# command picks it) and `exhaustive_order` (left at its library default).
-_NOT_KEYS = {"gradients", "exhaustive_order", "assessment", "rm"}
+
+# Fields that are no config key: the nested configs and `gradients` (each
+# command picks it).
+_NOT_KEYS = {"gradients", "assessment", "rm"}
 _KEY_CLASS = {
     f.name: cls
     for cls in (RunConfig, _mgmt.RmConfig, _assess.AssessmentConfig)
@@ -122,10 +125,10 @@ def load_case_file(cfg: RunConfig) -> NetworkCase:
     return parse_case(text, cfg.format, defaults)
 
 
-def load_strategy(case: NetworkCase, path: str):
+def load_strategy(case: NetworkCase, path: str) -> SystemState:
     """The case's state with each listed load and generator at its
     `target_mw`. A malformed file raises an error naming the entity and key."""
-    from .network import CaseSemanticError, SystemState, _number
+    from .network import CaseSemanticError, _number
 
     with open(path) as fh:
         doc = json.load(fh)
@@ -148,6 +151,15 @@ def load_strategy(case: NetworkCase, path: str):
                 raise ValueError(f"strategy target_mw of {key[:-1]} id {eid} must be finite")
             values[pos[eid]] = target
     return SystemState(p_load, p_gen)
+
+
+def _start(cfg: RunConfig) -> tuple[NetworkCase, SystemState | None, Path]:
+    """Every command's start: the case, the strategy (or None), the made `--out`."""
+    case = load_case_file(cfg)
+    target = load_strategy(case, cfg.strategy) if cfg.strategy else None
+    out = Path(cfg.out)
+    out.mkdir(parents=True, exist_ok=True)
+    return case, target, out
 
 
 def _fmt(value: float) -> str:
@@ -196,10 +208,7 @@ def _summary(assessment, cfg: RunConfig) -> dict:
 
 
 def cmd_assess(cfg: RunConfig) -> int:
-    case = load_case_file(cfg)
-    target = load_strategy(case, cfg.strategy) if cfg.strategy else None
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
+    case, target, out = _start(cfg)
     acfg = replace(cfg.rm.assessment, gradients=False)
     a = _assess.run_assessment(case, cfg.outages, acfg, target)
     _tree.dump_tree_csv(a.tree, str(out / "tree.csv"))
@@ -212,10 +221,7 @@ def cmd_assess(cfg: RunConfig) -> int:
 
 
 def cmd_gradient(cfg: RunConfig) -> int:
-    case = load_case_file(cfg)
-    target = load_strategy(case, cfg.strategy) if cfg.strategy else None
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
+    case, target, out = _start(cfg)
     a = _assess.run_assessment(case, cfg.outages, cfg.rm.assessment, target)
     gammas = a.gamma_history()
     deltas, deltas_dir = _gradient.convergence_indices(gammas, gammas[-1])
@@ -235,11 +241,8 @@ def cmd_gradient(cfg: RunConfig) -> int:
 
 
 def cmd_validate_gradient(cfg: RunConfig) -> int:
-    case = load_case_file(cfg)
-    target = load_strategy(case, cfg.strategy) if cfg.strategy else None
     _assess.check_validation(cfg.rm.assessment, cfg.fd_step)
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
+    case, target, out = _start(cfg)
     val = _assess.validate_gradient(
         case, cfg.outages, cfg.rm.assessment, control_target=target, step=cfg.fd_step
     )
@@ -268,9 +271,7 @@ def cmd_validate_gradient(cfg: RunConfig) -> int:
 
 
 def cmd_irm(cfg: RunConfig) -> int:
-    case = load_case_file(cfg)
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
+    case, _, out = _start(cfg)   # the strategy is checked; IRM starts from its own target
     traj = _mgmt.irm(case, cfg.outages, cfg.rm)
     _mgmt.write_trajectory_csv(traj, str(out / "trajectory.csv"))
     _mgmt.write_strategy_json(case, traj, str(out / "strategy.json"))

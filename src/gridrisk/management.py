@@ -85,7 +85,6 @@ class RmStepResult:
     delta_r: float               # risk decrease actually imposed (after halvings)
     feasible: bool
     halvings: int
-    risk_dual: float             # d objective / d risk RHS (0 when slack)
     changed: bool
 
 
@@ -107,7 +106,7 @@ def rm_step(
     if delta_r <= 0.0:
         return RmStepResult(
             x_star=x_star0, cost=0.0, predicted_r_prime=r_prime0, delta_r=0.0,
-            feasible=True, halvings=0, risk_dual=0.0, changed=False,
+            feasible=True, halvings=0, changed=False,
         )
     gamma_rm = -np.asarray(gamma_assessed, dtype=float)
     halvings = 0
@@ -122,8 +121,7 @@ def rm_step(
         if halvings > MAX_HALVINGS:
             return RmStepResult(
                 x_star=x_star0, cost=0.0, predicted_r_prime=r_prime0,
-                delta_r=delta_r, feasible=False, halvings=halvings,
-                risk_dual=0.0, changed=False,
+                delta_r=delta_r, feasible=False, halvings=halvings, changed=False,
             )
         delta_r *= 0.5
     x_new = SystemState(
@@ -138,7 +136,6 @@ def rm_step(
         delta_r=delta_r,
         feasible=True,
         halvings=halvings,
-        risk_dual=float(sol.in_duals[0]),
         changed=not np.allclose(x_new.x, x_star0.x, atol=1e-9),
     )
 

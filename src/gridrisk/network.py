@@ -288,16 +288,15 @@ class Topology:
     and a memo of the dispatch LPs solved on it.
 
     islands are tuples of bus positions; an island is energized when it
-    contains at least one generator bus, and then carries a reference bus
-    (the generator bus with the lowest id). `mask` is the in-service set as a
-    bool per branch in case order; equality ignores the arrays. The flow
+    contains at least one generator bus, and then its flow factors are taken
+    against its generator bus of lowest id. `mask` is the in-service set as
+    a bool per branch in case order; equality ignores the arrays. The flow
     factors are kept once, as `flow_sens`; the island inverses they are built
     from are not kept, so no array here is n_bus x n_bus.
     """
 
     in_service: frozenset
     islands: tuple
-    ref_bus: tuple        # bus position per island (-1 when de-energized)
     energized: tuple      # bool per island
     mask: np.ndarray = field(compare=False)
     load_island: np.ndarray = field(compare=False)  # island per load
@@ -375,11 +374,11 @@ def build_topology(case: NetworkCase, removed: frozenset = frozenset()) -> Topol
         tuple(np.flatnonzero(labels == k).tolist()) for k in range(n_isl)
     )
     gen_buses = set(case.gen_bus.tolist())
-    ref_bus = tuple(
+    reference = tuple(
         min((p for p in members if p in gen_buses), key=lambda p: case.buses[p].id, default=-1)
         for members in islands
     )
-    energized = tuple(r >= 0 for r in ref_bus)
+    energized = tuple(r >= 0 for r in reference)
 
     # np.add.at applies the entries in order: branch by branch, as (u,u), (v,v),
     # (u,v), (v,u), so every sum is accumulated in case order.
@@ -396,7 +395,7 @@ def build_topology(case: NetworkCase, removed: frozenset = frozenset()) -> Topol
     for k, members in enumerate(islands):
         if not energized[k] or len(members) == 1:
             continue
-        keep = [p for p in members if p != ref_bus[k]]
+        keep = [p for p in members if p != reference[k]]
         inv_map[np.ix_(keep, keep)] = _island_inverse(case, members, b_mat[np.ix_(keep, keep)])
 
     # branch-flow rows: F_pu = y_i * (theta_u - theta_v), zero for branches
@@ -415,7 +414,6 @@ def build_topology(case: NetworkCase, removed: frozenset = frozenset()) -> Topol
     topo = Topology(
         in_service=in_service,
         islands=islands,
-        ref_bus=ref_bus,
         energized=energized,
         mask=mask,
         load_island=load_island,
@@ -430,22 +428,18 @@ def build_topology(case: NetworkCase, removed: frozenset = frozenset()) -> Topol
     return topo
 
 
-def apply_outage(case: NetworkCase, topo: Topology, branch_ids) -> tuple[Topology, frozenset]:
-    """Remove branches and look up the resulting topology.
-
-    Returns the new topology and the subset of requested ids that were
-    already out of service (no-op entries, flagged for the caller).
-    """
+def apply_outage(case: NetworkCase, topo: Topology, branch_ids) -> Topology:
+    """Remove branches and look up the resulting topology; ids already out
+    of service change nothing."""
     requested = frozenset(branch_ids)
     for bid in requested:
         if bid not in case.branch_pos:
             raise CaseSemanticError(f"unknown branch id {bid}", f"branch {bid}")
-    already_out = requested - topo.in_service
     effective = requested & topo.in_service
     if not effective:
-        return topo, already_out
+        return topo
     removed = frozenset(case.branch_ids.tolist()) - topo.in_service | effective
-    return build_topology(case, removed), already_out
+    return build_topology(case, removed)
 
 
 def dc_power_flow(case: NetworkCase, topo: Topology, state: SystemState) -> np.ndarray:
@@ -725,11 +719,14 @@ def parse_case(text: str, fmt: str = "native-json", defaults: dict | None = None
     """Parse a case file body in the given format.
 
     fmt: "native-json" (full schema) or "matpower-text" (bus/gen/branch/baseMVA
-    only; failure-rate and cost parameters from `defaults`).
+    only; failure-rate and cost parameters from `defaults`, which a native
+    case does not use but checks alike, with the same named errors).
     """
     if not text or not text.strip():
         raise CaseSyntaxError("empty case text", 1, 1)
     if fmt == "native-json":
+        if defaults:
+            _rate_from_dict({}, _parameter_defaults(defaults)[0], "failure_rate")
         return _parse_native_json(text)
     if fmt == "matpower-text":
         return _parse_matpower(text, defaults)

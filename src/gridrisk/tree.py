@@ -47,8 +47,7 @@ class TreeNode:
     state: SystemState
     topo: Topology
     c_equiv: float = 0.0            # C'
-    visited: bool = False
-    first_attempt: int = -1
+    first_attempt: int = -1         # the attempt whose path created the node
     terminal: bool = False
     children: dict = field(default_factory=dict)
     record: cascade.LevelRecord | None = None
@@ -71,15 +70,15 @@ class TreeNode:
         return self.c_equiv - self.cost
 
     def fully_explored(self) -> bool:
-        """Every path below has reached a visited terminal node.
+        """Every path below has reached a terminal node.
 
-        `visited`, `terminal` and `children` only ever grow, so once True the
-        answer stays True and is cached instead of re-walking the subtree.
+        `terminal` and `children` only ever grow, so once True the answer
+        stays True and is cached instead of re-walking the subtree.
         """
         if self._explored:
             return True
         if self.terminal:
-            self._explored = self.visited
+            self._explored = True
         elif self.child_ids is not None:
             self._explored = all(
                 (child := self.children.get(eid)) is not None and child.fully_explored()
@@ -140,14 +139,14 @@ class MarkovTree:
             return
         ids = cascade.in_service_ids(self.case, node.topo)
         flows = cascade.dc_power_flow(self.case, node.topo, node.state)
-        lam, _ = cascade.failure_rates(self.case, node.topo, flows)
+        lam, dlam_df = cascade.failure_rates(self.case, node.topo, flows)
         probs, pr_no = cascade.level_probabilities(lam[node.topo.mask], self.tau_d)
         kept = np.append(np.flatnonzero(probs > 0.0), probs.size)  # then no-outage
         node.child_ids = [ids[i] for i in kept[:-1]] + [0]
         node.child_probs = np.append(probs, pr_no)[kept]
         if self.gradients:
             dpr_dx = cascade.probability_sensitivity(
-                self.case, node.topo, node.state, self.tau_d
+                self.case, node.topo, lam, dlam_df, self.tau_d
             )
             node.dpr_dx0 = dpr_dx[kept, :] @ to_dense(node.chain_x)
 
@@ -186,10 +185,9 @@ class MarkovTree:
     # Each policy returns an index into `node.child_ids`, or None when it
     # has nothing left to visit.
 
-    def _pick_exhaustive(self, node: TreeNode, order: str) -> int | None:
-        ks = range(len(node.child_ids))
-        for k in reversed(ks) if order == "descending" else ks:
-            child = node.children.get(node.child_ids[k])
+    def _pick_exhaustive(self, node: TreeNode) -> int | None:
+        for k, eid in enumerate(node.child_ids):
+            child = node.children.get(eid)
             if child is None or not child.fully_explored():
                 return k
         return None
@@ -214,10 +212,7 @@ class MarkovTree:
             child = node.children.get(eid)
             if child is not None and child.fully_explored():
                 continue
-            estimate = (
-                child.c_equiv if child is not None and child.visited
-                else max(self.avg_leaf_cost, 1.0)
-            )
+            estimate = child.c_equiv if child is not None else max(self.avg_leaf_cost, 1.0)
             score = pr * estimate
             if score > best_score + BEST_FIRST_RTOL * abs(best_score):
                 best_k, best_score = k, score
@@ -229,27 +224,22 @@ class MarkovTree:
         """Simulate one root-to-termination path, creating missing nodes.
 
         Returns the visited nodes below the root (leaf last), or None when an
-        exhaustive search has nothing left to visit.
+        exhaustive or best-first search has nothing left to visit.
         """
         node = self.root
-        if not node.visited:
-            node.visited = True
-            node.first_attempt = attempt
         path: list[TreeNode] = []
         while not node.terminal:
             self._open_node(node)
             if config.policy == "probability-sampled":
                 k = self._pick_sampled(node, rng)
             elif config.policy == "exhaustive":
-                k = self._pick_exhaustive(node, config.exhaustive_order)
+                k = self._pick_exhaustive(node)
             else:
                 k = self._pick_best_first(node)
             if k is None:
                 return path or None
             node = node.children.get(node.child_ids[k]) or self._make_child(node, k, attempt)
             path.append(node)
-            if not node.visited:
-                node.visited = True
         if path:
             leaf_cost = path[-1].c_equiv if path[-1].c_equiv else path[-1].cost
             self._leaves_seen += 1
@@ -304,7 +294,7 @@ def search(tree: MarkovTree, config) -> ConvergenceHistory:
 
 
 def dump_tree_csv(tree: MarkovTree, path: str) -> None:
-    """One row per node: label, level, Pr, C, C', R', b."""
+    """One row per node: label, level, Pr, C, C', R' and `visited`, always 1."""
     with open(path, "w", newline="") as fh:
         fh.write("# schema_version=1\n")
         writer = csv.writer(fh)
@@ -319,6 +309,6 @@ def dump_tree_csv(tree: MarkovTree, path: str) -> None:
                     repr(float(node.cost)),
                     repr(float(node.c_equiv)),
                     repr(float(node.subsequent_risk)),
-                    int(node.visited),
+                    1,
                 ]
             )

@@ -198,14 +198,16 @@ def test_06_recursion_idempotence_and_order_independence(toy6):
         t.nodes[k].c_equiv == c and (s is None or np.array_equal(t.nodes[k].s_accum, s))
         for k, (c, s) in before.items()
     )
-    b = run_assessment(toy6, TOY_OUTAGE, toy_config(exhaustive_order="descending"))
+    # the same tree visited in another order: best-first run to full exploration
+    b = run_assessment(toy6, TOY_OUTAGE, toy_config(policy="best-first"))
+    same_tree = b.tree.nodes.keys() == a.tree.nodes.keys()
     scale = max(1.0, np.abs(a.tree.root.s_accum).max())
     order_gap = np.abs(a.tree.root.s_accum - b.tree.root.s_accum).max()
     report(
         6,
-        replay_ok and order_gap <= 1e-12 * scale,
-        f"replay exact: {replay_ok}; order gap {order_gap:.2e} "
-        f"(<= 1e-12 of scale {scale:.1e})",
+        replay_ok and same_tree and order_gap <= 1e-12 * scale,
+        f"replay exact: {replay_ok}; best-first builds the same tree: {same_tree}; "
+        f"order gap {order_gap:.2e} (<= 1e-12 of scale {scale:.1e})",
     )
 
 

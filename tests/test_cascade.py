@@ -55,7 +55,7 @@ class TestFailureRates:
 
     def test_out_of_service_zero(self, two_bus):
         topo = build_topology(two_bus)
-        t2, _ = apply_outage(two_bus, topo, {1})
+        t2 = apply_outage(two_bus, topo, {1})
         lam, dlam = failure_rates(two_bus, t2, np.array([0.0]))
         assert lam[0] == 0.0 and dlam[0] == 0.0
 
@@ -116,16 +116,22 @@ class TestLevelProbabilities:
         assert jac[0, 0] == pytest.approx(1.0, rel=1e-6)  # d Pr_i/d lam_i -> tau
 
 
+def sensitivity_at(case, topo, state, tau_d):
+    """`probability_sensitivity` at `state`, from the rates its flows give."""
+    rates = failure_rates(case, topo, dc_power_flow(case, topo, state))
+    return probability_sensitivity(case, topo, *rates, tau_d)
+
+
 class TestProbabilitySensitivity:
     def test_zero_below_knee(self, two_bus):
         topo = build_topology(two_bus)
-        sens = probability_sensitivity(two_bus, topo, SystemState([20.0], [20.0]), 15.0)
+        sens = sensitivity_at(two_bus, topo, SystemState([20.0], [20.0]), 15.0)
         assert np.all(sens == 0.0)
 
     def test_single_branch_chain_matches_fd(self, two_bus):
         topo = build_topology(two_bus)
         state = SystemState([80.0], [80.0])  # loading 0.8, active slope
-        sens = probability_sensitivity(two_bus, topo, state, 15.0)
+        sens = sensitivity_at(two_bus, topo, state, 15.0)
         h = 0.1
 
         def probs(delta):
@@ -154,7 +160,7 @@ class TestShortTimescale:
 
     def test_islanding_sheds_whole_load(self, two_bus):
         topo = build_topology(two_bus)
-        t2, _ = apply_outage(two_bus, topo, {1})
+        t2 = apply_outage(two_bus, topo, {1})
         state = SystemState([50.0], [50.0])
         trace = short_timescale_process(two_bus, t2, state, initial_trips=(1,))
         assert trace.n_events == 1
@@ -167,7 +173,7 @@ class TestShortTimescale:
         case = _with_branch_limit(cases.triangle(), 3, 70.0)
         # loop path carries 100 MW once branch 1 is lost
         topo = build_topology(case)
-        t2, _ = apply_outage(case, topo, {1})
+        t2 = apply_outage(case, topo, {1})
         state = SystemState([100.0], [100.0])
         trace = short_timescale_process(case, t2, state, initial_trips=(1,))
         assert trace.n_events == 2
@@ -180,7 +186,7 @@ class TestShortTimescale:
     def test_jacobian_matches_fd_on_islanding(self, toy6):
         # branch 5 outage islands buses 5-6 with load and the small unit
         topo = build_topology(toy6)
-        t2, _ = apply_outage(toy6, topo, {5})
+        t2 = apply_outage(toy6, topo, {5})
         state = SystemState([120.0, 90.0, 60.0], [100.0, 160.0, 10.0])
         trace = short_timescale_process(toy6, t2, state, initial_trips=(5,))
         jac = trace.jac.toarray()
@@ -201,7 +207,7 @@ class TestShortTimescale:
 
     def test_termination_strictly_shrinks(self, toy6):
         topo = build_topology(toy6)
-        t2, _ = apply_outage(toy6, topo, {3})
+        t2 = apply_outage(toy6, topo, {3})
         trace = short_timescale_process(
             toy6, t2, SystemState([120.0, 90.0, 60.0], [100.0, 170.0, 0.0]),
             initial_trips=(3,),
@@ -232,7 +238,7 @@ class TestDispatchTarget:
 
     def test_deenergized_island_target_zero(self, two_bus):
         topo = build_topology(two_bus)
-        t2, _ = apply_outage(two_bus, topo, {1})
+        t2 = apply_outage(two_bus, topo, {1})
         tgt = dispatch_target(two_bus, t2, SystemState([0.0], [50.0]))
         assert tgt.x_star.p_load[0] == 0.0
 
@@ -241,7 +247,7 @@ class TestDispatchExecute:
     def test_unbalanced_island_raises(self, two_bus):
         topo = build_topology(two_bus)
         _assert_balanced(two_bus, topo, SystemState([50.0], [50.0]))
-        split, _ = apply_outage(two_bus, topo, {1})   # gen on island 0, load on 1
+        split = apply_outage(two_bus, topo, {1})   # gen on island 0, load on 1
         _assert_balanced(two_bus, split, SystemState([0.0], [0.0]))
         with pytest.raises(InternalError, match=r"island 1 unbalanced .*\|0\.0+ - 50\.0+\|"):
             _assert_balanced(two_bus, split, SystemState([50.0], [0.0]))
@@ -297,7 +303,7 @@ class TestDispatchExecute:
 
     def test_balance_invariant(self, toy6):
         topo = build_topology(toy6)
-        t2, _ = apply_outage(toy6, topo, {5})
+        t2 = apply_outage(toy6, topo, {5})
         trace = short_timescale_process(
             toy6, t2, SystemState([120.0, 90.0, 60.0], [100.0, 170.0, 0.0]),
             initial_trips=(5,),
@@ -321,7 +327,7 @@ class TestSimulateLevel:
 
     def test_islanding_event_costs(self, toy6):
         topo = build_topology(toy6)
-        t2, _ = apply_outage(toy6, topo, {3})
+        t2 = apply_outage(toy6, topo, {3})
         state = SystemState([120.0, 90.0, 60.0], [100.0, 170.0, 0.0])
         rec = simulate_level(toy6, t2, state, 4, 15.0)  # second corridor circuit
         assert rec.event_id == 4
@@ -353,7 +359,7 @@ class TestTruncation:
     def test_max_events_sheds_everything_and_flags(self, monkeypatch):
         case = _with_branch_limit(cases.triangle(), 3, 70.0)
         topo = build_topology(case)
-        t2, _ = apply_outage(case, topo, {1})
+        t2 = apply_outage(case, topo, {1})
         state = SystemState([100.0], [100.0])
         monkeypatch.setattr(cascade, "MAX_FAST_EVENTS", 1)
         trace = short_timescale_process(case, t2, state, initial_trips=(1,))

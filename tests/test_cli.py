@@ -279,6 +279,30 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(bad) in err
 
+    @pytest.mark.parametrize("command", ["assess", "gradient", "validate-gradient", "irm"])
+    @pytest.mark.parametrize("settings, message", [
+        ({"costs": {"load_shed": "x"}, "failure_rate": {"knee": "y"}},
+         "'load_shed' must be a number, got 'x' [costs]"),
+        ({"failure_rate": {"knee": "y"}}, "'knee' must be a number, got 'y' [failure_rate]"),
+        ({"fd_step": 0}, "config key 'fd_step' must be finite and > 0"),
+        ({"strategy": "missing.json"}, "missing.json"),
+    ], ids=["default-blocks", "failure-rate-block", "fd-step", "strategy"])
+    def test_every_command_checks_every_key(self, toy_case_file, tmp_path, capsys,
+                                            command, settings, message):
+        """A config file is checked alike by every command, also where the
+        command does not use the key (a native case's default blocks, `fd_step`
+        outside validate-gradient, `strategy` in irm), before any output."""
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({
+            "case": toy_case_file, "outages": [3], "t_max": 30, "policy": "exhaustive",
+            "out": str(tmp_path / "o"), **settings,
+        }))
+        code = run_cli([command, "--config", str(cfg)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and message in err
+        assert not (tmp_path / "o").exists()
+
     def test_huge_exhaustive_depth_exits_2_at_once(self, toy_case_file, tmp_path, capsys):
         """The label-space bound stops counting once it is passed, instead of
         building (n+1)^depth for a depth of 66,666,666."""
@@ -620,7 +644,6 @@ _BAD_SETTINGS = {
     (AssessmentConfig, "attempts"): st.one_of(_BAD_INT, st.just(0)),
     (AssessmentConfig, "seed"): _BAD_INT,
     (AssessmentConfig, "policy"): st.text().filter(lambda p: p not in POLICIES),
-    (AssessmentConfig, "exhaustive_order"): st.sampled_from(["sideways", "", None]),
     (AssessmentConfig, "threshold"): st.one_of(
         _NON_FINITE, _NEGATIVE, st.sampled_from([True, "x", "Auto", [1e-5]])),
     (RmConfig, "delta_r"): st.one_of(
@@ -655,17 +678,17 @@ _FINITE = st.floats(allow_nan=False, allow_infinity=False)
 @given(
     tau_d=st.floats(1e-3, 1e3), horizon=st.floats(1.0, 20.0),
     attempts=st.integers(1, 10**6), seed=st.integers(0, 2**63),
-    policy=st.sampled_from(POLICIES), order=st.sampled_from(["ascending", "descending"]),
+    policy=st.sampled_from(POLICIES),
     threshold=st.one_of(st.just("auto"), st.none(), st.integers(0, 5), st.floats(0.0, 1.0)),
     delta_r=st.one_of(st.none(), st.integers(), _FINITE, st.lists(_FINITE)),
     epsilon_stop=st.one_of(st.none(), st.floats(0.0, 1e12)),
     max_iterations=st.integers(0, 100),
 )
-def test_valid_settings_construct(tau_d, horizon, attempts, seed, policy, order, threshold,
+def test_valid_settings_construct(tau_d, horizon, attempts, seed, policy, threshold,
                                   delta_r, epsilon_stop, max_iterations):
     assessment = AssessmentConfig(
         tau_d=tau_d, t_max=tau_d * horizon, attempts=attempts, policy=policy, seed=seed,
-        threshold=threshold, exhaustive_order=order,
+        threshold=threshold,
     )
     RmConfig(delta_r=delta_r, epsilon_stop=epsilon_stop, max_iterations=max_iterations,
              assessment=assessment)

@@ -20,6 +20,7 @@ from gridrisk.assess import AssessmentConfig, base_state, run_assessment
 from gridrisk.cascade import TARGET_EPSILON
 from gridrisk.management import build_rm
 from gridrisk.network import apply_outage, build_topology, dc_power_flow, flow_sensitivity
+from test_network import reference_bus
 
 
 # -- reference copies ---------------------------------------------------------
@@ -181,7 +182,8 @@ def ref_topology_data(case, topo):
     for k, members in enumerate(topo.islands):
         if not topo.energized[k] or len(members) == 1:
             continue
-        keep = [p for p in members if p != topo.ref_bus[k]]
+        ref = reference_bus(case, members)
+        keep = [p for p in members if p != ref]
         inv_map[np.ix_(keep, keep)] = scipy.linalg.inv(b_mat[np.ix_(keep, keep)])
     flow_rows = np.zeros((case.n_branch, n_bus))
     for i, br in enumerate(case.branches):
@@ -233,7 +235,7 @@ SCENARIOS = [("toy6", ()), ("toy6", (1,)), ("rts96", (22, 23, 24))]
 
 def after_fast_process(case, outages):
     x = base_state(case)
-    topo, _ = apply_outage(case, build_topology(case), outages)
+    topo = apply_outage(case, build_topology(case), outages)
     fast = cascade.short_timescale_process(
         case, topo, x, initial_trips=tuple(sorted(outages)), jacobians=False
     )

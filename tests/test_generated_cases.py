@@ -1,10 +1,13 @@
 """Invariants checked on generated cases (`test_network.small_cases`): an
-exhaustive depth-2 R' equals the enumeration oracle (acceptance 01), and
-gradient runs on a warm dispatch-LP memo match solving every LP node for
-node."""
+exhaustive depth-2 R' equals the enumeration oracle (acceptance 01), each
+opened node's children distribution sums to 1 (acceptance 02), best-first
+search run to full exploration gives the exhaustive R' and root gradient
+(acceptance 06's order independence), and gradient runs on a warm
+dispatch-LP memo match solving every LP node for node."""
 
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -39,9 +42,18 @@ def test_risk_and_memo_invariants(data):
     off = assessment(replace(CONFIG, gradients=False))
     oracle = enumeration_risk(case, off.topo, off.x_root, CONFIG.tau_d, 2)
     assert abs(off.r_prime - oracle) <= 1e-9 * max(abs(oracle), 1e-12)
+    for node in off.tree.nodes.values():
+        if node.child_probs is not None:
+            assert abs(node.child_probs.sum() - 1.0) <= 1e-12, node.label
     # the first gradient run meets LPs the memo holds without jacobians, the
     # second finds every jacobian held
     runs = [assessment(CONFIG), assessment(CONFIG)]
+    best_first = assessment(replace(CONFIG, policy="best-first"))
+    assert best_first.tree.nodes.keys() == runs[0].tree.nodes.keys()
+    assert abs(best_first.r_prime - runs[0].r_prime) <= 1e-9 * abs(runs[0].r_prime)
+    s_accum = runs[0].tree.root.s_accum
+    scale = max(1.0, np.abs(s_accum).max())
+    assert np.abs(best_first.tree.root.s_accum - s_accum).max() <= 1e-12 * scale
     with pytest.MonkeyPatch.context() as m:
         m.setattr(cascade, "_solve_dispatch_lp", always_solve)
         want = assessment(CONFIG)

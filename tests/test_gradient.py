@@ -168,10 +168,14 @@ class TestBackwardGradient:
         np.testing.assert_array_equal(t.root.s_accum, before)
 
     def test_order_independence_exhaustive(self):
+        # best-first run to full exploration visits the same tree in another order
         case = toy6()
-        base = dict(tau_d=15.0, t_max=30.0, attempts=400, policy="exhaustive", seed=1)
-        a = run_assessment(case, {3}, AssessmentConfig(**base, exhaustive_order="ascending"))
-        b = run_assessment(case, {3}, AssessmentConfig(**base, exhaustive_order="descending"))
+        base = dict(tau_d=15.0, t_max=30.0, attempts=400, seed=1)
+        a = run_assessment(case, {3}, AssessmentConfig(**base, policy="exhaustive"))
+        b = run_assessment(case, {3}, AssessmentConfig(**base, policy="best-first"))
+        assert a.tree.nodes.keys() == b.tree.nodes.keys()
+        visits = [{k: n.first_attempt for k, n in t.tree.nodes.items()} for t in (a, b)]
+        assert visits[0] != visits[1]
         scale = max(1.0, np.abs(a.tree.root.s_accum).max())
         assert np.abs(a.tree.root.s_accum - b.tree.root.s_accum).max() <= 1e-12 * scale
 

@@ -76,7 +76,7 @@ def test_gradients_off_solves_no_sensitivity(sensitivity_calls):
 
 def test_level_without_jacobians_matches_level_with(toy6):
     topo = build_topology(toy6)
-    t2, _ = apply_outage(toy6, topo, {3})
+    t2 = apply_outage(toy6, topo, {3})
     state = SystemState([120.0, 90.0, 60.0], [100.0, 170.0, 0.0])
     for event_id in (0, 4, 5):
         on = simulate_level(toy6, t2, state, event_id, 15.0)

@@ -50,7 +50,7 @@ def assert_same_nodes(got, want):
     assert got.x_root.x.tobytes() == want.x_root.x.tobytes()
     for label, node in want.tree.nodes.items():
         other = got.tree.nodes[label]
-        for name in ("prob", "cost", "c_equiv", "subsequent_risk", "visited"):
+        for name in ("prob", "cost", "c_equiv", "subsequent_risk", "first_attempt"):
             assert getattr(other, name) == getattr(node, name), (label, name)
         assert other.state.x.tobytes() == node.state.x.tobytes(), label
         if node.record is not None:

@@ -103,7 +103,9 @@ class TestRmStep:
         assert res.x_star.p_load[0] == pytest.approx(119.5, abs=1e-7)
         assert res.cost == pytest.approx(0.5 * (10000.0 + 80.0), rel=1e-9)
         # relaxing a binding risk requirement lowers cost (scipy marginal <= 0)
-        assert res.risk_dual < 0.0
+        sol = lp.solve_lp(build_rm(toy6, topo, pre_state, pre_state, -gamma_assessed,
+                                   r_prime0=1000.0, r_expected=500.0))
+        assert sol.in_duals[0] < 0.0
         assert res.predicted_r_prime == pytest.approx(500.0, rel=1e-9)
 
 

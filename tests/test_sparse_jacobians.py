@@ -86,7 +86,7 @@ def ref_fast(case, topo, state, initial_trips=()):
         over = case.branch_ids[topo.mask & (np.abs(flows) > case.trip_factor * case.f_max)]
         if not over.size:
             return jac_total, dcost_total
-        topo, _ = apply_outage(case, topo, over.tolist())
+        topo = apply_outage(case, topo, over.tolist())
     dcost_total += case.c_load @ jac_total[: case.n_load, :]
     return np.zeros((case.n_x, case.n_x)), dcost_total
 
@@ -157,7 +157,7 @@ def test_level_jacobians_match_dense_formulas(run, sensitivity_matrices, monkeyp
         parent = a.tree.nodes[label[:-1]]
         topo = parent.topo
         if rec.event_id:
-            topo, _ = apply_outage(case, topo, {rec.event_id})
+            topo = apply_outage(case, topo, {rec.event_id})
         trips = (rec.event_id,) if rec.event_id else ()
         jac, dcost = ref_fast(case, topo, parent.state, trips)
         _close(rec.fast.jac.toarray(), jac)

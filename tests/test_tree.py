@@ -224,7 +224,7 @@ def uncached_fully_explored(node):
     """`TreeNode.fully_explored` as it was before the flag was cached: a walk
     of the whole subtree on every call."""
     if node.terminal:
-        return node.visited
+        return True
     if node.child_ids is None:
         return False
     for eid in node.child_ids:
@@ -235,7 +235,7 @@ def uncached_fully_explored(node):
 
 
 def tree_rows(a):
-    return [(label, n.prob, n.cost, n.c_equiv, n.visited, n.first_attempt)
+    return [(label, n.prob, n.cost, n.c_equiv, n.first_attempt)
             for label, n in a.tree.nodes.items()]
 
 
