@@ -2,6 +2,7 @@
 probabilities, the fast overload/shedding process, and the two re-dispatch
 LPs (target selection and ramp-limited execution), each with the local
 sensitivity matrices of the state chain when asked for (`jacobians=True`).
+`dispatch_lp` builds these two LPs and the risk-management LP.
 
 All maps are differentiated under the frozen-event / frozen-basis rule: the
 trip sequence, island partition and LP active sets are held fixed, so every
@@ -353,51 +354,83 @@ def _tie_broken_costs(case: NetworkCase) -> tuple[np.ndarray, np.ndarray]:
     return c[: case.n_load], c[case.n_load :]
 
 
-def _island_balance_rows(case: NetworkCase, topo: Topology, n_vars: int) -> np.ndarray:
-    """One equality row, right-hand side 0, per energized island over the
-    [P_d; P_g] slots: -1 for its loads, +1 for its generators."""
-    k = np.flatnonzero(topo.energized)[:, None]
-    rows = np.zeros((k.size, n_vars))
-    rows[:, : case.n_load][topo.load_island == k] = -1.0
-    rows[:, case.n_load : case.n_x][topo.gen_island == k] = 1.0
-    return rows
+def dispatch_lp(case: NetworkCase, topo: Topology, load_sign: float, lo_d: np.ndarray,
+                hi_d: np.ndarray, p_ref: np.ndarray | None = None, rows: tuple | None = None,
+                flows: bool = False, params: tuple = (0, ())) -> lp.LpProblem:
+    """The one builder of the target, execution and RM LPs, priced with
+    `_tie_broken_costs`.
 
+    - Variables [P_d; P_g], plus split columns [u; v] with P_g - u + v = p_ref
+      when `p_ref` is given, so that c_G'(u + v) prices |P_g - p_ref|.
+    - Objective load_sign c_D'P_d, plus c_G'(u + v), or TARGET_EPSILON
+      c_G'P_g without `p_ref`.
+    - Equality rows: one balance row per energized island (-1 for its loads,
+      +1 for its generators, right-hand side 0), then the split rows.
+    - Inequality rows: the caller's one-sided `rows` = (A, b), A [P_d; P_g]
+      <= b, then with `flows` one ranged row -F_max <= flow <= F_max per
+      branch with a nonzero flow-sensitivity row (out-of-service branches and
+      branches of de-energized islands drop out).
+    - Bounds lo_d <= P_d <= hi_d, P_min <= P_g <= P_max, u, v >= 0.
 
-def _flow_limit_rows(case: NetworkCase, topo: Topology, n_vars: int):
-    """-F_max <= flow <= F_max over the [P_d; P_g] slots: (rows, F_max), one
-    ranged row per branch with a nonzero flow-sensitivity row.
-
-    Out-of-service branches and branches in de-energized islands have zero
-    sensitivity rows, so they drop out.
+    `params` is (count, terms): a term (block, index, param, coeff) says that
+    parameter param[k] moves entry index[k] of `block` by `coeff`, where the
+    block is "rows" (their b), "split" (p_ref), "lo" or "hi" (the bounds).
     """
-    sens = flow_sensitivity(case, topo)
-    live = np.flatnonzero(np.any(sens, axis=1))
-    rows = np.zeros((live.size, n_vars))
-    rows[:, : case.n_x] = sens[live]
-    return rows, case.f_max[live]
+    n_l, n_g, n_x = case.n_load, case.n_gen, case.n_x
+    n_split = 0 if p_ref is None else n_g
+    n_vars = n_x + 2 * n_split
+    c_load, c_gen = _tie_broken_costs(case)
+    k = np.flatnonzero(topo.energized)[:, None]
+    a_eq = np.zeros((k.size + n_split, n_vars))
+    a_eq[: k.size, :n_l][topo.load_island == k] = -1.0
+    a_eq[: k.size, n_l:n_x][topo.gen_island == k] = 1.0
+    if p_ref is None:
+        c = np.concatenate([load_sign * c_load, TARGET_EPSILON * c_gen])
+        b_eq = np.zeros(k.size)
+    else:
+        c = np.concatenate([load_sign * c_load, np.zeros(n_g), c_gen, c_gen])
+        j = np.arange(n_g)
+        a_eq[k.size + j, n_l + j] = 1.0
+        a_eq[k.size + j, n_x + j] = -1.0
+        a_eq[k.size + j, n_x + n_g + j] = 1.0
+        b_eq = np.concatenate([np.zeros(k.size), p_ref])
 
+    a_rows, b_in = (np.zeros((0, n_x)), np.zeros(0)) if rows is None else rows
+    lb_in = None
+    if flows:
+        sens = flow_sensitivity(case, topo)
+        live = np.flatnonzero(np.any(sens, axis=1))
+        f_max = case.f_max[live]
+        lb_in = np.concatenate([np.full(len(b_in), -np.inf), -f_max])
+        a_rows = np.concatenate([a_rows, sens[live]])
+        b_in = np.concatenate([b_in, f_max])
+    a_in = np.zeros((len(a_rows), n_vars))
+    a_in[:, :n_x] = a_rows
 
-def _move_split_rows(case: NetworkCase, n_vars: int, p_ref: np.ndarray):
-    """P_g - u + v = p_ref over [P_d, P_g, u, v], one row per generator, so
-    that c_G'(u + v) prices |P_g - p_ref|."""
-    n_l, n_g = case.n_load, case.n_gen
-    rows = np.zeros((n_g, n_vars))
-    j = np.arange(n_g)
-    rows[j, n_l + j] = 1.0
-    rows[j, n_l + n_g + j] = -1.0
-    rows[j, n_l + 2 * n_g + j] = 1.0
-    return rows, np.asarray(p_ref, dtype=float)
+    m_in, m_eq = len(a_in), len(a_eq)
+    offset = {"rows": 0, "split": m_in + k.size, "lo": m_in + m_eq, "hi": m_in + m_eq + n_vars}
+    count, terms = params
+    empty = np.zeros(0, np.intp)
+    blocks, index, param, coeff = zip(("rows", empty, empty, 0.0), *terms)
+    at = np.concatenate([offset[block] + i for block, i in zip(blocks, index)])
+    return lp.LpProblem(
+        c=c, a_eq=a_eq, b_eq=b_eq, a_in=a_in, lb_in=lb_in, b_in=b_in,
+        lo=np.concatenate([lo_d, case.gen_min, np.zeros(2 * n_split)]),
+        hi=np.concatenate([hi_d, case.gen_max, np.full(2 * n_split, np.inf)]),
+        params=(count, at, np.concatenate(param), np.repeat(coeff, [len(i) for i in index])),
+    )
 
 
 def _solve_dispatch_lp(topo: Topology, key: tuple, build, derive=None):
     """(solution, jacobians) of the dispatch LP that `key` names
     on `topo`, solved once per distinct LP.
 
-    The costs, the matrices a_eq, a_in and the row lower bounds lb_in of the
-    target and execution LPs depend only on the case, the topology and the
-    LP kind; the state enters through their right-hand sides and bounds. So
-    the kind and the bytes of the state-driven vectors name the LP in
-    `topo.lp_memo`, and the caller computes only those before the lookup.
+    The costs, the matrices a_eq, a_in, the row lower bounds lb_in and the
+    generator and split-column bounds of the target and execution LPs depend
+    only on the case, the topology and the LP kind; the state enters through
+    the other right-hand sides and bounds. So the kind and the bytes of the
+    state-driven vectors name the LP in `topo.lp_memo`, and the caller
+    computes only those before the lookup.
     `build()` makes the `LpProblem`; it runs on a miss, and again when an
     LP first solved without jacobians is later asked for them.
     `derive(matrix)` turns the sensitivity matrix into the jacobians, a
@@ -438,32 +471,19 @@ def dispatch_target(
     to the shed-all target (P*_d = 0, P*_g = P'_g), flagged.
     """
     n_l, n_g, n_x = case.n_load, case.n_gen, case.n_x
-    lo = np.concatenate([np.zeros(n_l), case.gen_min])
-    hi = np.concatenate([np.maximum(x_prime.p_load, 0.0), case.gen_max])
+    hi_d = np.maximum(x_prime.p_load, 0.0)
 
     def build():
-        c_load, c_gen = _tie_broken_costs(case)
-        balance = _island_balance_rows(case, topo, n_x)
-        a_in, f_max = _flow_limit_rows(case, topo, n_x)
         # parameter i is P'_d[i], the upper bound of P*_d[i]
-        hi_at = len(f_max) + len(balance) + n_x + np.arange(n_l)
-        return lp.LpProblem(
-            c=np.concatenate([-c_load, TARGET_EPSILON * c_gen]),
-            a_eq=balance,
-            b_eq=np.zeros(len(balance)),
-            a_in=a_in,
-            lb_in=-f_max,
-            b_in=f_max,
-            lo=lo,
-            hi=hi,
-            params=(n_l, hi_at, np.arange(n_l), np.ones(n_l)),
-        )
+        i = np.arange(n_l)
+        return dispatch_lp(case, topo, -1.0, np.zeros(n_l), hi_d, flows=True,
+                           params=(n_l, [("hi", i, i, 1.0)]))
 
     def derive(matrix):
         return Csr.from_dense(matrix, (n_x, n_x))  # d x*/d P'_g is zero
 
     sol, derived = _solve_dispatch_lp(
-        topo, ("target", lo.tobytes(), hi.tobytes()), build, derive if jacobians else None
+        topo, ("target", hi_d.tobytes()), build, derive if jacobians else None
     )
     if not sol.optimal:
         jac = None
@@ -533,47 +553,34 @@ def dispatch_execute(
     """
     check_tau_d(tau_d)
     n_l, n_g, n_x = case.n_load, case.n_gen, case.n_x
-    n_vars = n_l + 3 * n_g  # P_d, P_g, u, v with P_g - u + v = P*_g
-
-    split_rhs = np.asarray(x_star.p_gen, dtype=float)
+    p_ref = np.asarray(x_star.p_gen, dtype=float)
     # ramp rows P_g <= P'_g + tau_D r_g, then -P_g <= -P'_g + tau_D r_g
     window = tau_d * case.gen_ramp
     b_in = np.concatenate([x_prime.p_gen + window, -x_prime.p_gen + window])
     hi_d = np.maximum(x_prime.p_load, 0.0)
     lo_d = np.minimum(np.maximum(x_star.p_load, 0.0), hi_d)  # clip unreachable targets
-    lo = np.concatenate([lo_d, case.gen_min, np.zeros(2 * n_g)])
-    hi = np.concatenate([hi_d, case.gen_max, np.full(2 * n_g, np.inf)])
 
     def build():
-        c_load, c_gen = _tie_broken_costs(case)
-        balance = _island_balance_rows(case, topo, n_vars)
-        split, _ = _move_split_rows(case, n_vars, split_rhs)
-        j = np.arange(n_g)
-        a_in = np.zeros((2 * n_g, n_vars))
-        a_in[j, n_l + j] = 1.0
-        a_in[n_g + j, n_l + j] = -1.0
-        # Parameters [x*; x'] over the stacked [b_in; b_eq; lo; hi]: P*_d
-        # moves lo_d, P*_g the split rows, P'_d hi_d, and P'_g both ramp rows.
-        i = np.arange(n_l)
-        split_at = 2 * n_g + len(balance)   # first split row
-        lo_at = split_at + n_g              # first lower bound
-        at = np.concatenate([lo_at + i, split_at + j, lo_at + n_vars + i, j, n_g + j])
-        param = np.concatenate([np.arange(2 * n_x), n_x + n_l + j])
-        coeff = np.concatenate([np.ones(2 * n_x), -np.ones(n_g)])
-        return lp.LpProblem(
-            c=np.concatenate([c_load, np.zeros(n_g), c_gen, c_gen]),
-            a_eq=np.vstack([balance, split]),
-            b_eq=np.concatenate([np.zeros(len(balance)), split_rhs]),
-            a_in=a_in, b_in=b_in, lo=lo, hi=hi, params=(2 * n_x, at, param, coeff),
+        i, j = np.arange(n_l), np.arange(n_g)
+        ramp = np.zeros((2 * n_g, n_x))
+        ramp[j, n_l + j] = 1.0
+        ramp[n_g + j, n_l + j] = -1.0
+        # parameters [x*; x']: P*_d moves lo_d, P*_g the split rows, P'_d
+        # hi_d, and P'_g both ramp rows
+        return dispatch_lp(
+            case, topo, 1.0, lo_d, hi_d, p_ref=p_ref,
+            rows=(ramp, b_in),
+            params=(2 * n_x, [
+                ("lo", i, i, 1.0), ("split", j, n_l + j, 1.0), ("hi", i, n_x + i, 1.0),
+                ("rows", j, n_x + n_l + j, 1.0), ("rows", n_g + j, n_x + n_l + j, -1.0),
+            ]),
         )
 
     def derive(matrix):
         return Csr.from_dense(matrix[:n_x, :n_x]), Csr.from_dense(matrix[:n_x, n_x:])
 
-    key = ("execute", split_rhs.tobytes(), b_in.tobytes(), lo.tobytes(), hi.tobytes())
-    sol, derived = _solve_dispatch_lp(
-        topo, key, build, derive if jacobians else None
-    )
+    key = ("execute", p_ref.tobytes(), b_in.tobytes(), lo_d.tobytes(), hi_d.tobytes())
+    sol, derived = _solve_dispatch_lp(topo, key, build, derive if jacobians else None)
     if not sol.optimal:
         # Ramp window cannot restore balance: emergency proportional shedding.
         state, jac, cost, dcost = _rebalance(case, topo, x_prime, jacobians)

@@ -14,10 +14,7 @@ from . import lp
 from .assess import (
     Assessment, AssessmentConfig, check_setting, pre_control, run_assessment,
 )
-from .cascade import (
-    _flow_limit_rows, _island_balance_rows, _move_split_rows, _tie_broken_costs,
-    control_cost_value,
-)
+from .cascade import control_cost_value, dispatch_lp
 from .network import NetworkCase, SystemState, Topology
 
 MAX_REJECTIONS = 4   # rejected IRM rounds before the loop stops
@@ -39,41 +36,20 @@ def build_rm(
     -gamma . (x* - x*_0) <= R_E - R'_0, i.e. gamma . dx* >= R'_0 - R_E, with
     `gamma` in the risk-decrease orientation expected by that form. Network
     constraints: per-island balance, |target flows| <= F_max, generator
-    bounds, 0 <= P*_d <= P_d(pre). The costs carry the dispatch LPs' per-unit
-    tie-break (`cascade._tie_broken_costs`), so the optimum is unique; the
-    step's reported cost uses the case's own costs. The one-sided risk row
-    is inequality row 0; the ranged flow-limit rows, one per live branch,
-    follow it.
+    bounds, 0 <= P*_d <= P_d(pre). `cascade.dispatch_lp` builds it, so the
+    costs carry the dispatch LPs' per-unit tie-break and the optimum is
+    unique; the step's reported cost uses the case's own costs. The one-sided
+    risk row is inequality row 0; the ranged flow-limit rows, one per live
+    branch, follow it.
     """
-    n_l, n_g = case.n_load, case.n_gen
-    n_vars = n_l + 3 * n_g
     gamma = np.asarray(gamma, dtype=float)
     if gamma.size != case.n_x:
         raise ValueError("gamma must cover the control variables [P*_d; P*_g]")
-
-    c_load, c_gen = _tie_broken_costs(case)
-    c = np.concatenate([-c_load, np.zeros(n_g), c_gen, c_gen])
-
-    balance = _island_balance_rows(case, topo, n_vars)
-    split, split_rhs = _move_split_rows(case, n_vars, x_pre.p_gen)
-
     # -gamma.(z - x0) <= R_E - R'0  ->  -gamma.z <= R_E - R'0 - gamma.x0
-    risk_row = np.zeros(n_vars)
-    risk_row[: case.n_x] = -gamma
     risk_rhs = r_expected - r_prime0 - float(gamma @ x_star0.x)
-    flow_rows, f_max = _flow_limit_rows(case, topo, n_vars)
-
-    lo = np.concatenate([np.zeros(n_l), case.gen_min, np.zeros(2 * n_g)])
-    hi = np.concatenate(
-        [np.maximum(x_pre.p_load, 0.0), case.gen_max, np.full(2 * n_g, np.inf)]
-    )
-    return lp.LpProblem(
-        c=c,
-        a_eq=np.vstack([balance, split]),
-        b_eq=np.concatenate([np.zeros(len(balance)), split_rhs]),
-        a_in=np.vstack([risk_row, flow_rows]),
-        lb_in=np.concatenate([[-np.inf], -f_max]), b_in=np.concatenate([[risk_rhs], f_max]),
-        lo=lo, hi=hi,
+    return dispatch_lp(
+        case, topo, -1.0, np.zeros(case.n_load), np.maximum(x_pre.p_load, 0.0),
+        p_ref=x_pre.p_gen, rows=(-gamma[None, :], np.array([risk_rhs])), flows=True,
     )
 
 

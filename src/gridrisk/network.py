@@ -499,7 +499,9 @@ def _number(row: dict, key: str, entity: str, default=_REQUIRED, kind=float):
 
 def _parameter_defaults(source: dict) -> tuple[dict, float, float, float]:
     """Failure-rate defaults, load-shed cost, generator-adjustment cost and
-    trip factor, from the optional `failure_rate` and `costs` objects."""
+    trip factor, from the optional `failure_rate` and `costs` objects. The
+    merged failure-rate block is checked here, after the costs, so a bad
+    value in it is named `[failure_rate]`, not after the first branch."""
     blocks = []
     for key, base in (("failure_rate", DEFAULT_FAILURE_RATE), ("costs", DEFAULT_COSTS)):
         block = source.get(key, {})
@@ -507,8 +509,10 @@ def _parameter_defaults(source: dict) -> tuple[dict, float, float, float]:
             raise CaseSemanticError(f"'{key}' must be an object")
         blocks.append({**base, **block})
     rates, costs = blocks
-    return (rates, _number(costs, "load_shed", "costs"), _number(costs, "gen_adjust", "costs"),
-            _number(rates, "trip_factor", "failure_rate"))
+    shed_cost = _number(costs, "load_shed", "costs")
+    adjust_cost = _number(costs, "gen_adjust", "costs")
+    _rate_from_dict({}, rates, "failure_rate")
+    return rates, shed_cost, adjust_cost, _number(rates, "trip_factor", "failure_rate")
 
 
 def _rate_from_dict(d: dict, defaults: dict, entity: str) -> FailureRateParams:
@@ -725,8 +729,7 @@ def parse_case(text: str, fmt: str = "native-json", defaults: dict | None = None
     if not text or not text.strip():
         raise CaseSyntaxError("empty case text", 1, 1)
     if fmt == "native-json":
-        if defaults:
-            _rate_from_dict({}, _parameter_defaults(defaults)[0], "failure_rate")
+        _parameter_defaults(defaults or {})
         return _parse_native_json(text)
     if fmt == "matpower-text":
         return _parse_matpower(text, defaults)

@@ -223,8 +223,9 @@ class MarkovTree:
     def expand_path(self, config, rng: np.random.Generator, attempt: int) -> list | None:
         """Simulate one root-to-termination path, creating missing nodes.
 
-        Returns the visited nodes below the root (leaf last), or None when an
-        exhaustive or best-first search has nothing left to visit.
+        Returns the visited nodes below the root (leaf last), an empty list
+        when the root is terminal, or None when an exhaustive or best-first
+        search has nothing left to visit.
         """
         node = self.root
         path: list[TreeNode] = []
@@ -273,6 +274,8 @@ def search(tree: MarkovTree, config) -> ConvergenceHistory:
 
     With `tree.gradients` the risk-gradient backward pass follows each risk
     update; per-attempt R' and the root gradient accumulator are recorded.
+    The search stops early when nothing is left to visit, and after the
+    first attempt when the root is terminal (that attempt is recorded).
     """
     if config.policy == "exhaustive":
         check_exhaustive_size(tree.depth, int(tree.root.topo.mask.sum()))
@@ -290,6 +293,8 @@ def search(tree: MarkovTree, config) -> ConvergenceHistory:
         history.r_prime.append(tree.root.subsequent_risk)
         if tree.gradients:
             history.gammas.append(tree.root.s_accum.copy())
+        if not path:   # a terminal root
+            break
     return history
 
 

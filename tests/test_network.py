@@ -160,7 +160,8 @@ class TestParsing:
         (("loads", 0, "p"), " 50 ", "load 1", "'p' must be a number, got ' 50 '"),
         (("buses", 1, "id"), "3", "buses[1]", "'id' must be a number, got '3'"),
         (("costs",), {"load_shed": "100"}, "costs", "'load_shed' must be a number, got '100'"),
-        (("failure_rate",), {"knee": "0.9"}, "branch 1", "'knee' must be a number, got '0.9'"),
+        (("failure_rate",), {"knee": "0.9"}, "failure_rate",
+         "'knee' must be a number, got '0.9'"),
     ])
     def test_malformed_native_value_named(self, path, value, entity, message):
         doc = json.loads(json.dumps(MINIMAL_2BUS))
@@ -209,10 +210,10 @@ class TestParsing:
         ({"costs": {"load_shed": "x"}}, "costs", "'load_shed' must be a number, got 'x'"),
         ({"costs": {"gen_adjust": None}}, "costs", "'gen_adjust' must be a number, got None"),
         ({"costs": 5}, None, "'costs' must be an object"),
-        ({"failure_rate": {"knee": "x"}}, "branch 1", "'knee' must be a number, got 'x'"),
+        ({"failure_rate": {"knee": "x"}}, "failure_rate", "'knee' must be a number, got 'x'"),
         ({"ramp_fraction": "x"}, "defaults", "'ramp_fraction' must be a number"),
         ({"costs": {"gen_adjust": "100"}}, "costs", "'gen_adjust' must be a number, got '100'"),
-        ({"failure_rate": {"lambda_0": "1e-4"}}, "branch 1", "'lambda_0' must be a number"),
+        ({"failure_rate": {"lambda_0": "1e-4"}}, "failure_rate", "'lambda_0' must be a number"),
         ({"branch_limit": "500"}, "defaults", "'branch_limit' must be a number, got '500'"),
     ])
     def test_malformed_matpower_defaults_named(self, defaults, entity, message):

@@ -85,6 +85,18 @@ class TestExpansion:
         a = run_assessment(case, {3}, cfg)
         assert len(a.tree.nodes) > 1
 
+    @pytest.mark.parametrize("policy", ["exhaustive", "probability-sampled", "best-first"])
+    @pytest.mark.parametrize("gradients", [False, True])
+    def test_terminal_root_ends_the_search(self, two_bus, policy, gradients):
+        # losing the only branch sheds all load, so the root is terminal: one
+        # empty attempt is recorded, not one per attempt of the budget
+        cfg = AssessmentConfig(tau_d=15.0, t_max=30.0, attempts=200, policy=policy,
+                               seed=1, gradients=gradients)
+        a = run_assessment(two_bus, {1}, cfg)
+        assert a.tree.root.terminal and list(a.tree.nodes) == [()]
+        assert a.history.attempts == [1] and a.history.r_prime == [0.0]
+        assert len(a.history.gammas) == int(gradients)
+
     @pytest.mark.parametrize("order", [(1, 2), (2, 1)])
     def test_best_first_near_tie_goes_to_first_child(self, order):
         # scores of about 180 that differ in the last bit: the first child

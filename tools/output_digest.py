@@ -62,6 +62,12 @@ def commands() -> list:
             ]))
     cmds += [
         ("toy6-irm-3-config", ["irm", "--config", "toy6-irm-3.json"]),
+        # a scalar --delta-r too large to meet: round 1 halves the RM LP's
+        # risk decrease until it is feasible, round 2 passes MAX_HALVINGS
+        ("toy6-irm-3-delta-r-1e9", [
+            "irm", *TOY6, "--outages", "3", "--policy", "exhaustive", "--attempts", "200",
+            "--seed", "1", "--delta-r", "1e9",
+        ]),
         ("rts96-assess", ["assess", *RTS96, "--attempts", "40"]),
         ("rts96-gradient", ["gradient", *RTS96, "--attempts", "30"]),
         ("rts96-irm", ["irm", *RTS96, "--attempts", "20"]),
