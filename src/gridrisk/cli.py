@@ -241,7 +241,6 @@ def cmd_gradient(cfg: RunConfig) -> int:
 
 
 def cmd_validate_gradient(cfg: RunConfig) -> int:
-    _assess.check_validation(cfg.rm.assessment, cfg.fd_step)
     case, target, out = _start(cfg)
     val = _assess.validate_gradient(
         case, cfg.outages, cfg.rm.assessment, control_target=target, step=cfg.fd_step

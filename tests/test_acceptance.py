@@ -139,6 +139,39 @@ def test_04_lp_sensitivity_randomized():
            f"100 non-degenerate instances, worst rel err {worst:.2e} ({elapsed:.1f}s)")
 
 
+def conservation_violations(case, a, tau_d: float) -> tuple:
+    """Acceptance 05's checks on every non-emergency execution of `a`'s tree:
+    island balance within 1e-6 MW, and the ramp window, generator bounds and
+    load bounds within 1e-8 MW. Returns (executions checked, violations)."""
+    violations = []
+    count = 0
+    window = tau_d * case.gen_ramp
+    for node in a.tree.nodes.values():
+        rec = node.record
+        if rec is None or rec.execute.emergency:
+            continue
+        count += 1
+        state = rec.x_next
+        for members in rec.topo.islands:
+            mset = set(members)
+            d = sum(state.p_load[i] for i, b in enumerate(case.load_bus) if b in mset)
+            g = sum(state.p_gen[j] for j, b in enumerate(case.gen_bus) if b in mset)
+            if abs(g - d) > 1e-6:
+                violations.append(f"balance {node.label}: {g - d:.2e}")
+        move = np.abs(state.p_gen - rec.fast.final_state.p_gen) - window
+        if np.any(move > 1e-8):
+            violations.append(f"ramp {node.label}: {move.max():.2e}")
+        if np.any(state.p_gen > case.gen_max + 1e-8) or np.any(
+            state.p_gen < case.gen_min - 1e-8
+        ):
+            violations.append(f"gen bounds {node.label}")
+        hi = np.maximum(rec.fast.final_state.p_load, 0.0)
+        lo = np.minimum(np.maximum(rec.target.x_star.p_load, 0.0), hi)
+        if np.any(state.p_load > hi + 1e-8) or np.any(state.p_load < lo - 1e-8):
+            violations.append(f"load bounds {node.label}")
+    return count, violations
+
+
 def test_05_conservation_after_every_execution(toy6, rts96):
     violations = []
     scenarios = [
@@ -149,31 +182,11 @@ def test_05_conservation_after_every_execution(toy6, rts96):
     ]
     count = 0
     for case, outages, cfg in scenarios:
-        a = run_assessment(case, outages, cfg)
-        window = cfg.tau_d * case.gen_ramp
-        for node in a.tree.nodes.values():
-            rec = node.record
-            if rec is None or rec.execute.emergency:
-                continue
-            count += 1
-            state = rec.x_next
-            for members in rec.topo.islands:
-                mset = set(members)
-                d = sum(state.p_load[i] for i, b in enumerate(case.load_bus) if b in mset)
-                g = sum(state.p_gen[j] for j, b in enumerate(case.gen_bus) if b in mset)
-                if abs(g - d) > 1e-6:
-                    violations.append(f"balance {node.label}: {g - d:.2e}")
-            move = np.abs(state.p_gen - rec.fast.final_state.p_gen) - window
-            if np.any(move > 1e-8):
-                violations.append(f"ramp {node.label}: {move.max():.2e}")
-            if np.any(state.p_gen > case.gen_max + 1e-8) or np.any(
-                state.p_gen < case.gen_min - 1e-8
-            ):
-                violations.append(f"gen bounds {node.label}")
-            hi = np.maximum(rec.fast.final_state.p_load, 0.0)
-            lo = np.minimum(np.maximum(rec.target.x_star.p_load, 0.0), hi)
-            if np.any(state.p_load > hi + 1e-8) or np.any(state.p_load < lo - 1e-8):
-                violations.append(f"load bounds {node.label}")
+        checked, found = conservation_violations(
+            case, run_assessment(case, outages, cfg), cfg.tau_d
+        )
+        count += checked
+        violations += found
     report(5, not violations,
            f"{count} executions checked, violations: {violations[:3] or 'none'}")
 

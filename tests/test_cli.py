@@ -533,16 +533,8 @@ class TestCommands:
                         *threshold, "--out", str(tmp_path / "g")]) == 0
         assert len(calls) == 1
 
-    def test_validate_gradient_requires_exhaustive(self, toy_case_file, tmp_path):
-        code = run_cli([
-            "validate-gradient", "--case", toy_case_file, "--outages", "3",
-            "--policy", "probability-sampled", "--out", str(tmp_path / "v"),
-        ])
-        assert code == 2
-        assert not (tmp_path / "v").exists()
-
-    def test_validate_gradient_report(self, toy_case_file, tmp_path):
-        out = tmp_path / "v"
+    @pytest.fixture()
+    def interior_strategy(self, tmp_path):
         strategy = tmp_path / "strategy.json"
         strategy.write_text(json.dumps({
             "loads": [
@@ -556,10 +548,27 @@ class TestCommands:
                 {"id": 3, "target_mw": 10.0},
             ],
         }))
+        return str(strategy)
+
+    def test_validate_gradient_sampled(self, toy_case_file, interior_strategy, tmp_path):
+        out = tmp_path / "v"
+        code = run_cli([
+            "validate-gradient", "--case", toy_case_file, "--outages", "3",
+            "--tau-d", "15", "--t-max", "30", "--policy", "probability-sampled",
+            "--attempts", "40", "--seed", "17", "--strategy", interior_strategy,
+            "--out", str(out),
+        ])
+        assert code == 0
+        report = json.loads((out / "validation.json").read_text())
+        assert report["passed"] is True
+        assert report["checked_components"] >= 4
+
+    def test_validate_gradient_report(self, toy_case_file, interior_strategy, tmp_path):
+        out = tmp_path / "v"
         code = run_cli([
             "validate-gradient", "--case", toy_case_file, "--outages", "3",
             "--tau-d", "15", "--t-max", "30", "--policy", "exhaustive",
-            "--attempts", "300", "--strategy", str(strategy),
+            "--attempts", "300", "--strategy", interior_strategy,
             "--fd-step", "0.25", "--out", str(out),
         ])
         assert code == 0

@@ -2,9 +2,11 @@
 exhaustive depth-2 R' equals the enumeration oracle (acceptance 01), each
 opened node's children distribution sums to 1 (acceptance 02), best-first
 search run to full exploration gives the exhaustive R' and root gradient
-(acceptance 06's order independence), gradient runs on a warm
-dispatch-LP memo match solving every LP node for node, and the target,
-execution and RM LPs equal their row-by-row reference copies bit for bit."""
+(acceptance 06's order independence), every non-emergency execution keeps
+island balance, the ramp window and the generator and load bounds
+(acceptance 05), gradient runs on a warm dispatch-LP memo match solving
+every LP node for node, and the target, execution and RM LPs equal their
+row-by-row reference copies bit for bit."""
 
 import json
 from dataclasses import replace
@@ -24,6 +26,7 @@ from gridrisk.assess import (
 )
 from gridrisk.management import build_rm
 from gridrisk.network import apply_outage, build_topology, parse_case
+from test_acceptance import conservation_violations
 from test_dispatch_rows import assert_same_lp, ref_execute_lp, ref_rm_lp, ref_target_lp
 from test_lp_memo import always_solve, assert_same_nodes
 from test_network import small_cases
@@ -50,6 +53,8 @@ def test_risk_and_memo_invariants(data):
     for node in off.tree.nodes.values():
         if node.child_probs is not None:
             assert abs(node.child_probs.sum() - 1.0) <= 1e-12, node.label
+    _, violations = conservation_violations(case, off, CONFIG.tau_d)
+    assert not violations, violations
     # the first gradient run meets LPs the memo holds without jacobians, the
     # second finds every jacobian held
     runs = [assessment(CONFIG), assessment(CONFIG)]

@@ -1,12 +1,17 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.sparse import csr_matrix
 
 from gridrisk import gradient
 from gridrisk import tree as mtree
-from gridrisk.assess import AssessmentConfig, run_assessment, validate_gradient
+from gridrisk.assess import AssessmentConfig, pre_control, run_assessment, validate_gradient
 from gridrisk.cases import toy6
 from gridrisk.network import SystemState, build_topology
+
+# acceptance criterion 3's interior control target on toy6 {3}
+TOY_INTERIOR = SystemState([110.0, 85.0, 55.0], [5.0, 160.0, 10.0])
 
 
 class TestCompression:
@@ -196,8 +201,7 @@ class TestControlGradient:
         case = toy6()
         cfg = AssessmentConfig(tau_d=15.0, t_max=30.0, attempts=400,
                                policy="exhaustive", seed=1)
-        target = SystemState([110.0, 85.0, 55.0], [5.0, 160.0, 10.0])
-        val = validate_gradient(case, {3}, cfg, control_target=target, step=0.25)
+        val = validate_gradient(case, {3}, cfg, control_target=TOY_INTERIOR, step=0.25)
         assert val.passed
         assert val.unflagged_fraction >= 0.8
         assert val.checked >= 3
@@ -217,6 +221,52 @@ class TestControlGradient:
         assert not np.any(val.rel_err[~val.flagged] > 0.05)
         # nothing is left to check, and an empty check does not pass
         assert val.checked == 0 and not val.passed
+
+    @pytest.mark.parametrize("policy, attempts", [
+        ("probability-sampled", 10), ("probability-sampled", 40), ("best-first", 5),
+        ("best-first", 15),
+    ])
+    def test_gradient_oracle_at_partial_budgets(self, policy, attempts):
+        # a partial tree: each side's search must explore the center's labels
+        # or the component is flagged, so no exhaustive budget is needed
+        cfg = AssessmentConfig(tau_d=15.0, t_max=30.0, attempts=attempts, policy=policy,
+                               seed=17)
+        val = validate_gradient(toy6(), {3}, cfg, control_target=TOY_INTERIOR, step=0.25)
+        assert val.passed and val.checked >= 3
+
+    def test_gradients_off_config_validates_the_same(self):
+        case = toy6()
+        cfg = AssessmentConfig(tau_d=15.0, t_max=30.0, attempts=400,
+                               policy="exhaustive", seed=1)
+        on = validate_gradient(case, {3}, cfg, control_target=TOY_INTERIOR)
+        off = validate_gradient(case, {3}, replace(cfg, gradients=False),
+                                control_target=TOY_INTERIOR)
+        for name in ("gamma", "fd", "rel_err", "flagged"):
+            np.testing.assert_array_equal(getattr(off, name), getattr(on, name))
+        assert off.passed and off.checked == on.checked
+
+    def test_root_execution_lp_alone_flags_a_generator(self):
+        # at toy6 {3}'s conventional target x* = x_pre, so every generator's
+        # split row in the root execution LP sits at u = v = 0: moving gen1's
+        # target changes that LP's active set and no tree node's signature
+        case = toy6()
+        cfg = AssessmentConfig(tau_d=15.0, t_max=30.0, attempts=400,
+                               policy="exhaustive", seed=1, gradients=False)
+        fast = pre_control(case, {3})
+        center = run_assessment(case, {3}, cfg, fast=fast)
+        sig0 = center.signature()
+        root0 = sig0.pop(())
+        i = case.state_names().index("gen1@bus1")
+        root_moved = False
+        for sign in (1.0, -1.0):
+            x = center.x_target.x.copy()
+            x[i] += sign * 0.25
+            a = run_assessment(case, {3}, cfg, SystemState.from_x(x, case.n_load), fast)
+            sig = a.signature()
+            root_moved |= sig.pop(()) != root0
+            assert sig == sig0
+        assert root_moved
+        assert validate_gradient(case, {3}, cfg, step=0.25).flagged[i]
 
     @pytest.mark.parametrize("step", [0.0, -0.25, float("nan"), float("inf")])
     def test_step_checked_before_any_assessment(self, step):

@@ -16,8 +16,11 @@ writes), exiting 1 if there is any. Each such label is followed by the
 largest relative and the largest absolute difference over the numeric cells
 of the two files, so a move by roundoff alone reads as one, even in a cell
 near zero, where the relative difference alone can read 1; or by "text
-differs" when the files differ outside their numbers. A command that exits non-zero stops the run
-with exit code 1.
+differs" when the files differ outside their numbers. A command that exits
+non-zero is digested as one label, `<command>/exit`, holding its exit status
+(its stderr goes to this script's stderr), and the run goes on; with
+`--against`, a command that fails on one tree only reads "exit status N
+against M". Any failing command, on either tree, makes the script exit 1.
 """
 
 from __future__ import annotations
@@ -90,6 +93,13 @@ def commands() -> list:
             "validate-gradient", *TOY6, "--outages", "3", "--policy", "exhaustive",
             "--attempts", "300", "--fd-step", "0.25", "--strategy", "toy6-interior.json",
         ]),
+        # the same on a sampled partial tree, which flags a component whose
+        # perturbation explores other labels
+        ("toy6-validate-gradient-3-interior-sampled", [
+            "validate-gradient", *TOY6, "--outages", "3", "--policy", "probability-sampled",
+            "--attempts", "40", "--seed", "17", "--fd-step", "0.25",
+            "--strategy", "toy6-interior.json",
+        ]),
         # acceptance criterion 10's compressed run: compressed chain storage
         ("ring120-gradient-compressed", [
             "gradient", "--case", "ring120.json", "--outages", "1", "--tau-d", "15",
@@ -107,18 +117,19 @@ def commands() -> list:
     return cmds
 
 
-def _run(argv: list, env: dict, cwd: Path) -> bytes:
+def _run(argv: list, env: dict, cwd: Path) -> subprocess.CompletedProcess:
     proc = subprocess.run(argv, env=env, cwd=cwd, capture_output=True)
     if proc.returncode != 0:
         sys.stderr.write(proc.stderr.decode(errors="replace"))
-        raise SystemExit(f"exit {proc.returncode}: {' '.join(argv)}")
-    return proc.stdout
+        sys.stderr.write(f"exit {proc.returncode}: {' '.join(argv)}\n")
+    return proc
 
 
 def digests(src: str, emit=None, contents: dict | None = None) -> dict:
     """`<command>/<file>` -> sha256 for every command run on the package in
-    `src`; `emit(line)` sees each line as soon as it is known, and
-    `contents`, when given, gets each label's bytes."""
+    `src`, or `<command>/exit` for a command that exits non-zero;
+    `emit(line)` sees each line as soon as it is known, and `contents`, when
+    given, gets each label's bytes."""
     env = dict(os.environ)
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = "1"
@@ -136,22 +147,37 @@ def digests(src: str, emit=None, contents: dict | None = None) -> dict:
         work = Path(tmp)
         (work / "toy6-interior.json").write_text(json.dumps(TOY6_INTERIOR))
         (work / "toy6-irm-3.json").write_text(json.dumps(TOY6_IRM_CONFIG))
-        _run([sys.executable, "-c",
-              "from gridrisk import cases, serialize_case\n"
-              "for name in ('toy6', 'rts96', 'ring120'):\n"
-              "    with open(name + '.json', 'w') as fh:\n"
-              "        fh.write(serialize_case(getattr(cases, name)()))\n"], env, work)
+        if _run([sys.executable, "-c",
+                 "from gridrisk import cases, serialize_case\n"
+                 "for name in ('toy6', 'rts96', 'ring120'):\n"
+                 "    with open(name + '.json', 'w') as fh:\n"
+                 "        fh.write(serialize_case(getattr(cases, name)()))\n"],
+                env, work).returncode:
+            raise SystemExit("the case files could not be written")
         for label, cmd in commands():
             out = Path("out") / label
-            record(f"{label}/stdout",
-                   _run([sys.executable, "-m", "gridrisk.cli", *cmd, "--out", str(out)],
-                        env, work))
+            proc = _run([sys.executable, "-m", "gridrisk.cli", *cmd, "--out", str(out)],
+                        env, work)
+            if proc.returncode:
+                record(f"{label}/exit", b"%d\n" % proc.returncode)
+                continue
+            record(f"{label}/stdout", proc.stdout)
             for path in sorted((work / out).iterdir()):
                 record(f"{label}/{path.name}", path.read_bytes())
     return found
 
 
+def failed(found: dict) -> bool:
+    """Whether any command of `digests`' result exited non-zero."""
+    return any(label.endswith("/exit") for label in found)
+
+
 _NUMBER = re.compile(rb"([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)")
+
+
+def exit_note(ours: bytes | None, theirs: bytes | None) -> str:
+    """How two `<command>/exit` labels differ; a missing one means exit 0."""
+    return f"exit status {int(ours or 0)} against {int(theirs or 0)}"
 
 
 def difference_note(ours: bytes | None, theirs: bytes | None) -> str:
@@ -179,15 +205,16 @@ def main(argv=None) -> int:
                              "of its numbers")
     args = parser.parse_args(argv)
     if args.against is None:
-        digests(args.src, emit=lambda line: print(line, flush=True))
-        return 0
+        found = digests(args.src, emit=lambda line: print(line, flush=True))
+        return 1 if failed(found) else 0
     our_data, their_data = {}, {}
     ours = digests(args.src, contents=our_data)
     theirs = digests(args.against, contents=their_data)
     changed = [label for label in {**ours, **theirs} if ours.get(label) != theirs.get(label)]
     for label in changed:
-        print(f"{label}  {difference_note(our_data.get(label), their_data.get(label))}")
-    return 1 if changed else 0
+        note = exit_note if label.endswith("/exit") else difference_note
+        print(f"{label}  {note(our_data.get(label), their_data.get(label))}")
+    return 1 if changed or failed(ours) or failed(theirs) else 0
 
 
 if __name__ == "__main__":
