@@ -2,7 +2,7 @@
 
 The package simulates multi-interval cascades (stochastic flow-dependent
 branch failures interleaved with fast overload trips and LP re-dispatch),
-organizes outcomes in a Markov tree to estimate blackout risk, accumulates
+organizes outcomes in a Markov tree to estimate blackout risk, computes
 the risk gradient with a forward-backward pass over the tree, and derives
 minimum-cost re-dispatch targets that cap the assessed risk, iteratively.
 """

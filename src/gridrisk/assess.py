@@ -1,5 +1,5 @@
 """End-to-end risk assessment: base dispatch, initial outages, control
-execution, tree search with gradient accumulation, and the finite-difference
+execution, tree search with the risk gradient, and the finite-difference
 gradient validator."""
 
 from __future__ import annotations
@@ -269,7 +269,7 @@ def validate_gradient(
     control_target: SystemState | None = None,
     step: float = 0.25,
 ) -> GradientValidation:
-    """Compare the accumulated gradient against central finite differences of
+    """Compare the risk gradient against central finite differences of
     the assessed subsequent risk R' over each control component.
 
     The gradient is that of R' on a fixed explored tree with fixed trips and

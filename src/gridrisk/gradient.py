@@ -1,8 +1,8 @@
 """Risk-gradient machinery: forward sensitivity chains along cascade paths,
-the backward per-path gradient recursion with persistent node accumulators,
-the projection into control (target-state) space, convergence indices, the
-`Csr` sparse matrix every local Jacobian is kept in, and thresholded
-compressed storage for the chain matrices.
+the backward recursion for each node's dC'/dx0, the projection into control
+(target-state) space, convergence indices, the `Csr` sparse matrix every
+local Jacobian is kept in, and thresholded compressed storage for the chain
+matrices.
 """
 
 from __future__ import annotations
@@ -180,46 +180,24 @@ def chain_step(rec: LevelRecord, x_parent: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
-# Backward gradient accumulation
+# Backward gradient recursion
 # ---------------------------------------------------------------------------
 
-def backward_gradient_update(tree, path: list, attempt: int) -> np.ndarray:
-    """One backward pass of the risk-gradient recursion along a path.
+def backward_gradient_update(tree, path: list) -> None:
+    """Refresh S(n) = dC'(n)/dx0 from the leaf back to the root: the
+    derivative of `tree.backward_risk_update`'s C' recursion,
 
-    Walking leaf -> root with b(r) = 1 iff the node was first visited this
-    attempt:
+        S(n) = dC(n)/dx0 + sum over instantiated children c of
+               Pr(c) S(c) + C'(c) dPr(c)/dx0,
 
-        S(n)  = b(n) dC(n)/dx0
-        dC(n) = b(n) C(n)
-        S(r)  = b(r) dC(r)/dx0 + Pr(r+1) S(r+1) + dC(r+1) dPr(r+1)/dx0
-        dC(r) = b(r) C(r) + Pr(r+1) dC(r+1)
-        S(0)  = Pr(1) S(1) + dC(1) dPr(1)/dx0    (the root carries no cost)
-
-    Each level's path-local S is added into the node's persistent accumulator;
-    the root accumulator converges to dR'/dx0 and is exact (independent of
-    visit order) once every node has been visited.
+    run after it on the same path. Recomputation makes replaying a visited
+    path a no-op, and the root's S is dR'/dx0 over the tree built so far.
     """
-    n_x = tree.case.n_x
-    if not path:
-        return np.zeros(n_x)
-    s_child = None
-    dc_child = 0.0
-    pr_child = 0.0
-    dpr_child = np.zeros(n_x)
-    for node in reversed(path):
-        b = 1.0 if node.first_attempt == attempt else 0.0
-        if s_child is None:  # path end
-            s_here = b * node.dcost_dx0
-            dc_here = b * node.cost
-        else:
-            s_here = b * node.dcost_dx0 + pr_child * s_child + dc_child * dpr_child
-            dc_here = b * node.cost + pr_child * dc_child
-        node.s_accum += s_here
-        s_child, dc_child = s_here, dc_here
-        pr_child, dpr_child = node.prob, node.dprob_dx0
-    s_root = pr_child * s_child + dc_child * dpr_child
-    tree.root.s_accum += s_root
-    return s_root
+    for node in reversed([tree.root] + path):
+        total = node.dcost_dx0
+        for child in node.children.values():
+            total = total + child.prob * child.s_accum + child.c_equiv * child.dprob_dx0
+        node.s_accum = total
 
 
 def control_gradient(s0: np.ndarray, exec_sensitivity) -> np.ndarray:

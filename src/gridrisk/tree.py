@@ -47,7 +47,6 @@ class TreeNode:
     state: SystemState
     topo: Topology
     c_equiv: float = 0.0            # C'
-    first_attempt: int = -1         # the attempt whose path created the node
     terminal: bool = False
     children: dict = field(default_factory=dict)
     record: cascade.LevelRecord | None = None
@@ -55,7 +54,7 @@ class TreeNode:
     chain_x: object | None = None       # d x^{(level)} / d x^{(0)}
     dcost_dx0: np.ndarray | None = None
     dprob_dx0: np.ndarray | None = None
-    s_accum: np.ndarray | None = None
+    s_accum: np.ndarray | None = None   # dC'/dx0 of this node
     # children distribution, filled on first expansion past this node: the
     # outage events then the no-outage event 0, with their probabilities and
     # d Pr / d x0 rows in the same order
@@ -89,7 +88,7 @@ class TreeNode:
 
 class MarkovTree:
     """Node arena keyed by outage-sequence labels, rooted at the post-control
-    state. Holds the per-run gradient accumulators and chain storage policy."""
+    state. Holds the chain storage policy and its entry counts."""
 
     def __init__(
         self,
@@ -150,7 +149,7 @@ class MarkovTree:
             )
             node.dpr_dx0 = dpr_dx[kept, :] @ to_dense(node.chain_x)
 
-    def _make_child(self, node: TreeNode, k: int, attempt: int) -> TreeNode:
+    def _make_child(self, node: TreeNode, k: int) -> TreeNode:
         """Simulate the level below `node` for its k-th child event."""
         event_id = node.child_ids[k]
         rec = cascade.simulate_level(
@@ -167,7 +166,7 @@ class MarkovTree:
         child = TreeNode(
             label=label, level=level, prob=float(node.child_probs[k]), cost=rec.cost,
             state=rec.x_next, topo=rec.topo,
-            terminal=terminal, record=rec, first_attempt=attempt,
+            terminal=terminal, record=rec,
         )
         if self.gradients:
             x_parent = to_dense(node.chain_x)
@@ -175,7 +174,6 @@ class MarkovTree:
             child.chain_x = self._store(x_next)
             child.dcost_dx0 = dcost
             child.dprob_dx0 = node.dpr_dx0[k, :]
-            child.s_accum = np.zeros(self.case.n_x)
         node.children[event_id] = child
         self.nodes[label] = child
         return child
@@ -220,7 +218,7 @@ class MarkovTree:
 
     # -- public operations ----------------------------------------------------
 
-    def expand_path(self, config, rng: np.random.Generator, attempt: int) -> list | None:
+    def expand_path(self, config, rng: np.random.Generator) -> list | None:
         """Simulate one root-to-termination path, creating missing nodes.
 
         Returns the visited nodes below the root (leaf last), an empty list
@@ -239,7 +237,7 @@ class MarkovTree:
                 k = self._pick_best_first(node)
             if k is None:
                 return path or None
-            node = node.children.get(node.child_ids[k]) or self._make_child(node, k, attempt)
+            node = node.children.get(node.child_ids[k]) or self._make_child(node, k)
             path.append(node)
         if path:
             leaf_cost = path[-1].c_equiv if path[-1].c_equiv else path[-1].cost
@@ -273,7 +271,7 @@ def search(tree: MarkovTree, config) -> ConvergenceHistory:
     `config` (an `assess.AssessmentConfig`) sets them.
 
     With `tree.gradients` the risk-gradient backward pass follows each risk
-    update; per-attempt R' and the root gradient accumulator are recorded.
+    update; per-attempt R' and the root gradient dR'/dx0 are recorded.
     The search stops early when nothing is left to visit, and after the
     first attempt when the root is terminal (that attempt is recorded).
     """
@@ -282,13 +280,13 @@ def search(tree: MarkovTree, config) -> ConvergenceHistory:
     rng = np.random.default_rng(config.seed)
     history = ConvergenceHistory()
     for attempt in range(1, config.attempts + 1):
-        path = tree.expand_path(config, rng, attempt)
+        path = tree.expand_path(config, rng)
         if path is None:
             break
         if path:
             backward_risk_update(tree, path)
             if tree.gradients:
-                backward_gradient_update(tree, path, attempt)
+                backward_gradient_update(tree, path)
         history.attempts.append(attempt)
         history.r_prime.append(tree.root.subsequent_risk)
         if tree.gradients:

@@ -5,8 +5,11 @@ search run to full exploration gives the exhaustive R' and root gradient
 (acceptance 06's order independence), every non-emergency execution keeps
 island balance, the ramp window and the generator and load bounds
 (acceptance 05), gradient runs on a warm dispatch-LP memo match solving
-every LP node for node, and the target, execution and RM LPs equal their
-row-by-row reference copies bit for bit."""
+every LP node for node, every node's C' and dC'/dx0 equal the recursion
+over its children bit for bit, each LP of a gradient run has one optimum
+(HiGHS variants agree, as on the recorded runs of `test_lp`), and the
+target, execution and RM LPs equal their row-by-row reference copies bit
+for bit."""
 
 import json
 from dataclasses import replace
@@ -16,7 +19,7 @@ import pytest
 from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
-from gridrisk import cascade
+from gridrisk import cascade, lp
 from gridrisk.assess import (
     AssessmentConfig,
     InfeasibleBaseCase,
@@ -28,6 +31,8 @@ from gridrisk.management import build_rm
 from gridrisk.network import apply_outage, build_topology, parse_case
 from test_acceptance import conservation_violations
 from test_dispatch_rows import assert_same_lp, ref_execute_lp, ref_rm_lp, ref_target_lp
+from test_gradient import assert_children_recursion
+from test_lp import assert_variants_agree
 from test_lp_memo import always_solve, assert_same_nodes
 from test_network import small_cases
 
@@ -64,11 +69,21 @@ def test_risk_and_memo_invariants(data):
     s_accum = runs[0].tree.root.s_accum
     scale = max(1.0, np.abs(s_accum).max())
     assert np.abs(best_first.tree.root.s_accum - s_accum).max() <= 1e-12 * scale
+    assert_children_recursion(runs[0].tree)
+    solved, solve = [], lp.solve_lp
+
+    def record(prob):
+        solved.append((prob, solve(prob)))
+        return solved[-1][1]
+
     with pytest.MonkeyPatch.context() as m:
         m.setattr(cascade, "_solve_dispatch_lp", always_solve)
+        m.setattr(lp, "solve_lp", record)
         want = assessment(CONFIG)
     for got in runs:
         assert_same_nodes(got, want)
+    with pytest.MonkeyPatch.context() as m:
+        assert_variants_agree(*zip(*solved), m)
 
 
 @st.composite

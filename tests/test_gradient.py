@@ -129,48 +129,69 @@ class TestForwardChain:
             gradient.chain_step(rec, np.eye(case.n_x))
 
 
-class TestBackwardGradient:
-    def _stub_tree(self, n_x=3):
-        case = toy6()
-        topo = build_topology(case)
-        t = mtree.MarkovTree(case, topo, case.base_state(), tau_d=15.0, depth=2)
-        return t
+def assert_children_recursion(tree):
+    """Every node's C' and S = dC'/dx0 equal the backward recursion over its
+    children's current values, bit for bit."""
+    for label, node in tree.nodes.items():
+        c_equiv, s = node.cost, node.dcost_dx0
+        for child in node.children.values():
+            c_equiv += child.prob * child.c_equiv
+            s = s + child.prob * child.s_accum + child.c_equiv * child.dprob_dx0
+        assert node.c_equiv == c_equiv, label
+        assert np.array_equal(node.s_accum, s), label
 
+
+class TestBackwardGradient:
     def test_single_level_product_rule(self):
-        t = self._stub_tree()
-        n = t.case.n_x
+        case = toy6()
+        t = mtree.MarkovTree(case, build_topology(case), case.base_state(), tau_d=15.0, depth=2)
+        n = case.n_x
         dcost = np.arange(1.0, n + 1.0)
         dprob = np.linspace(0.5, 1.0, n)
         child = mtree.TreeNode(
             label=(1,), level=1, prob=0.2, cost=300.0,
-            state=t.root.state, topo=t.root.topo, terminal=True, first_attempt=1,
+            state=t.root.state, topo=t.root.topo, terminal=True,
         )
         child.dcost_dx0 = dcost
         child.dprob_dx0 = dprob
-        child.s_accum = np.zeros(n)
         t.root.children[1] = child
         t.nodes[(1,)] = child
-        s0 = gradient.backward_gradient_update(t, [child], attempt=1)
-        np.testing.assert_allclose(s0, 0.2 * dcost + 300.0 * dprob)
-        np.testing.assert_allclose(t.root.s_accum, s0)
+        mtree.backward_risk_update(t, [child])
+        gradient.backward_gradient_update(t, [child])
+        np.testing.assert_array_equal(child.s_accum, dcost)
+        np.testing.assert_allclose(t.root.s_accum, 0.2 * dcost + 300.0 * dprob)
 
     def test_revisit_adds_nothing(self):
-        t = self._stub_tree()
-        n = t.case.n_x
+        case = toy6()
+        t = mtree.MarkovTree(case, build_topology(case), case.base_state(), tau_d=15.0, depth=2)
+        n = case.n_x
         child = mtree.TreeNode(
             label=(1,), level=1, prob=0.2, cost=300.0,
-            state=t.root.state, topo=t.root.topo, terminal=True, first_attempt=1,
+            state=t.root.state, topo=t.root.topo, terminal=True,
         )
         child.dcost_dx0 = np.ones(n)
         child.dprob_dx0 = np.ones(n)
-        child.s_accum = np.zeros(n)
         t.root.children[1] = child
         t.nodes[(1,)] = child
-        gradient.backward_gradient_update(t, [child], attempt=1)
+        mtree.backward_risk_update(t, [child])
+        gradient.backward_gradient_update(t, [child])
         before = t.root.s_accum.copy()
-        s0 = gradient.backward_gradient_update(t, [child], attempt=2)
-        np.testing.assert_array_equal(s0, np.zeros(n))
+        mtree.backward_risk_update(t, [child])
+        gradient.backward_gradient_update(t, [child])
         np.testing.assert_array_equal(t.root.s_accum, before)
+        np.testing.assert_array_equal(child.s_accum, np.ones(n))
+
+    @pytest.mark.parametrize("policy", ["exhaustive", "probability-sampled", "best-first"])
+    def test_toy6_nodes_hold_the_children_recursion(self, policy):
+        cfg = AssessmentConfig(tau_d=15.0, t_max=30.0, attempts=400, policy=policy, seed=1)
+        assert_children_recursion(run_assessment(toy6(), {3}, cfg).tree)
+
+    def test_rts96_nodes_hold_the_children_recursion(self, rts96):
+        cfg = AssessmentConfig(tau_d=15.0, t_max=150.0, attempts=30,
+                               policy="probability-sampled", seed=1)
+        a = run_assessment(rts96, {22, 23, 24}, cfg)
+        assert len(a.tree.nodes) > 10
+        assert_children_recursion(a.tree)
 
     def test_order_independence_exhaustive(self):
         # best-first run to full exploration visits the same tree in another order
@@ -179,8 +200,7 @@ class TestBackwardGradient:
         a = run_assessment(case, {3}, AssessmentConfig(**base, policy="exhaustive"))
         b = run_assessment(case, {3}, AssessmentConfig(**base, policy="best-first"))
         assert a.tree.nodes.keys() == b.tree.nodes.keys()
-        visits = [{k: n.first_attempt for k, n in t.tree.nodes.items()} for t in (a, b)]
-        assert visits[0] != visits[1]
+        assert list(a.tree.nodes) != list(b.tree.nodes)   # creation order
         scale = max(1.0, np.abs(a.tree.root.s_accum).max())
         assert np.abs(a.tree.root.s_accum - b.tree.root.s_accum).max() <= 1e-12 * scale
 

@@ -846,17 +846,24 @@ def test_recorded_lp_optima_are_unique(record, recorded, monkeypatch):
     base = [lp.solve_lp(prob) for prob in probs]
     assert passed and all(opts is lp._HIGHS_OPTIONS for opts in passed)
     for variant, opts in SOLVER_VARIANTS.items():
-        monkeypatch.setattr(lp, "_HIGHS_OPTIONS", opts)
         passed.clear()
+        assert_variants_agree(probs, base, monkeypatch, {variant: opts})
+        # each variant reached HiGHS with its own options, not a kept solver's
+        assert passed and all(o is opts for o in passed), variant
+    assert sum(sol.optimal for sol in base) >= 20
+
+
+def assert_variants_agree(probs, base, monkeypatch, variants=SOLVER_VARIANTS):
+    """HiGHS with each of `variants`' options solves every LP of `probs` to
+    the status of its `base` solution and, where optimal, to x within 1e-9."""
+    for variant, opts in variants.items():
+        monkeypatch.setattr(lp, "_HIGHS_OPTIONS", opts)
         for k, (prob, ref) in enumerate(zip(probs, base)):
             sol = lp.solve_lp(prob)
             assert sol.status == ref.status, (variant, k)
             if ref.optimal:
                 np.testing.assert_allclose(sol.x, ref.x, rtol=0, atol=1e-9,
                                            err_msg=f"{variant} LP {k}")
-        # each variant reached HiGHS with its own options, not a kept solver's
-        assert passed and all(o is opts for o in passed), variant
-    assert sum(sol.optimal for sol in base) >= 20
 
 
 def hand_built_lps():

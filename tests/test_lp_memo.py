@@ -46,11 +46,11 @@ def assessments_of(run, monkeypatch):
 
 
 def assert_same_nodes(got, want):
-    assert got.tree.nodes.keys() == want.tree.nodes.keys()
+    assert list(got.tree.nodes) == list(want.tree.nodes)   # the same creation order
     assert got.x_root.x.tobytes() == want.x_root.x.tobytes()
     for label, node in want.tree.nodes.items():
         other = got.tree.nodes[label]
-        for name in ("prob", "cost", "c_equiv", "subsequent_risk", "first_attempt"):
+        for name in ("prob", "cost", "c_equiv", "subsequent_risk"):
             assert getattr(other, name) == getattr(node, name), (label, name)
         assert other.state.x.tobytes() == node.state.x.tobytes(), label
         if node.record is not None:

@@ -18,11 +18,21 @@ def digest():
 
 
 def test_near_zero_roundoff_reads_small_in_absolute_terms(digest):
-    # a cell at 1.17e-11 that becomes -0.0 differs by 1 relative, 1.17e-11 absolute
+    # a cell at 1.17e-11 that becomes -0.0 differs by 1 relative, 1.17e-11
+    # absolute; the cost moves 1.74e-11, 2.84e-12 of the largest value 6.13
     ours = b'{"target_mw": -0.0, "id": 3, "cost": 6.130424849027705}\n'
     theirs = b'{"target_mw": 1.17e-11, "id": 3, "cost": 6.130424849010296}\n'
     assert digest.difference_note(ours, theirs) == \
-        "largest relative difference 1, absolute 1.74e-11"
+        "largest relative difference 1, absolute 1.74e-11, 2.84e-12 of the largest value"
+
+
+def test_scaled_difference_reads_the_largest_value_in_the_label(digest):
+    # a near-zero cell flips sign, moving 2e-8 in a file whose largest value
+    # is 2e4: relative 2, yet 1e-12 of the largest value
+    assert digest.difference_note(b"x,1e-8\ny,2e4\n", b"x,-1e-8\ny,2e4\n") == \
+        "largest relative difference 2, absolute 2e-08, 1e-12 of the largest value"
+    assert digest.difference_note(b"0\n", b"-0\n") == \
+        "largest relative difference 0, absolute 0, 0 of the largest value"
 
 
 def test_text_change_is_named(digest):

@@ -146,24 +146,22 @@ class TestBackwardUpdate:
             assert node.c_equiv >= node.cost - 1e-12
 
     def test_replay_leaves_everything_unchanged(self):
-        case = chain3_case()
-        a = build_tree(case, depth=2)
-        t = a.tree
-        snapshot = {
-            k: (v.c_equiv, None if v.s_accum is None else v.s_accum.copy())
-            for k, v in t.nodes.items()
-        }
-        # replay the left-most path with a fresh attempt index
-        node, path = t.root, []
-        while not node.terminal:
-            node = node.children[node.child_ids[0]]
-            path.append(node)
-        mtree.backward_risk_update(t, path)
-        gradient.backward_gradient_update(t, path, attempt=99999)
-        for k, (c_eq, s) in snapshot.items():
-            assert t.nodes[k].c_equiv == c_eq
-            if s is not None:
-                assert np.array_equal(t.nodes[k].s_accum, s)
+        sampled = AssessmentConfig(tau_d=15.0, t_max=30.0, attempts=60,
+                                   policy="probability-sampled", seed=1)
+        for a in (build_tree(chain3_case(), depth=2), run_assessment(toy6(), {3}, sampled)):
+            t = a.tree
+            snapshot = {
+                k: (v.c_equiv, None if v.s_accum is None else v.s_accum.copy())
+                for k, v in t.nodes.items()
+            }
+            for label in snapshot:   # replay the path from the root to every node
+                path = [t.nodes[label[:k]] for k in range(1, len(label) + 1)]
+                mtree.backward_risk_update(t, path)
+                gradient.backward_gradient_update(t, path)
+            for k, (c_eq, s) in snapshot.items():
+                assert t.nodes[k].c_equiv == c_eq, k
+                if s is not None:
+                    assert np.array_equal(t.nodes[k].s_accum, s), k
 
 
 class TestRiskEstimate:
@@ -247,8 +245,7 @@ def uncached_fully_explored(node):
 
 
 def tree_rows(a):
-    return [(label, n.prob, n.cost, n.c_equiv, n.first_attempt)
-            for label, n in a.tree.nodes.items()]
+    return [(label, n.prob, n.cost, n.c_equiv) for label, n in a.tree.nodes.items()]
 
 
 TOY6_CONTINGENCIES = [c for k in (1, 2) for c in itertools.combinations(range(1, 7), k)]

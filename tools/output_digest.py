@@ -14,9 +14,10 @@ checkouts that compute the same results print the same lines. With
 the `<command>/<file>` labels whose digests differ (or that only one tree
 writes), exiting 1 if there is any. Each such label is followed by the
 largest relative and the largest absolute difference over the numeric cells
-of the two files, so a move by roundoff alone reads as one, even in a cell
-near zero, where the relative difference alone can read 1; or by "text
-differs" when the files differ outside their numbers. A command that exits
+of the two files, and by that absolute difference over the largest |value|
+in the label, so a move by roundoff alone reads as one, even in a cell near
+zero, where the relative difference alone can read 1; or by "text differs"
+when the files differ outside their numbers. A command that exits
 non-zero is digested as one label, `<command>/exit`, holding its exit status
 (its stderr goes to this script's stderr), and the run goes on; with
 `--against`, a command that fails on one tree only reads "exit status N
@@ -183,16 +184,20 @@ def exit_note(ours: bytes | None, theirs: bytes | None) -> str:
 def difference_note(ours: bytes | None, theirs: bytes | None) -> str:
     """How two outputs of one label differ: the largest |a - b| / max(|a|,
     |b|) and the largest |a - b| over their numeric cells, paired in order,
-    when the text around the numbers is the same."""
+    and that largest |a - b| over the largest |value| of either output, when
+    the text around the numbers is the same."""
     if ours is None or theirs is None:
         return "written by one tree only"
     a, b = _NUMBER.split(ours), _NUMBER.split(theirs)
     if len(a) != len(b) or a[::2] != b[::2]:
         return "text differs"
-    pairs = [(x, y) for x, y in zip(map(float, a[1::2]), map(float, b[1::2])) if x != y]
+    xs, ys = [float(v) for v in a[1::2]], [float(v) for v in b[1::2]]
+    pairs = [(x, y) for x, y in zip(xs, ys) if x != y]
     relative = max((abs(x - y) / max(abs(x), abs(y)) for x, y in pairs), default=0.0)
     absolute = max((abs(x - y) for x, y in pairs), default=0.0)
-    return f"largest relative difference {relative:.3g}, absolute {absolute:.3g}"
+    largest = max(map(abs, xs + ys), default=0.0)
+    return (f"largest relative difference {relative:.3g}, absolute {absolute:.3g}, "
+            f"{absolute / largest if largest else 0.0:.3g} of the largest value")
 
 
 def main(argv=None) -> int:
@@ -202,7 +207,8 @@ def main(argv=None) -> int:
     parser.add_argument("--against", metavar="DIR",
                         help="a second package directory; print only the labels whose digests "
                              "differ, each with the largest relative and absolute difference "
-                             "of its numbers")
+                             "of its numbers and that absolute difference over its largest "
+                             "value")
     args = parser.parse_args(argv)
     if args.against is None:
         found = digests(args.src, emit=lambda line: print(line, flush=True))
