@@ -277,7 +277,7 @@ def cmd_irm(cfg: RunConfig) -> int:
     final = traj.final_assessment
     print(
         f"C0={final.control_cost!r} R_prime={final.r_prime!r} "
-        f"total={final.control_cost + final.r_prime!r}"
+        f"total={final.risk!r}"
     )
     return EXIT_OK
 

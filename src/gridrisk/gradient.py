@@ -1,5 +1,5 @@
 """Risk-gradient machinery: forward sensitivity chains along cascade paths,
-the backward recursion for each node's dC'/dx0, the projection into control
+the per-node backward step for dC'/dx0, the projection into control
 (target-state) space, convergence indices, the `Csr` sparse matrix every
 local Jacobian is kept in, and thresholded compressed storage for the chain
 matrices.
@@ -176,28 +176,24 @@ def chain_step(rec: LevelRecord, x_parent: np.ndarray):
     x_star = rec.target.jac @ x_prime
     x_next = exe.jac_star @ x_star + exe.jac_prime @ x_prime
     dcost = fast.dcost_dx @ x_parent + exe.dcost_dxprime @ x_prime + exe.dcost_dxstar @ x_star
-    return x_prime, x_star, x_next, dcost
+    return x_next, dcost
 
 
 # ---------------------------------------------------------------------------
-# Backward gradient recursion
+# Backward gradient step
 # ---------------------------------------------------------------------------
 
-def backward_gradient_update(tree, path: list) -> None:
-    """Refresh S(n) = dC'(n)/dx0 from the leaf back to the root: the
-    derivative of `tree.backward_risk_update`'s C' recursion,
+def backward_gradient_update(node) -> np.ndarray:
+    """S(n) = dC'(n)/dx0 from the node's children: the derivative of
+    `tree.backward_risk_update`'s C' step, which calls it once per path node,
 
         S(n) = dC(n)/dx0 + sum over instantiated children c of
-               Pr(c) S(c) + C'(c) dPr(c)/dx0,
-
-    run after it on the same path. Recomputation makes replaying a visited
-    path a no-op, and the root's S is dR'/dx0 over the tree built so far.
+               Pr(c) S(c) + C'(c) dPr(c)/dx0.
     """
-    for node in reversed([tree.root] + path):
-        total = node.dcost_dx0
-        for child in node.children.values():
-            total = total + child.prob * child.s_accum + child.c_equiv * child.dprob_dx0
-        node.s_accum = total
+    total = node.dcost_dx0
+    for child in node.children.values():
+        total = total + child.prob * child.s_accum + child.c_equiv * child.dprob_dx0
+    return total
 
 
 def control_gradient(s0: np.ndarray, exec_sensitivity) -> np.ndarray:

@@ -147,14 +147,16 @@ class IrmRound:
     delta_r: float | None
     control_cost: float
     r_prime: float
-    total: float
     accepted: bool
+
+    @property
+    def total(self) -> float:
+        return self.control_cost + self.r_prime
 
 
 @dataclass
 class IrmTrajectory:
     rounds: list
-    final_target: SystemState
     final_assessment: Assessment
 
     def accepted_r_primes(self) -> list:
@@ -182,11 +184,7 @@ def irm(case: NetworkCase, initial_outages, config: RmConfig) -> IrmTrajectory:
     adaptive = schedule is None
     delta_r = 0.8 * r0 if adaptive else None
 
-    rounds = [
-        IrmRound(0, None, current.control_cost, current.r_prime,
-                 current.control_cost + current.r_prime, True)
-    ]
-    target = current.x_target
+    rounds = [IrmRound(0, None, current.control_cost, current.r_prime, True)]
     rejections = 0
     for it in range(1, config.max_iterations + 1):
         if current.r_prime <= eps:
@@ -198,7 +196,7 @@ def irm(case: NetworkCase, initial_outages, config: RmConfig) -> IrmTrajectory:
                 break
             delta_r = schedule[it - 1]
         step = rm_step(
-            case, current.topo, current.x_pre, target,
+            case, current.topo, current.x_pre, current.x_target,
             current.gamma, current.r_prime, delta_r,
         )
         if not step.feasible or not step.changed:
@@ -206,14 +204,10 @@ def irm(case: NetworkCase, initial_outages, config: RmConfig) -> IrmTrajectory:
         trial = run_assessment(case, initial_outages, assess_cfg, step.x_star, fast)
         improved = current.r_prime - trial.r_prime > eps
         rounds.append(
-            IrmRound(
-                it, step.delta_r, trial.control_cost, trial.r_prime,
-                trial.control_cost + trial.r_prime, improved,
-            )
+            IrmRound(it, step.delta_r, trial.control_cost, trial.r_prime, improved)
         )
         if improved:
             current = trial
-            target = step.x_star
             if adaptive:
                 delta_r = 0.8 * current.r_prime
         else:
@@ -222,7 +216,7 @@ def irm(case: NetworkCase, initial_outages, config: RmConfig) -> IrmTrajectory:
                 delta_r = step.delta_r * 0.5
             if rejections >= MAX_REJECTIONS or not adaptive:
                 break
-    return IrmTrajectory(rounds=rounds, final_target=target, final_assessment=current)
+    return IrmTrajectory(rounds=rounds, final_assessment=current)
 
 
 def write_trajectory_csv(trajectory: IrmTrajectory, path: str) -> None:
@@ -247,7 +241,8 @@ def write_trajectory_csv(trajectory: IrmTrajectory, path: str) -> None:
 
 def write_strategy_json(case: NetworkCase, trajectory: IrmTrajectory, path: str) -> None:
     """Final target state in a form the off-line strategy store can index."""
-    target = trajectory.final_target
+    final = trajectory.final_assessment
+    target = final.x_target
     doc = {
         "schema_version": 1,
         "loads": [
@@ -258,11 +253,9 @@ def write_strategy_json(case: NetworkCase, trajectory: IrmTrajectory, path: str)
             {"id": g.id, "bus": g.bus, "target_mw": float(target.p_gen[j])}
             for j, g in enumerate(case.generators)
         ],
-        "control_cost": float(trajectory.final_assessment.control_cost),
-        "subsequent_risk": float(trajectory.final_assessment.r_prime),
-        "total_risk": float(
-            trajectory.final_assessment.control_cost + trajectory.final_assessment.r_prime
-        ),
+        "control_cost": float(final.control_cost),
+        "subsequent_risk": float(final.r_prime),
+        "total_risk": float(final.risk),
     }
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)

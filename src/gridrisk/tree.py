@@ -53,7 +53,7 @@ class TreeNode:
     # gradient bookkeeping (None when gradients are disabled)
     chain_x: object | None = None       # d x^{(level)} / d x^{(0)}
     dcost_dx0: np.ndarray | None = None
-    dprob_dx0: np.ndarray | None = None
+    dprob_dx0: np.ndarray | None = None  # none at the root, nobody's child
     s_accum: np.ndarray | None = None   # dC'/dx0 of this node
     # children distribution, filled on first expansion past this node: the
     # outage events then the no-outage event 0, with their probabilities and
@@ -118,8 +118,6 @@ class MarkovTree:
             eye = np.eye(case.n_x)
             self.root.chain_x = self._store(eye)
             self.root.dcost_dx0 = np.zeros(case.n_x)
-            self.root.dprob_dx0 = np.zeros(case.n_x)
-            self.root.s_accum = np.zeros(case.n_x)
         self.nodes: dict[tuple, TreeNode] = {(): self.root}
 
     # -- storage ------------------------------------------------------------
@@ -170,7 +168,7 @@ class MarkovTree:
         )
         if self.gradients:
             x_parent = to_dense(node.chain_x)
-            x_prime, x_star, x_next, dcost = chain_step(rec, x_parent)
+            x_next, dcost = chain_step(rec, x_parent)
             child.chain_x = self._store(x_next)
             child.dcost_dx0 = dcost
             child.dprob_dx0 = node.dpr_dx0[k, :]
@@ -247,16 +245,20 @@ class MarkovTree:
 
 
 def backward_risk_update(tree: MarkovTree, path: list) -> None:
-    """Refresh equivalent costs from the leaf back to the root.
+    """Refresh C' and, with `tree.gradients`, S = dC'/dx0 from the leaf back
+    to the root, both in one step per node.
 
-    C'(node) = C(node) + sum over instantiated children of Pr * C'(child);
-    recomputation makes replaying an already-visited path a no-op.
+    C'(node) = C(node) + sum over instantiated children of Pr * C'(child), and
+    S(node) is its derivative, `backward_gradient_update`; recomputation makes
+    replaying an already-visited path a no-op.
     """
     for node in reversed([tree.root] + path):
         total = node.cost
         for child in node.children.values():
             total += child.prob * child.c_equiv
         node.c_equiv = total
+        if tree.gradients:
+            node.s_accum = backward_gradient_update(node)
 
 
 @dataclass
@@ -270,8 +272,8 @@ def search(tree: MarkovTree, config) -> ConvergenceHistory:
     """Run forward expansion + backward updates `config.attempts` times, as
     `config` (an `assess.AssessmentConfig`) sets them.
 
-    With `tree.gradients` the risk-gradient backward pass follows each risk
-    update; per-attempt R' and the root gradient dR'/dx0 are recorded.
+    Each attempt's one backward walk refreshes C' and, with `tree.gradients`,
+    S; per-attempt R' and the root gradient dR'/dx0 are recorded.
     The search stops early when nothing is left to visit, and after the
     first attempt when the root is terminal (that attempt is recorded).
     """
@@ -283,10 +285,7 @@ def search(tree: MarkovTree, config) -> ConvergenceHistory:
         path = tree.expand_path(config, rng)
         if path is None:
             break
-        if path:
-            backward_risk_update(tree, path)
-            if tree.gradients:
-                backward_gradient_update(tree, path)
+        backward_risk_update(tree, path)
         history.attempts.append(attempt)
         history.r_prime.append(tree.root.subsequent_risk)
         if tree.gradients:

@@ -192,7 +192,6 @@ def test_05_conservation_after_every_execution(toy6, rts96):
 
 
 def test_06_recursion_idempotence_and_order_independence(toy6):
-    from gridrisk import gradient as grad
     from gridrisk import tree as mtree
 
     a = run_assessment(toy6, TOY_OUTAGE, toy_config())
@@ -206,7 +205,6 @@ def test_06_recursion_idempotence_and_order_independence(toy6):
         node = node.children[node.child_ids[0]]
         path.append(node)
     mtree.backward_risk_update(t, path)
-    grad.backward_gradient_update(t, path)
     replay_ok = all(
         t.nodes[k].c_equiv == c and (s is None or np.array_equal(t.nodes[k].s_accum, s))
         for k, (c, s) in before.items()

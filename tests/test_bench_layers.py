@@ -35,7 +35,8 @@ a = run_assessment(cases.toy6(), {{3}}, AssessmentConfig(
 print(json.dumps({{"unwrapped": unwrapped, "nodes": len(a.tree.nodes) - 1,
                   "levels": calls[0],
                   "traced": tracer.spans["cascade.simulate_level"].calls,
-                  "counted": tracer.counts["tree.nodes"]}}))
+                  "counted": tracer.counts["tree.nodes"],
+                  "s_steps": tracer.spans["gradient.backward_gradient_update"].calls}}))
 """
 
 
@@ -45,3 +46,6 @@ def test_tracer_wraps_every_name_and_counts_nodes(fresh_python):
     assert got["unwrapped"] == []
     assert got["nodes"] > 5
     assert got["levels"] == got["traced"] == got["counted"] == got["nodes"]
+    # the backward walk calls the S step through tree's own bound name, once
+    # per path node, and every node, the root too, is on a walked path
+    assert got["s_steps"] >= got["nodes"] + 1

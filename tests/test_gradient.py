@@ -104,7 +104,7 @@ class TestForwardChain:
         x_parent = np.eye(case.n_x)
         next_rows, cost_rows = [], []
         for node in (x1, x2):
-            _, _, x_parent, dcost = gradient.chain_step(node.record, x_parent)
+            x_parent, dcost = gradient.chain_step(node.record, x_parent)
             next_rows.append(x_parent)
             cost_rows.append(dcost)
         np.testing.assert_allclose(next_rows[0], gradient.to_dense(x1.chain_x))
@@ -157,7 +157,6 @@ class TestBackwardGradient:
         t.root.children[1] = child
         t.nodes[(1,)] = child
         mtree.backward_risk_update(t, [child])
-        gradient.backward_gradient_update(t, [child])
         np.testing.assert_array_equal(child.s_accum, dcost)
         np.testing.assert_allclose(t.root.s_accum, 0.2 * dcost + 300.0 * dprob)
 
@@ -174,10 +173,8 @@ class TestBackwardGradient:
         t.root.children[1] = child
         t.nodes[(1,)] = child
         mtree.backward_risk_update(t, [child])
-        gradient.backward_gradient_update(t, [child])
         before = t.root.s_accum.copy()
         mtree.backward_risk_update(t, [child])
-        gradient.backward_gradient_update(t, [child])
         np.testing.assert_array_equal(t.root.s_accum, before)
         np.testing.assert_array_equal(child.s_accum, np.ones(n))
 

@@ -4,7 +4,6 @@ import json
 import numpy as np
 import pytest
 
-from gridrisk import gradient
 from gridrisk import tree as mtree
 from gridrisk.assess import AssessmentConfig, enumeration_risk, pre_control, run_assessment
 from gridrisk.cases import toy6
@@ -96,6 +95,9 @@ class TestExpansion:
         assert a.tree.root.terminal and list(a.tree.nodes) == [()]
         assert a.history.attempts == [1] and a.history.r_prime == [0.0]
         assert len(a.history.gammas) == int(gradients)
+        if gradients:   # the walk over the root alone leaves S at +0.0
+            for g in (a.history.gammas[0], a.gamma):
+                assert g.tobytes() == np.zeros_like(g).tobytes()
 
     @pytest.mark.parametrize("order", [(1, 2), (2, 1)])
     def test_best_first_near_tie_goes_to_first_child(self, order):
@@ -157,7 +159,6 @@ class TestBackwardUpdate:
             for label in snapshot:   # replay the path from the root to every node
                 path = [t.nodes[label[:k]] for k in range(1, len(label) + 1)]
                 mtree.backward_risk_update(t, path)
-                gradient.backward_gradient_update(t, path)
             for k, (c_eq, s) in snapshot.items():
                 assert t.nodes[k].c_equiv == c_eq, k
                 if s is not None:
