@@ -74,6 +74,12 @@ def commands() -> list:
         ]),
         ("rts96-assess", ["assess", *RTS96, "--attempts", "40"]),
         ("rts96-gradient", ["gradient", *RTS96, "--attempts", "30"]),
+        # the one command that reaches target fallbacks and emergency
+        # executions with gradients on, so the emergency price row is digested
+        ("rts96-gradient-fallback", [
+            "gradient", "--case", "rts96.json", "--outages", "85,92,93", "--attempts", "40",
+            "--seed", "1",
+        ]),
         ("rts96-irm", ["irm", *RTS96, "--attempts", "20"]),
         # the one search policy no other command runs; its four rejected
         # rounds also reach the MAX_REJECTIONS stop
