@@ -10,8 +10,13 @@ returned Jacobian is the sub-derivative of the piecewise-smooth map actually
 taken. Each local Jacobian is a `gradient.Csr`, built from its nonzero
 blocks without a dense n_x x n_x step.
 
+Under the same rule every stage cost is its price row times its state
+change, price @ (x_out - x_in): [-c_D; 0] for the fast process and an
+emergency execution, [-c_D; c_G sigma] for an execution LP with sigma the
+sign of each generator's move. Only `gradient.chain_step` differentiates it.
+
 With `jacobians=False` the same states, costs, flags and LP solutions are
-produced, but no Jacobian, cost row or LP sensitivity is computed: those
+produced, but no Jacobian, price row or LP sensitivity is computed: those
 fields are None.
 """
 
@@ -151,12 +156,14 @@ class FastEvent:
 
 @dataclass
 class ShortTimescaleTrace:
+    """The fast process's outcome; its cost is price @ (final_state - input state)."""
+
     events: list
     final_state: SystemState
     final_topology: Topology
     cost: float                 # total fast cost, $
     jac: Csr | None             # d(final state)/d(input state)
-    dcost_dx: np.ndarray | None  # row, d(total cost)/d(input state)
+    price: np.ndarray | None    # the shed price [-c_D; 0]
     truncated: bool = False
 
     @property
@@ -189,6 +196,11 @@ def _identity_with_rows(n: int, blocks: list) -> Csr:
     return Csr(indptr, indices, data, (n, n))
 
 
+def _shed_price(case: NetworkCase) -> np.ndarray:
+    """[-c_D; 0]: shedding load costs c_D per MW, curtailing generation nothing."""
+    return np.concatenate([-case.c_load, np.zeros(case.n_gen)])
+
+
 def _rebalance(case: NetworkCase, topo: Topology, state: SystemState,
                jacobians: bool = True):
     """Per-island proportional balance restoration.
@@ -196,18 +208,17 @@ def _rebalance(case: NetworkCase, topo: Topology, state: SystemState,
     Deficit islands (generation below load, incl. de-energized) shed load
     proportionally at cost c_D per MW; surplus islands curtail generation
     proportionally above P_min when island load covers total P_min, else
-    fully proportionally. Returns (state', jacobian, cost, dcost_dx);
-    the map is linear per island given the frozen partition, so the jacobian
-    is the identity with one block of rows per unbalanced island (the shared
-    `_identity(n_x)` when every island is balanced). Without `jacobians` the
-    jacobian and dcost_dx are None.
+    fully proportionally, at no cost. Returns (state', jacobian, cost); the
+    cost is `_shed_price(case) @ (state' - state)`. The map is linear per
+    island given the frozen partition, so the jacobian is the identity with
+    one block of rows per unbalanced island (the shared `_identity(n_x)`
+    when every island is balanced). Without `jacobians` the jacobian is None.
     """
     n_l, n_x = case.n_load, case.n_x
     p_d = state.p_load.copy()
     p_g = state.p_gen.copy()
     blocks = []     # (rows, cols, values) of the rows each island replaces
     cost = 0.0
-    dcost = np.zeros(n_x) if jacobians else None
 
     for li, gi in zip(topo.island_loads, topo.island_gens):
         d_tot = float(p_d[li].sum()) if li.size else 0.0
@@ -227,8 +238,6 @@ def _rebalance(case: NetworkCase, topo: Topology, state: SystemState,
                                                     [li.size, gi.size]))
                 i = np.arange(li.size)
                 block[i, i] += alpha
-                dcost[cols] = -(cd @ block)   # zero before: islands share no slot
-                dcost[lx] += cd
                 blocks.append((lx, cols, block))
             p_d[li] *= alpha
         else:
@@ -252,7 +261,7 @@ def _rebalance(case: NetworkCase, topo: Topology, state: SystemState,
                 block[j, li.size + j] += beta
                 blocks.append((gx, cols, block))
     jac = _identity_with_rows(n_x, blocks) if jacobians else None
-    return SystemState(p_d, p_g), jac, cost, dcost
+    return SystemState(p_d, p_g), jac, cost
 
 
 def short_timescale_process(
@@ -275,25 +284,17 @@ def short_timescale_process(
     cur_topo = topo
     cur_state = state
     jac_total = eye = _identity(case.n_x) if jacobians else None
-    dcost_total = np.zeros(case.n_x) if jacobians else None
     cost_total = 0.0
     pending_trips: tuple = tuple(initial_trips)
     truncated = False
 
     for _ in range(MAX_FAST_EVENTS):
-        new_state, jac_step, cost_step, dcost_step = _rebalance(
-            case, cur_topo, cur_state, jacobians
-        )
+        new_state, jac_step, cost_step = _rebalance(case, cur_topo, cur_state, jacobians)
         changed = cost_step > 0.0 or bool(pending_trips) or not np.array_equal(
             new_state.x, cur_state.x
         )
         if jacobians and jac_step is not eye:
-            if jac_total is eye:
-                dcost_total += dcost_step
-                jac_total = jac_step
-            else:
-                dcost_total += dcost_step @ jac_total  # w.r.t. the process input state
-                jac_total = jac_step @ jac_total
+            jac_total = jac_step if jac_total is eye else jac_step @ jac_total
         cost_total += cost_step
         cur_state = new_state
         if changed:
@@ -312,7 +313,6 @@ def short_timescale_process(
         cost_total += float(case.c_load @ cur_state.p_load)
         cur_state = SystemState(np.zeros(case.n_load), np.zeros(case.n_gen))
         if jacobians:
-            dcost_total += np.concatenate([case.c_load, np.zeros(case.n_gen)]) @ jac_total
             jac_total = Csr.zeros((case.n_x, case.n_x))
 
     return ShortTimescaleTrace(
@@ -321,7 +321,7 @@ def short_timescale_process(
         final_topology=cur_topo,
         cost=cost_total,
         jac=jac_total,
-        dcost_dx=dcost_total,
+        price=_shed_price(case) if jacobians else None,
         truncated=truncated,
     )
 
@@ -514,8 +514,8 @@ def control_cost_value(case: NetworkCase, x_from: SystemState, x_to: SystemState
 
 @dataclass
 class ExecuteResult:
-    """Executed state and cost; the four derivative fields are None without
-    jacobians."""
+    """Executed state and cost; the jacobians and the price row are None
+    without jacobians. The cost is `price @ (x - x')`."""
 
     state: SystemState
     cost: float                   # realized adjustment cost C_R, $
@@ -523,8 +523,7 @@ class ExecuteResult:
     sol: lp.LpSolution            # the memoized execution-LP solution
     jac_prime: Csr | None = None         # d x / d x'
     jac_star: Csr | None = None          # d x / d x*
-    dcost_dxprime: np.ndarray | None = None  # row
-    dcost_dxstar: np.ndarray | None = None   # row
+    price: np.ndarray | None = None      # [-c_D; c_G sigma], or the shed price
 
 
 def check_tau_d(tau_d: float) -> None:
@@ -583,11 +582,11 @@ def dispatch_execute(
     sol, derived = _solve_dispatch_lp(topo, key, build, derive if jacobians else None)
     if not sol.optimal:
         # Ramp window cannot restore balance: emergency proportional shedding.
-        state, jac, cost, dcost = _rebalance(case, topo, x_prime, jacobians)
+        state, jac, cost = _rebalance(case, topo, x_prime, jacobians)
         return ExecuteResult(
             state=state, cost=cost, emergency=True, sol=sol,
             jac_prime=jac, jac_star=Csr.zeros((n_x, n_x)) if jacobians else None,
-            dcost_dxprime=dcost, dcost_dxstar=np.zeros(n_x) if jacobians else None,
+            price=_shed_price(case) if jacobians else None,
         )
 
     state = SystemState(sol.x[:n_l].copy(), sol.x[n_l : n_l + n_g].copy())
@@ -599,13 +598,10 @@ def dispatch_execute(
     jac_star, jac_prime = derived
     move = state.p_gen - x_prime.p_gen
     sigma = np.sign(np.where(np.abs(move) <= 1e-9, 0.0, move))
-    w = np.concatenate([-case.c_load, case.c_gen * sigma])  # dC_R/dx at fixed x'
-    dcost_dxstar = w @ jac_star
-    dcost_dxprime = w @ jac_prime - w   # C_R's own x' term is -w
     return ExecuteResult(
         state=state, cost=cost, emergency=False, sol=sol,
         jac_prime=jac_prime, jac_star=jac_star,
-        dcost_dxprime=dcost_dxprime, dcost_dxstar=dcost_dxstar,
+        price=np.concatenate([-case.c_load, case.c_gen * sigma]),
     )
 
 

@@ -159,12 +159,14 @@ def to_dense(stored) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def chain_step(rec: LevelRecord, x_parent: np.ndarray):
-    """Advance the root-referenced chain across one level.
+    """Advance the root-referenced chain across one level: (dx_next/dx0,
+    dC/dx0) from `x_parent` = dx_parent/dx0.
 
     x' chains through the fast process, the target through the planning LP,
-    the executed state through both execution-LP blocks; the level cost row
-    combines the fast-cost row (at the parent state) with the re-dispatch
-    cost rows (at this level's post-outage and target states).
+    the executed state through both execution-LP blocks. Each stage's cost
+    is its price row times its state change, so the level cost's derivative
+    is the fast price times d(x' - x_parent)/dx0 plus the execution price
+    times d(x_next - x')/dx0. This is the one place a cost is differentiated.
     """
     n = x_parent.shape[0]
     fast, exe = rec.fast, rec.execute
@@ -175,7 +177,7 @@ def chain_step(rec: LevelRecord, x_parent: np.ndarray):
     x_prime = fast.jac @ x_parent
     x_star = rec.target.jac @ x_prime
     x_next = exe.jac_star @ x_star + exe.jac_prime @ x_prime
-    dcost = fast.dcost_dx @ x_parent + exe.dcost_dxprime @ x_prime + exe.dcost_dxstar @ x_star
+    dcost = fast.price @ (x_prime - x_parent) + exe.price @ (x_next - x_prime)
     return x_next, dcost
 
 

@@ -4,12 +4,14 @@ opened node's children distribution sums to 1 (acceptance 02), best-first
 search run to full exploration gives the exhaustive R' and root gradient
 (acceptance 06's order independence), every non-emergency execution keeps
 island balance, the ramp window and the generator and load bounds
-(acceptance 05), gradient runs on a warm dispatch-LP memo match solving
-every LP node for node, every node's C' and dC'/dx0 equal the recursion
-over its children bit for bit, each LP of a gradient run has one optimum
-(HiGHS variants agree, as on the recorded runs of `test_lp`), and the
-target, execution and RM LPs equal their row-by-row reference copies bit
-for bit."""
+(acceptance 05), gradient runs on a warm dispatch-LP memo and on a fresh
+copy of the case match solving every LP node for node, R' and the
+gradient included (invariant 11), every node's C' and dC'/dx0 equal the
+recursion over its children bit for bit, every stage cost is its price row
+times its state change, each LP of a gradient run has one optimum (HiGHS
+variants agree, as on the recorded runs of `test_lp`), and the target,
+execution and RM LPs equal their row-by-row reference copies bit for
+bit."""
 
 import json
 from dataclasses import replace
@@ -28,13 +30,14 @@ from gridrisk.assess import (
     run_assessment,
 )
 from gridrisk.management import build_rm
-from gridrisk.network import apply_outage, build_topology, parse_case
+from gridrisk.network import apply_outage, build_topology, parse_case, serialize_case
 from test_acceptance import conservation_violations
 from test_dispatch_rows import assert_same_lp, ref_execute_lp, ref_rm_lp, ref_target_lp
 from test_gradient import assert_children_recursion
 from test_lp import assert_variants_agree
 from test_lp_memo import always_solve, assert_same_nodes
 from test_network import small_cases
+from test_sparse_jacobians import assert_price_identity
 
 CONFIG = AssessmentConfig(tau_d=15.0, t_max=30.0, attempts=400, policy="exhaustive", seed=1)
 
@@ -61,8 +64,11 @@ def test_risk_and_memo_invariants(data):
     _, violations = conservation_violations(case, off, CONFIG.tau_d)
     assert not violations, violations
     # the first gradient run meets LPs the memo holds without jacobians, the
-    # second finds every jacobian held
-    runs = [assessment(CONFIG), assessment(CONFIG)]
+    # second starts from a fresh copy of the case with empty caches, the
+    # third finds every jacobian held
+    runs = [assessment(CONFIG)]
+    copy = parse_case(serialize_case(case))
+    runs += [run_assessment(copy, outages, CONFIG), assessment(CONFIG)]
     best_first = assessment(replace(CONFIG, policy="best-first"))
     assert best_first.tree.nodes.keys() == runs[0].tree.nodes.keys()
     assert abs(best_first.r_prime - runs[0].r_prime) <= 1e-9 * abs(runs[0].r_prime)
@@ -70,6 +76,7 @@ def test_risk_and_memo_invariants(data):
     scale = max(1.0, np.abs(s_accum).max())
     assert np.abs(best_first.tree.root.s_accum - s_accum).max() <= 1e-12 * scale
     assert_children_recursion(runs[0].tree)
+    assert_price_identity(runs[0].tree)
     solved, solve = [], lp.solve_lp
 
     def record(prob):

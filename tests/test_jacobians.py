@@ -11,9 +11,8 @@ from gridrisk.cascade import simulate_level
 from gridrisk.network import SystemState, apply_outage, build_topology
 
 # (part of the level record, derivative field) pairs
-JACOBIAN_FIELDS = (("fast", "jac"), ("fast", "dcost_dx"), ("target", "jac"),
-                   ("execute", "jac_prime"), ("execute", "jac_star"),
-                   ("execute", "dcost_dxprime"), ("execute", "dcost_dxstar"))
+JACOBIAN_FIELDS = (("fast", "jac"), ("fast", "price"), ("target", "jac"),
+                   ("execute", "jac_prime"), ("execute", "jac_star"), ("execute", "price"))
 
 
 def _no_jacobians(rec) -> bool:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.optimize._highspy._core as core
-from hypothesis import assume, event, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 from gridrisk import lp
@@ -517,28 +517,47 @@ def _shifted(prob, p, h):
 
 
 def _fd_step(prob, sol, p, dx):
-    """The largest step <= 1e-6 in parameter `p` that moves no basic column,
-    and no inequality row on a side it is not held at, more than halfway to
-    a bound along `dx`. A right-hand side step leaves the multipliers alone,
-    so below it a non-degenerate basis stays the unique optimum and central
-    differences see its derivative, even where a near-duplicate row sits
-    1e-7 away."""
+    """The largest step <= 1e-3 in parameter `p` that moves no column and no
+    inequality row more than halfway along `dx` to a side it is not held at.
+    A right-hand side step leaves the multipliers alone, so below it a
+    non-degenerate basis stays the unique optimum and the solution moves
+    linearly, even where a near-duplicate row sits 1e-7 away: central
+    differences see the derivative up to HiGHS's own error in x, which the
+    step divides. That error reaches 7.7e-11 (`NEAR_COPY_LP`), so a step
+    of 1e-6 read it as a derivative error of 3.9e-5."""
     rows, lo, hi = _param_shifts(prob)
-    basic = sol.col_status == int(core.HighsBasisStatus.kBasic)
+    free_lo = sol.col_status != int(core.HighsBasisStatus.kLower)
+    free_hi = sol.col_status != int(core.HighsBasisStatus.kUpper)
     m_in = prob.b_in.size
     in_status = sol.row_status[:m_in]
     free_up = in_status != int(core.HighsBasisStatus.kUpper)
-    free_lo = np.isfinite(prob.lb_in) & (in_status != int(core.HighsBasisStatus.kLower))
+    free_lb = np.isfinite(prob.lb_in) & (in_status != int(core.HighsBasisStatus.kLower))
     act, d_act = prob.a_in @ sol.x, prob.a_in @ dx
-    slack = np.concatenate([(sol.x - prob.lo)[basic], (prob.hi - sol.x)[basic],
-                            (prob.b_in - act)[free_up], (act - prob.lb_in)[free_lo]])
-    rate = np.abs(np.concatenate([(dx - lo[:, p])[basic], (hi[:, p] - dx)[basic],
-                                  (rows[:m_in, p] - d_act)[free_up], d_act[free_lo]]))
+    slack = np.concatenate([(sol.x - prob.lo)[free_lo], (prob.hi - sol.x)[free_hi],
+                            (prob.b_in - act)[free_up], (act - prob.lb_in)[free_lb]])
+    rate = np.abs(np.concatenate([(dx - lo[:, p])[free_lo], (hi[:, p] - dx)[free_hi],
+                                  (rows[:m_in, p] - d_act)[free_up], d_act[free_lb]]))
     moving = rate > 0
-    return min([1e-6, *(0.5 * slack[moving] / rate[moving])])
+    return min([1e-3, *(0.5 * slack[moving] / rate[moving])])
+
+
+# A drawn LP with a 1e-8 near-copy of its second row: HiGHS returns x[0] =
+# -7.7e-11 at the nondegenerate optimum (the vertex has x[0] = 0) and 0 at
+# the shifted LPs, an error that central differences over 1e-6 steps read as
+# a derivative of 3.9e-5.
+NEAR_COPY_LP = lp.LpProblem(
+    c=np.array([-0.25, -0.25, 0.0]), a_eq=np.array([[-0.25, 0.0, 0.25]]), b_eq=np.zeros(1),
+    a_in=np.array([[0.0, -0.25, 0.0], [0.25, -0.25, 0.0], [0.0, 0.0, 0.25],
+                   [0.25, -0.25, 0.0] + 1e-8 * np.arange(1, 4)]),
+    lb_in=np.full(4, -np.inf), b_in=np.zeros(4),
+    lo=np.array([-0.5, -0.25, -np.inf]), hi=np.array([0.5, 0.25, np.inf]),
+    params=(13, np.r_[np.arange(11), 0, 1, 0, 5], np.r_[np.arange(11), 11, 11, 12, 12],
+            np.r_[np.ones(11), 1.0, -1.0, 1.0, 1.0]),
+)
 
 
 @given(prob=generated_lps())
+@example(prob=NEAR_COPY_LP)
 @settings(max_examples=250, deadline=None)
 def test_generated_lp_sensitivity(prob):
     sol = lp.solve_lp(prob)

@@ -1,6 +1,8 @@
 """Sparse local jacobians: every `Csr` jacobian a cascade level builds reads
-back as the dense matrix of the formulas below, the CSR products equal the
-dense ones, and no level record keeps a dense n_x x n_x array.
+back as the dense matrix of the formulas below, as does the level cost row
+`gradient.chain_step` forms from the price rows, every stage cost is its
+price row times its state change, the CSR products equal the dense ones, and
+no level record keeps a dense n_x x n_x array.
 
 The reference builders keep the dense formulas the level jacobians were
 built with before they were sparse, as `test_dispatch_rows.py` keeps its
@@ -16,7 +18,7 @@ from hypothesis import strategies as st
 
 from gridrisk import cascade, cases, lp
 from gridrisk.assess import AssessmentConfig, run_assessment
-from gridrisk.gradient import Csr
+from gridrisk.gradient import Csr, chain_step
 from gridrisk.network import SystemState, Topology, apply_outage, dc_power_flow
 
 
@@ -25,7 +27,8 @@ from gridrisk.network import SystemState, Topology, apply_outage, dc_power_flow
 # ---------------------------------------------------------------------------
 
 def ref_rebalance(case, topo, state):
-    """(jacobian, dcost_dx, balanced state) of `cascade._rebalance`, dense."""
+    """(jacobian, d cost/d state, balanced state) of `cascade._rebalance`,
+    dense."""
     n_l, n_x = case.n_load, case.n_x
     p_d, p_g = state.p_load.copy(), state.p_gen.copy()
     jac = np.eye(n_x)
@@ -75,8 +78,8 @@ def ref_rebalance(case, topo, state):
 
 
 def ref_fast(case, topo, state, initial_trips=()):
-    """(jacobian, dcost_dx) of `cascade.short_timescale_process`, composed
-    with dense products."""
+    """(jacobian, d cost/d input state) of `cascade.short_timescale_process`,
+    composed with dense products."""
     jac_total, dcost_total = np.eye(case.n_x), np.zeros(case.n_x)
     for _ in range(cascade.MAX_FAST_EVENTS):
         jac_step, dcost_step, state = ref_rebalance(case, topo, state)
@@ -101,9 +104,16 @@ def ref_target(case, matrix, fallback):
     return jac
 
 
-def ref_execute(case, matrix):
+def ref_execute(case, matrix, x_prime, x):
+    """(d x/d x*, d x/d x', d C_R/d x*, d C_R/d x') of a normal execution
+    from x' to x, C_R = c_D'(P'_d - P_d) + c_G'|P_g - P'_g| with the sign of
+    a move within 1e-9 MW taken as 0."""
     n_x = case.n_x
-    return matrix[:n_x, :n_x].copy(), matrix[:n_x, n_x:].copy()
+    jac_star, jac_prime = matrix[:n_x, :n_x].copy(), matrix[:n_x, n_x:].copy()
+    move = x.p_gen - x_prime.p_gen
+    w = np.concatenate([-case.c_load, case.c_gen * np.sign(np.where(np.abs(move) <= 1e-9,
+                                                                    0.0, move))])
+    return jac_star, jac_prime, w @ jac_star, w @ jac_prime - w
 
 
 # ---------------------------------------------------------------------------
@@ -114,6 +124,24 @@ def _close(actual, desired):
     """Equal up to the roundoff of a different summation order."""
     scale = max(1.0, float(np.abs(desired).max(initial=0.0)))
     np.testing.assert_allclose(actual, desired, rtol=1e-12, atol=1e-12 * scale)
+
+
+def assert_price_identity(tree):
+    """Every recorded level's fast cost is `fast.price @ (x' - x_in)` and its
+    execution cost `execute.price @ (x - x')`, within 1e-9 of the summed
+    |terms| plus 1e-9 $/MW of c_G per unit: a generator move within 1e-9 MW
+    has no sign, so the price leaves its cost out."""
+    dead_band = 1e-9 * float(tree.case.c_gen.sum())
+    for label, node in tree.nodes.items():
+        rec = node.record
+        if rec is None:
+            continue
+        x_in, x_prime = tree.nodes[label[:-1]].state.x, rec.fast.final_state.x
+        for cost, price, change in ((rec.fast.cost, rec.fast.price, x_prime - x_in),
+                                    (rec.execute.cost, rec.execute.price,
+                                     rec.x_next.x - x_prime)):
+            terms = price * change
+            assert abs(cost - terms.sum()) <= 1e-9 * np.abs(terms).sum() + dead_band, label
 
 
 @pytest.fixture()
@@ -161,20 +189,22 @@ def test_level_jacobians_match_dense_formulas(run, sensitivity_matrices, monkeyp
         trips = (rec.event_id,) if rec.event_id else ()
         jac, dcost = ref_fast(case, topo, parent.state, trips)
         _close(rec.fast.jac.toarray(), jac)
-        _close(rec.fast.dcost_dx, dcost)
 
         tgt, exe = rec.target, rec.execute
         matrix = None if tgt.fallback else sensitivity_matrices[id(tgt.sol)][1]
-        np.testing.assert_array_equal(tgt.jac.toarray(), ref_target(case, matrix, tgt.fallback))
+        jac_target = ref_target(case, matrix, tgt.fallback)
+        np.testing.assert_array_equal(tgt.jac.toarray(), jac_target)
         if exe.emergency:
             jac_prime, dcost_prime, _ = ref_rebalance(case, rec.topo, rec.fast.final_state)
-            jac_star = np.zeros((case.n_x, case.n_x))
-            _close(exe.dcost_dxprime, dcost_prime)
-            np.testing.assert_array_equal(exe.dcost_dxstar, np.zeros(case.n_x))
+            jac_star, dcost_star = np.zeros((case.n_x, case.n_x)), np.zeros(case.n_x)
         else:
-            jac_star, jac_prime = ref_execute(case, sensitivity_matrices[id(exe.sol)][1])
+            jac_star, jac_prime, dcost_star, dcost_prime = ref_execute(
+                case, sensitivity_matrices[id(exe.sol)][1], rec.fast.final_state, exe.state)
         np.testing.assert_array_equal(exe.jac_star.toarray(), jac_star)
         np.testing.assert_array_equal(exe.jac_prime.toarray(), jac_prime)
+        # the level cost row against the input state, from the identity chain
+        _close(chain_step(rec, np.eye(case.n_x))[1],
+               dcost + (dcost_prime + dcost_star @ jac_target) @ jac)
         flags["fallback"] += tgt.fallback
         flags["emergency"] += exe.emergency
         flags["truncated"] += rec.fast.truncated
@@ -182,6 +212,7 @@ def test_level_jacobians_match_dense_formulas(run, sensitivity_matrices, monkeyp
         assert flags["fallback"] and flags["emergency"]
     if run == "rts96-truncated":
         assert flags["truncated"]
+    assert_price_identity(a.tree)
     _close(a.gamma, a.tree.root.s_accum @ a.exec_sensitivity.toarray())
 
 
